@@ -23,9 +23,10 @@ from importlib.metadata import PackageNotFoundError, version as _pkg_version
 
 import numpy as np
 
-from .data import Interval, load_sample, save_sample, summarize
+from .data import Interval, SubjectRecord, load_sample, save_sample, summarize
 from .errors import DataError, FitError
-from .flr import FlrConfig, fit_flr, prediction_band, predict_response
+from .flr import FlrConfig, fit_flr, prediction_band, trajectory_from_scores
+from .fpca import pace_scores_batch
 from .serialize import load_model, save_model
 from .simulation import SimConfig, gen_pair, run_monte_carlo, save_run_results
 
@@ -208,17 +209,20 @@ def cmd_predict(cfg: RunConfig) -> int:
     )
     by_id = sample.by_id()
     requested = list(cfg.subjects) if cfg.subjects else [s.subject_id for s in sample.subjects]
+    subjects = [
+        by_id.get(sid) or SubjectRecord(sid, np.empty(0), np.empty(0)) for sid in requested
+    ]
+    batch = pace_scores_batch(model.x, subjects, model.sigma_km.shape[1])
     pred_dir = os.path.join(cfg.out_dir, "predictions")
     os.makedirs(pred_dir, exist_ok=True)
     used: set[str] = set()
     roster_rows = []
     t_grid = model.grid_t.points
-    for sid in requested:
-        subj = by_id.get(sid)
-        times = subj.times if subj is not None else np.empty(0)
-        values = subj.values if subj is not None else np.empty(0)
-        pred = prediction_band(predict_response(model, times, values), cfg.level)
-        flag = "no-data" if pred.score_info.no_data else "ok"
+    for i, (sid, subj) in enumerate(zip(requested, subjects)):
+        pred = prediction_band(
+            trajectory_from_scores(model, batch.scores[i], batch.omega[i]), cfg.level
+        )
+        flag = "no-data" if batch.no_data[i] else "ok"
         fname = _subject_filename(sid, used)
         _write_csv(
             os.path.join(pred_dir, fname),
@@ -231,7 +235,7 @@ def cmd_predict(cfg: RunConfig) -> int:
                 (float(v) for v in pred.variance),
             ),
         )
-        roster_rows.append([sid, int(times.size), flag, f"predictions/{fname}"])
+        roster_rows.append([sid, subj.n_obs, flag, f"predictions/{fname}"])
     _write_csv(
         os.path.join(cfg.out_dir, "subjects.csv"),
         ["subject_id", "n_obs", "flag", "file"],

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .data import RegularGrid, SparseFunctionalSample, SubjectRecord
 from .errors import FitError
@@ -54,6 +54,7 @@ __all__ = [
     "estimate_beta",
     "predict_response",
     "predict_from_scores",
+    "trajectory_from_scores",
     "prediction_band",
     "r2_global",
     "r2_pointwise",
@@ -151,13 +152,14 @@ class TrajectoryPrediction:
     driven by score uncertainty; ``lower``/``upper`` are filled by
     ``prediction_band``. ``score_info`` carries the predictor-score record,
     including its conditioning flags and the ``no_data`` mean-fallback
-    marker.
+    marker; it is None when the scores came from a batch, which keeps the
+    flags.
     """
 
     grid: RegularGrid
     values: np.ndarray
     variance: np.ndarray
-    score_info: ScorePrediction
+    score_info: ScorePrediction | None
     level: float | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
@@ -410,16 +412,31 @@ def predict_response(
     """
     k, m = model.sigma_km.shape
     score_pred = pace_scores(model.x, times, values, m)
+    return trajectory_from_scores(model, score_pred.scores, score_pred.omega, score_pred)
+
+
+def trajectory_from_scores(
+    model: FlrModel,
+    scores: np.ndarray,
+    omega: np.ndarray,
+    score_info: ScorePrediction | None = None,
+) -> TrajectoryPrediction:
+    """The ``predict_response`` trajectory of one already-scored subject.
+
+    ``scores`` and ``omega`` are the predictor scores and their conditional
+    covariance, from ``pace_scores`` or one row of ``pace_scores_batch``.
+    """
+    k = model.sigma_km.shape[0]
     phi = model.y.eigenfunctions[:k]
     p = model.coefficients
-    values_hat = model.y.mean + (p @ score_pred.scores) @ phi
-    v = p @ score_pred.omega @ p.T
+    values_hat = model.y.mean + (p @ scores) @ phi
+    v = p @ omega @ p.T
     variance = np.maximum(np.einsum("kt,kl,lt->t", phi, v, phi), 0.0)
     return TrajectoryPrediction(
         grid=model.grid_t,
         values=values_hat,
         variance=variance,
-        score_info=score_pred,
+        score_info=score_info,
     )
 
 
@@ -429,7 +446,7 @@ def prediction_band(
     """Attach symmetric Gaussian-quantile bands at the given level."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    z = float(norm.ppf(0.5 * (1.0 + level)))
+    z = float(ndtri(0.5 * (1.0 + level)))
     half = z * np.sqrt(prediction.variance)
     return replace(
         prediction,

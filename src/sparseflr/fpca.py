@@ -56,7 +56,9 @@ __all__ = [
     "estimate_covariance",
     "estimate_noise_variance",
     "eigendecompose",
+    "ScoreBatch",
     "pace_scores",
+    "pace_scores_batch",
     "select_ncomp",
     "fit_fpca",
 ]
@@ -168,13 +170,6 @@ class EigenSystem:
     def n_retained(self) -> int:
         return int(self.eigenvalues.size)
 
-    def functions_at(self, t: np.ndarray, n: int | None = None) -> np.ndarray:
-        rows = self.functions if n is None else self.functions[:n]
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if rows.shape[0] == 0:
-            return np.empty((0, t.size))
-        return np.vstack([interp_linear(self.grid.points, row, t) for row in rows])
-
     def variance_fractions(self) -> np.ndarray:
         total = float(self.eigenvalues.sum())
         return self.eigenvalues / total if total > 0 else np.zeros_like(self.eigenvalues)
@@ -196,6 +191,20 @@ class ScorePrediction:
     ridged: bool = False
     omega_clipped: bool = False
     no_data: bool = False
+
+
+@dataclass(frozen=True)
+class ScoreBatch:
+    """``ScorePrediction`` fields of many subjects, stacked; row i is subject i.
+
+    ``scores`` is (n, m) and ``omega`` (n, m, m); the flags are (n,) arrays.
+    """
+
+    scores: np.ndarray
+    omega: np.ndarray
+    ridged: np.ndarray
+    omega_clipped: np.ndarray
+    no_data: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -428,37 +437,84 @@ def eigendecompose(
     return EigenSystem(cov.grid, lam, funcs)
 
 
-def _repair_spd(sigma: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Ridge an observation covariance whose linear solve would be unstable.
+def _check_ncomp(model: FpcaModel, n_components: int | None) -> int:
+    m = model.n_components if n_components is None else int(n_components)
+    if m < 1 or m > model.eigenvalues.size:
+        raise ValueError(f"n_components must be in [1, {model.eigenvalues.size}], got {m}")
+    return m
 
-    Interpolating a smoothed surface between grid nodes can dent its
-    positive-definiteness slightly, so the matrix may be mildly indefinite.
-    That is harmless for an LU solve as long as every eigenvalue stays well
-    away from zero, so repair triggers only when the smallest eigenvalue
-    magnitude falls below 1e-12 of the largest (near-duplicate observation
-    times with a zero noise estimate, for example). The fix adds the ridge
-    1e-8 * trace / size to the diagonal, which leaves the repaired matrix
-    with smallest eigenvalue at or above 1e-12 * trace.
+
+def _score_group(model: FpcaModel, psi: np.ndarray, resid: np.ndarray) -> tuple:
+    """Scores of G subjects sharing one observation count L, solved stacked.
+
+    ``psi`` (G, m, L) holds eigenfunction values in C order, which makes
+    each stacked product round exactly as it would for one subject alone;
+    ``resid`` (G, L) holds observations minus the mean. Returns (h, sigma_u,
+    scores, omega, ridged, omega_clipped). Sigma_U is ridged only where an
+    LU solve would be unstable, when its smallest eigenvalue magnitude falls
+    to 1e-12 of the largest (near-duplicate times with a zero noise
+    estimate, for example): 1e-8 * max(trace, largest magnitude) / L is
+    added to its diagonal. Omega's negative eigenvalues, left by rounding,
+    are clipped to zero.
     """
-    sym = 0.5 * (sigma + sigma.T)
-    lam = np.linalg.eigvalsh(sym)
-    amax = float(np.max(np.abs(lam))) if lam.size else 0.0
-    amin = float(np.min(np.abs(lam))) if lam.size else 0.0
-    if amax > 0.0 and amin > 1e-12 * amax:
-        return sym, False
-    size = max(sym.shape[0], 1)
-    ridge = 1e-8 * max(float(np.trace(sym)), amax, np.finfo(float).tiny) / size
-    return sym + ridge * np.eye(sym.shape[0]), True
+    n_obs = psi.shape[2]
+    rho = model.eigenvalues[: psi.shape[1]]
+    h = rho[:, None] * psi
+    eye = np.eye(n_obs)
+    sigma = psi.transpose(0, 2, 1) @ h + model.noise_var * eye
+    sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
+    lam = np.abs(np.linalg.eigvalsh(sigma))
+    amax, amin = lam.max(axis=1), lam.min(axis=1)
+    ridged = ~((amax > 0.0) & (amin > 1e-12 * amax))
+    if ridged.any():
+        trace = np.trace(sigma[ridged], axis1=1, axis2=2)
+        floor = np.maximum(np.maximum(trace, amax[ridged]), np.finfo(float).tiny)
+        sigma[ridged] += (1e-8 * floor / n_obs)[:, None, None] * eye
+    scores = (h @ np.linalg.solve(sigma, resid[:, :, None]))[:, :, 0]
+    omega = np.diag(rho) - h @ np.linalg.solve(sigma, h.transpose(0, 2, 1))
+    omega = 0.5 * (omega + omega.transpose(0, 2, 1))
+    lam, vec = np.linalg.eigh(omega)
+    clipped = ~(lam[:, 0] >= 0)
+    if clipped.any():
+        v = vec[clipped]
+        c = (v * np.maximum(lam[clipped], 0.0)[:, None, :]) @ v.transpose(0, 2, 1)
+        omega[clipped] = 0.5 * (c + c.transpose(0, 2, 1))
+    return h, sigma, scores, omega, ridged, clipped
 
 
-def _project_psd(m: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Clip negative eigenvalues of a symmetric matrix to zero."""
-    sym = 0.5 * (m + m.T)
-    lam, vec = np.linalg.eigh(sym)
-    if lam.size == 0 or lam[0] >= 0:
-        return sym, False
-    clipped = (vec * np.maximum(lam, 0.0)[None, :]) @ vec.T
-    return 0.5 * (clipped + clipped.T), True
+def pace_scores_batch(
+    model: FpcaModel,
+    subjects: Sequence[SubjectRecord],
+    n_components: int | None = None,
+) -> ScoreBatch:
+    """Conditional-expectation component scores for many subjects at once.
+
+    Row i belongs to ``subjects[i]`` and equals what ``pace_scores`` returns
+    for that subject alone. The mean and the eigenfunctions are interpolated
+    once at the pooled times, and subjects sharing an observation count are
+    solved stacked, so the cost grows with the number of distinct counts
+    rather than of subjects.
+    """
+    m = _check_ncomp(model, n_components)
+    n = len(subjects)
+    counts = np.array([s.n_obs for s in subjects], dtype=np.intp)
+    t_all = np.concatenate([np.empty(0)] + [s.times for s in subjects])
+    u_all = np.concatenate([np.empty(0)] + [s.values for s in subjects])
+    resid_all = u_all - model.mean_at(t_all)
+    psi_all = model.eigenfunctions_at(t_all, m)
+    starts = np.cumsum(counts) - counts
+    scores = np.zeros((n, m))
+    omega = np.repeat(np.diag(model.eigenvalues[:m])[None], n, axis=0)
+    ridged = np.zeros(n, dtype=bool)
+    clipped = np.zeros(n, dtype=bool)
+    for n_obs in sorted(set(counts.tolist()) - {0}):
+        rows = np.flatnonzero(counts == n_obs)
+        idx = starts[rows, None] + np.arange(n_obs)
+        psi = np.ascontiguousarray(psi_all[:, idx].transpose(1, 0, 2))
+        _, _, scores[rows], omega[rows], ridged[rows], clipped[rows] = _score_group(
+            model, psi, resid_all[idx]
+        )
+    return ScoreBatch(scores, omega, ridged, clipped, counts == 0)
 
 
 def pace_scores(
@@ -478,66 +534,32 @@ def pace_scores(
     surface between grid nodes instead can go mildly indefinite and
     destabilize both the scores and the component-count selection.
     ``omega`` is the matching conditional covariance D - H Sigma_U^-1 H^T,
-    projected onto the PSD cone if rounding pushed it off.
+    projected onto the PSD cone if rounding pushed it off. The subject is
+    scored as a batch of one by the core of ``pace_scores_batch``.
 
     Subjects with zero observations fall back to zero scores with
     omega = diag(eigenvalues).
     """
-    m = model.n_components if n_components is None else int(n_components)
-    if m < 1 or m > model.eigenvalues.size:
-        raise ValueError(
-            f"n_components must be in [1, {model.eigenvalues.size}], got {m}"
-        )
+    m = _check_ncomp(model, n_components)
     t = np.asarray(times, dtype=float).ravel()
     u = np.asarray(values, dtype=float).ravel()
     if t.size != u.size:
         raise ValueError("times and values lengths differ")
-    rho = model.eigenvalues[:m]
-    d = np.diag(rho)
     if t.size == 0:
         return ScorePrediction(
             scores=np.zeros(m),
             sigma_u=np.empty((0, 0)),
             h=np.empty((m, 0)),
-            omega=d,
+            omega=np.diag(model.eigenvalues[:m]),
             no_data=True,
         )
-    psi = model.eigenfunctions_at(t, m)
-    resid = u - model.mean_at(t)
-    sigma_u = psi.T @ (rho[:, None] * psi) + model.noise_var * np.eye(t.size)
-    sigma_u, ridged = _repair_spd(sigma_u)
-    h = rho[:, None] * psi
-    alpha = np.linalg.solve(sigma_u, resid)
-    scores = h @ alpha
-    omega = d - h @ np.linalg.solve(sigma_u, h.T)
-    omega, clipped = _project_psd(omega)
-    return ScorePrediction(
-        scores=scores,
-        sigma_u=sigma_u,
-        h=h,
-        omega=omega,
-        ridged=ridged,
-        omega_clipped=clipped,
+    psi = model.eigenfunctions_at(t, m)[None]
+    h, sigma, scores, omega, ridged, clipped = _score_group(
+        model, psi, (u - model.mean_at(t))[None]
     )
-
-
-def _subject_score_table(
-    model: FpcaModel, sample: SparseFunctionalSample, n_components: int
-) -> list[tuple[SubjectRecord, np.ndarray, np.ndarray, np.ndarray]]:
-    """Per-subject (record, scores, residuals, eigenfunction values) table."""
-    out = []
-    for subj in sample.subjects:
-        if subj.n_obs:
-            pred = pace_scores(model, subj.times, subj.values, n_components)
-            scores = pred.scores
-            resid = subj.values - model.mean_at(subj.times)
-            psi = model.eigenfunctions_at(subj.times, n_components)
-        else:
-            scores = np.zeros(n_components)
-            resid = np.empty(0)
-            psi = np.empty((n_components, 0))
-        out.append((subj, scores, resid, psi))
-    return out
+    return ScorePrediction(
+        scores[0], sigma[0], h[0], omega[0], bool(ridged[0]), bool(clipped[0])
+    )
 
 
 def _aic_curve(
@@ -553,22 +575,14 @@ def _aic_curve(
     """
     diag_scale = float(np.mean(np.diag(model.surface)))
     sigma2 = max(model.noise_var, 1e-8 * max(diag_scale, 0.0), 1e-300)
-    table = _subject_score_table(model, sample, max_m)
-    aic = np.zeros(max_m)
-    log2pi = math.log(2.0 * math.pi)
-    for m in range(1, max_m + 1):
-        total = 0.0
-        for subj, scores, resid, psi in table:
-            if subj.n_obs == 0:
-                continue
-            r = resid - scores[:m] @ psi[:m]
-            total += (
-                float(r @ r) / (2.0 * sigma2)
-                + 0.5 * subj.n_obs * log2pi
-                + 0.5 * subj.n_obs * math.log(sigma2)
-            )
-        aic[m - 1] = total + m
-    return aic
+    scores = pace_scores_batch(model, sample.subjects, max_m).scores
+    pooled = pooled_points(sample)
+    resid = pooled.values - model.mean_at(pooled.times)
+    psi = model.eigenfunctions_at(pooled.times, max_m)
+    # row m - 1 holds the residuals of the trajectory truncated to m components
+    r = resid - np.cumsum(scores[pooled.subject_index].T * psi, axis=0)
+    log_term = 0.5 * resid.size * (math.log(2.0 * math.pi) + math.log(sigma2))
+    return np.einsum("mn,mn->m", r, r) / (2.0 * sigma2) + log_term + np.arange(1, max_m + 1)
 
 
 def _cv_curve(

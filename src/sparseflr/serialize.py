@@ -65,6 +65,35 @@ def _marginal_from(doc: dict) -> FpcaModel:
     )
 
 
+def _check_shapes(
+    x: FpcaModel,
+    y: FpcaModel,
+    cross: CrossCovarianceEstimate,
+    sigma_km: np.ndarray,
+    beta: np.ndarray,
+) -> None:
+    """Raise ValueError unless every array agrees with the grids and counts."""
+    n_s, n_t = x.grid.n_points, y.grid.n_points
+    cross_grids = (cross.grid_s.n_points, cross.grid_t.n_points)
+    expected = {
+        "cross.surface": (cross.surface, (n_s, n_t)),
+        "cross.surface on its own grids": (cross.surface, cross_grids),
+        "sigma_km": (sigma_km, (y.n_components, x.n_components)),
+        "beta": (beta, (n_s, n_t)),
+    }
+    for name, m in (("x", x), ("y", y)):
+        n, r = m.grid.n_points, m.eigenvalues.size
+        if not 1 <= m.n_components <= r:
+            raise ValueError(f"{name}.n_components {m.n_components} is not in [1, {r}]")
+        expected[f"{name}.mean"] = (m.mean, (n,))
+        expected[f"{name}.surface"] = (m.surface, (n, n))
+        expected[f"{name}.eigenvalues"] = (m.eigenvalues, (r,))
+        expected[f"{name}.eigenfunctions"] = (m.eigenfunctions, (r, n))
+    for name, (array, shape) in expected.items():
+        if array.shape != shape:
+            raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
+
+
 def _config_doc(c: FlrConfig) -> dict:
     return asdict(c)
 
@@ -131,7 +160,8 @@ def load_model(path: str) -> FlrModel:
     """Read a model document back into a fitted-model object.
 
     Raises DataError on a missing/unknown schema version or a structurally
-    broken document.
+    broken document, including arrays whose shapes disagree with the grids
+    and component counts.
     """
     with open(path) as fh:
         try:
@@ -172,12 +202,17 @@ def load_model(path: str) -> FlrModel:
             constant_fallbacks=int(flags_doc.get("constant_fallbacks", 0)),
             notes=list(flags_doc.get("notes", [])),
         )
+        x = _marginal_from(doc["x"])
+        y = _marginal_from(doc["y"])
+        sigma_km = np.asarray(doc["sigma_km"], dtype=float)
+        beta = np.asarray(doc["beta"], dtype=float)
+        _check_shapes(x, y, cross, sigma_km, beta)
         return FlrModel(
-            x=_marginal_from(doc["x"]),
-            y=_marginal_from(doc["y"]),
+            x=x,
+            y=y,
             cross=cross,
-            sigma_km=np.asarray(doc["sigma_km"], dtype=float),
-            beta=np.asarray(doc["beta"], dtype=float),
+            sigma_km=sigma_km,
+            beta=beta,
             r2=r2,
             config=_config_from(doc["config"]),
             n_shared_subjects=int(doc.get("n_shared_subjects", 0)),

@@ -1,10 +1,14 @@
 """End-to-end command behavior: exit codes, files, determinism, manifests."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sparseflr
 from sparseflr import save_sample
 from sparseflr.cli import main
 
@@ -187,6 +191,32 @@ class TestPredict:
     def test_bad_level_is_usage_error(self, fit_dir, data_dir, tmp_path):
         assert self.run_predict(fit_dir, data_dir, tmp_path / "o", ["--level", "0"]) == 2
 
+    def predict_with_edited_model(self, fit_dir, data_dir, tmp_path, edit):
+        doc = json.loads((fit_dir / "model.json").read_text())
+        edit(doc)
+        bad = tmp_path / "bad_model"
+        bad.mkdir()
+        (bad / "model.json").write_text(json.dumps(doc))
+        return self.run_predict(bad, data_dir, tmp_path / "o")
+
+    def test_short_eigenfunctions_are_data_error(self, fit_dir, data_dir, tmp_path, capsys):
+        def drop_last_grid_point(doc):
+            for row in doc["x"]["eigenfunctions"]:
+                row.pop()
+
+        code = self.predict_with_edited_model(fit_dir, data_dir, tmp_path, drop_last_grid_point)
+        assert code == 3
+        assert "x.eigenfunctions has shape" in capsys.readouterr().err
+
+    def test_dropped_sigma_km_column_is_data_error(self, fit_dir, data_dir, tmp_path, capsys):
+        def drop_last_column(doc):
+            for row in doc["sigma_km"]:
+                row.pop()
+
+        code = self.predict_with_edited_model(fit_dir, data_dir, tmp_path, drop_last_column)
+        assert code == 3
+        assert "sigma_km has shape" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_reruns_byte_identical(self, tmp_path):
@@ -264,6 +294,16 @@ class TestTopLevel:
 
     def test_no_command_is_usage_error(self):
         assert main([]) == 2
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs about half a second of start-up on every command
+        src = os.path.dirname(os.path.dirname(sparseflr.__file__))
+        code = "import sys, sparseflr, sparseflr.cli; print('scipy.stats' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.strip() == "False"
 
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert main(["simulate", "--frobnicate", "--out", str(tmp_path / "o")]) == 2

@@ -273,6 +273,16 @@ class TestPrediction:
         assert np.max(np.abs(half / np.sqrt(pred.variance[pos]) - 1.959964)) < 1e-6
         assert np.max(np.abs((band.values - band.lower) - (band.upper - band.values))) < 1e-12
 
+    def test_band_quantile_equals_normal_ppf(self, fitted):
+        from scipy.stats import norm
+
+        pred = predict_response(fitted, np.array([2.0, 6.0]), np.array([1.0, -1.0]))
+        for level in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+            band = prediction_band(pred, level)
+            z = norm.ppf(0.5 * (1.0 + level))
+            assert np.array_equal(band.upper, pred.values + z * np.sqrt(pred.variance))
+            assert np.array_equal(band.lower, pred.values - z * np.sqrt(pred.variance))
+
     def test_zero_variance_collapses_band(self, fitted):
         pred = TrajectoryPrediction(
             grid=fitted.grid_t,

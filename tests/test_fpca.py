@@ -22,12 +22,46 @@ from sparseflr import (
     estimate_noise_variance,
     fit_fpca,
     pace_scores,
+    pace_scores_batch,
 )
 from sparseflr.fpca import MeanEstimate, RawCovariances, raw_covariances, select_ncomp
 
 from conftest import make_truth_model
 
 RNG = np.random.default_rng(7)
+
+
+def scalar_pace_scores(model, times, values, m):
+    """Reference for the batched core: one subject scored on its own.
+
+    The per-subject path the batch replaced: Sigma_U ridged when its smallest
+    eigenvalue magnitude is at most 1e-12 of the largest, omega's negative
+    eigenvalues clipped. Returns (scores, omega, ridged, omega_clipped).
+    """
+    rho = model.eigenvalues[:m]
+    d = np.diag(rho)
+    if times.size == 0:
+        return np.zeros(m), d, False, False
+    psi = model.eigenfunctions_at(times, m)
+    resid = values - model.mean_at(times)
+    sigma_u = psi.T @ (rho[:, None] * psi) + model.noise_var * np.eye(times.size)
+    sym = 0.5 * (sigma_u + sigma_u.T)
+    lam = np.linalg.eigvalsh(sym)
+    amax, amin = float(np.max(np.abs(lam))), float(np.min(np.abs(lam)))
+    ridged = not (amax > 0.0 and amin > 1e-12 * amax)
+    if ridged:
+        ridge = 1e-8 * max(float(np.trace(sym)), amax, np.finfo(float).tiny) / times.size
+        sym = sym + ridge * np.eye(times.size)
+    h = rho[:, None] * psi
+    scores = h @ np.linalg.solve(sym, resid)
+    omega = d - h @ np.linalg.solve(sym, h.T)
+    omega = 0.5 * (omega + omega.T)
+    lam, vec = np.linalg.eigh(omega)
+    clipped = bool(lam[0] < 0)
+    if clipped:
+        omega = (vec * np.maximum(lam, 0.0)[None, :]) @ vec.T
+        omega = 0.5 * (omega + omega.T)
+    return scores, omega, ridged, clipped
 
 
 def affine_sample(n_subjects=30, slope=2.0, intercept=1.0, seed=11):
@@ -298,6 +332,90 @@ class TestPaceScores:
         assert np.isfinite(pred.scores).all()
         lam = np.linalg.eigvalsh(pred.sigma_u)
         assert lam.min() > 1e-12 * lam.max()
+
+
+def six_component_model(grid, noise_var):
+    """Orthonormal cosine components with halving variances."""
+    pts = grid.points
+    k = np.arange(1, 7)[:, None]
+    funcs = np.cos(k * np.pi * pts / 10.0) / np.sqrt(5.0)
+    rho = 2.0 ** -np.arange(6.0)
+    return FpcaModel(
+        grid=grid,
+        mean=np.sin(pts),
+        surface=funcs.T @ (rho[:, None] * funcs),
+        noise_var=noise_var,
+        eigenvalues=rho,
+        eigenfunctions=funcs,
+        n_components=6,
+        mean_bandwidth=1.0,
+        cov_bandwidth=1.0,
+    )
+
+
+def mixed_cohort():
+    """Observation counts 0, 1, 3, 3, 4, 5 and 25; one pair of duplicate times."""
+    rng = np.random.default_rng(17)
+    times = [
+        np.array([]),
+        np.array([2.3]),
+        np.array([1.1, 4.2, 8.7]),
+        np.array([3.0, 3.0, 7.5]),
+        np.sort(rng.uniform(0, 10, 4)),
+        np.sort(rng.uniform(0, 10, 5)),
+        np.sort(rng.uniform(0, 10, 25)),
+    ]
+    return [
+        SubjectRecord(f"s{i}", t, np.sin(t) + rng.normal(size=t.size))
+        for i, t in enumerate(times)
+    ]
+
+
+class TestPaceScoresBatch:
+    @pytest.mark.parametrize("noise_var", [0.0, 0.25])
+    def test_matches_scalar_reference(self, grid, noise_var):
+        model = six_component_model(grid, noise_var)
+        subjects = mixed_cohort()
+        batch = pace_scores_batch(model, subjects)
+        for i, subj in enumerate(subjects):
+            scores, omega, ridged, clipped = scalar_pace_scores(
+                model, subj.times, subj.values, 6
+            )
+            assert np.max(np.abs(batch.scores[i] - scores)) <= 1e-12
+            assert np.max(np.abs(batch.omega[i] - omega)) <= 1e-12
+            assert batch.ridged[i] == ridged
+            assert batch.omega_clipped[i] == clipped
+            assert batch.no_data[i] == (subj.n_obs == 0)
+        if noise_var == 0.0:
+            # without noise the duplicate times and the 25 points beyond six
+            # components make Sigma_U singular; the cohort covers both repairs
+            assert batch.ridged.tolist() == [False, False, False, True, False, False, True]
+            assert batch.omega_clipped.any() and not batch.omega_clipped.all()
+
+    def test_batch_of_one_equals_batch_row(self, grid):
+        model = six_component_model(grid, 0.0)
+        subjects = mixed_cohort()
+        batch = pace_scores_batch(model, subjects, 4)
+        for i, subj in enumerate(subjects):
+            one = pace_scores(model, subj.times, subj.values, 4)
+            assert np.array_equal(one.scores, batch.scores[i])
+            assert np.array_equal(one.omega, batch.omega[i])
+            assert (one.ridged, one.omega_clipped, one.no_data) == (
+                batch.ridged[i], batch.omega_clipped[i], batch.no_data[i]
+            )
+
+    def test_subject_order_does_not_change_results(self, grid):
+        model = six_component_model(grid, 0.0)
+        subjects = mixed_cohort()
+        batch = pace_scores_batch(model, subjects)
+        for order in (np.arange(7)[::-1], np.random.default_rng(3).permutation(7)):
+            other = pace_scores_batch(model, [subjects[i] for i in order])
+            for field in ("scores", "omega", "ridged", "omega_clipped", "no_data"):
+                assert np.array_equal(getattr(other, field), getattr(batch, field)[order])
+
+    def test_component_count_validated(self, truth_x_model):
+        with pytest.raises(ValueError):
+            pace_scores_batch(truth_x_model, [], 3)
 
 
 class TestSelectNcomp:
