@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .data import RegularGrid, SparseFunctionalSample, SubjectRecord
+from .data import RegularGrid, SparseFunctionalSample, SubjectRecord, pooled_points
 from .errors import FitError
 from .fpca import (
     COV_BANDWIDTH_FRACTIONS,
@@ -31,6 +31,7 @@ from .fpca import (
     FpcaModel,
     MeanEstimate,
     ScorePrediction,
+    _pair_indices,
     fit_fpca,
     pace_scores,
 )
@@ -38,7 +39,6 @@ from .smoothing import (
     SmoothFlags,
     bin_scatter_2d,
     get_kernel,
-    interp_bilinear,
     local_linear_2d,
     select_bandwidth_2d,
 )
@@ -119,9 +119,6 @@ class CrossCovarianceEstimate:
     n_shared_subjects: int = 0
     binned: bool = False
 
-    def at(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return interp_bilinear(self.grid_s.points, self.grid_t.points, self.surface, s, t)
-
 
 @dataclass(frozen=True)
 class R2Summary:
@@ -199,33 +196,26 @@ def _cross_raw_pairs(
     x_mean: MeanEstimate,
     y_mean: MeanEstimate,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """All (predictor time, response time) residual products over shared ids."""
-    y_by_id = y_sample.by_id()
-    s_parts, t_parts, v_parts, idx_parts = [], [], [], []
-    n_shared = 0
-    for i, sx in enumerate(x_sample.subjects):
-        sy = y_by_id.get(sx.subject_id)
-        if sy is None:
-            continue
-        n_shared += 1
-        if sx.n_obs == 0 or sy.n_obs == 0:
-            continue
-        rx = sx.values - x_mean.at(sx.times)
-        ry = sy.values - y_mean.at(sy.times)
-        ss, tt = np.meshgrid(sx.times, sy.times, indexing="ij")
-        s_parts.append(ss.ravel())
-        t_parts.append(tt.ravel())
-        v_parts.append(np.outer(rx, ry).ravel())
-        idx_parts.append(np.full(sx.n_obs * sy.n_obs, i, dtype=np.intp))
-    if not v_parts:
-        return (np.empty(0), np.empty(0), np.empty(0), np.empty(0, dtype=np.intp), n_shared)
-    return (
-        np.concatenate(s_parts),
-        np.concatenate(t_parts),
-        np.concatenate(v_parts),
-        np.concatenate(idx_parts),
-        n_shared,
+    """All (predictor time, response time) residual products over shared ids.
+
+    Pairs run subject by subject in predictor roster order, row-major in
+    each subject's predictor x response product; the subject index is the
+    predictor roster position.
+    """
+    y_index = {s.subject_id: j for j, s in enumerate(y_sample.subjects)}
+    match = np.array([y_index.get(s.subject_id, -1) for s in x_sample.subjects], dtype=np.intp)
+    shared = match >= 0
+    px, py = pooled_points(x_sample), pooled_points(y_sample)
+    rx = px.values - x_mean.at(px.times)
+    ry = py.values - y_mean.at(py.times)
+    count_x = np.array([s.n_obs for s in x_sample.subjects], dtype=np.intp)
+    # the trailing empty entry is what an unmatched id (index -1) pairs with
+    count_y = np.array([s.n_obs for s in y_sample.subjects] + [0], dtype=np.intp)
+    start_y = np.cumsum(count_y) - count_y
+    a, b, subject = _pair_indices(
+        np.cumsum(count_x) - count_x, count_x, start_y[match], count_y[match]
     )
+    return px.times[a], py.times[b], rx[a] * ry[b], subject, int(shared.sum())
 
 
 def estimate_cross_covariance(
@@ -247,7 +237,8 @@ def estimate_cross_covariance(
     Unlike the marginal covariance there is no diagonal to exclude: the two
     coordinates come from different processes, so every (predictor time,
     response time) pair is informative. Subjects appearing in only one
-    sample contribute nothing.
+    sample contribute nothing. A GCV bandwidth search's winning fit is the
+    estimate.
     """
     kern = get_kernel(kernel)
     s, t, v, subj, n_shared = _cross_raw_pairs(x_sample, y_sample, x_mean, y_mean)
@@ -256,7 +247,7 @@ def estimate_cross_covariance(
             "cross", "no subject has observations in both samples; cannot couple them"
         )
     n_raw_pairs = int(v.size)
-    w = None
+    w, surface = None, None
     binned = v.size > bin_threshold
     if binned:
         s, t, v, w = bin_scatter_2d(s, t, v, grid_s.points, grid_t.points)
@@ -282,10 +273,11 @@ def estimate_cross_covariance(
             subject_index=subj,
             flags=flags,
         )
-        bandwidths = tuple(sel.chosen)
-    surface = local_linear_2d(
-        s, t, v, grid_s.points, grid_t.points, bandwidths, kern, weights=w, flags=flags
-    )
+        bandwidths, surface = tuple(sel.chosen), sel.fit
+    if surface is None:
+        surface = local_linear_2d(
+            s, t, v, grid_s.points, grid_t.points, bandwidths, kern, weights=w, flags=flags
+        )
     return CrossCovarianceEstimate(
         grid_s, grid_t, surface, (float(bandwidths[0]), float(bandwidths[1])),
         n_pairs=n_raw_pairs, n_shared_subjects=n_shared, binned=binned,

@@ -29,12 +29,10 @@ from .data import (
 )
 from .errors import DataError, FitError
 from .smoothing import (
-    BandwidthSelection,
     Kernel,
     SmoothFlags,
     bin_scatter_2d,
     get_kernel,
-    interp_bilinear,
     interp_linear,
     local_diag_rotated,
     local_linear_1d,
@@ -150,9 +148,6 @@ class CovarianceEstimate:
     bandwidth: float
     binned: bool = False
 
-    def at(self, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-        return interp_bilinear(self.grid.points, self.grid.points, self.surface, t1, t2)
-
 
 @dataclass(frozen=True)
 class EigenSystem:
@@ -227,9 +222,6 @@ class FpcaModel:
     def mean_at(self, t: np.ndarray) -> np.ndarray:
         return interp_linear(self.grid.points, self.mean, t)
 
-    def surface_at(self, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-        return interp_bilinear(self.grid.points, self.grid.points, self.surface, t1, t2)
-
     def eigenfunctions_at(self, t: np.ndarray, n: int | None = None) -> np.ndarray:
         n = self.n_components if n is None else n
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -261,12 +253,14 @@ def estimate_mean(
 
     Every observation enters with equal weight. With ``bandwidth`` None the
     bandwidth is chosen from ``candidates`` (defaults: fractions of the
-    domain length) by the requested objective.
+    domain length) by the requested objective; a GCV search's winning fit
+    is the estimate.
     """
     kern = get_kernel(kernel) if isinstance(kernel, str) else kernel
     pooled = pooled_points(sample)
     if pooled.times.size == 0:
         raise DataError("cannot estimate a mean from a sample with no observations")
+    values = None
     if bandwidth is None:
         cands = (
             list(candidates)
@@ -283,67 +277,81 @@ def estimate_mean(
             subject_index=pooled.subject_index,
             flags=flags,
         )
-        bandwidth = float(sel.chosen)
-    values = local_linear_1d(
-        pooled.times, pooled.values, grid.points, bandwidth, kern, flags=flags
-    )
+        bandwidth, values = float(sel.chosen), sel.fit
+    if values is None:
+        values = local_linear_1d(
+            pooled.times, pooled.values, grid.points, bandwidth, kern, flags=flags
+        )
     return MeanEstimate(grid, values, float(bandwidth))
+
+
+def _pair_indices(
+    starts_a: np.ndarray,
+    counts_a: np.ndarray,
+    starts_b: np.ndarray,
+    counts_b: np.ndarray,
+    off_diagonal: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pooled indices of every within-subject observation pair.
+
+    Subject g pairs the ``counts_a[g]`` points from ``starts_a[g]`` with the
+    ``counts_b[g]`` points from ``starts_b[g]``, row-major, leaving out the
+    diagonal when ``off_diagonal`` (a subject paired with itself). Returns
+    (first indices, second indices, subject of each pair).
+    """
+    cols = counts_b - 1 if off_diagonal else counts_b
+    n_pairs = counts_a * cols
+    subject = np.repeat(np.arange(n_pairs.size, dtype=np.intp), n_pairs)
+    k = np.arange(subject.size) - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
+    row, col = np.divmod(k, cols[subject])
+    if off_diagonal:
+        col += col >= row
+    return starts_a[subject] + row, starts_b[subject] + col, subject
 
 
 def raw_covariances(sample: SparseFunctionalSample, mean: MeanEstimate) -> RawCovariances:
     """All pairwise residual products, subject by subject.
 
     The mean is interpolated to each observation time. Subjects contribute
-    L(L-1) ordered off-diagonal pairs and L diagonal entries; subjects with
+    L(L-1) ordered off-diagonal pairs (row-major in the subject's L x L
+    product matrix, diagonal excluded) and L diagonal entries; subjects with
     a single observation feed only the diagonal.
     """
-    s1_parts, s2_parts, v_parts, idx_parts = [], [], [], []
-    dt_parts, dv_parts, di_parts = [], [], []
-    for i, subj in enumerate(sample.subjects):
-        L = subj.n_obs
-        if L == 0:
-            continue
-        resid = subj.values - mean.at(subj.times)
-        dt_parts.append(subj.times)
-        dv_parts.append(resid * resid)
-        di_parts.append(np.full(L, i, dtype=np.intp))
-        if L < 2:
-            continue
-        tt1, tt2 = np.meshgrid(subj.times, subj.times, indexing="ij")
-        rr = np.outer(resid, resid)
-        off = ~np.eye(L, dtype=bool)
-        s1_parts.append(tt1[off])
-        s2_parts.append(tt2[off])
-        v_parts.append(rr[off])
-        idx_parts.append(np.full(L * (L - 1), i, dtype=np.intp))
-
-    def cat(parts, dtype=float):
-        return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
-
+    pooled = pooled_points(sample)
+    resid = pooled.values - mean.at(pooled.times)
+    counts = np.array([s.n_obs for s in sample.subjects], dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    a, b, subject = _pair_indices(starts, counts, starts, counts, off_diagonal=True)
     return RawCovariances(
-        s1=cat(s1_parts),
-        s2=cat(s2_parts),
-        value=cat(v_parts),
-        subject=cat(idx_parts, np.intp),
-        diag_t=cat(dt_parts),
-        diag_value=cat(dv_parts),
-        diag_subject=cat(di_parts, np.intp),
+        s1=pooled.times[a],
+        s2=pooled.times[b],
+        value=resid[a] * resid[b],
+        subject=subject,
+        diag_t=pooled.times,
+        diag_value=resid * resid,
+        diag_subject=pooled.subject_index,
     )
 
 
 def estimate_covariance(
     raw: RawCovariances,
     grid: RegularGrid,
-    bandwidth: float,
+    bandwidth: float | None = None,
     kernel: Kernel | str = "epanechnikov",
+    candidates: Sequence[float] | None = None,
+    objective: str = "gcv",
     bin_threshold: int = 20000,
     flags: SmoothFlags | None = None,
 ) -> CovarianceEstimate:
     """Covariance surface by local-plane smoothing of off-diagonal pairs.
 
     One bandwidth serves both axes (the surface is symmetric, so anisotropic
-    smoothing buys nothing). The fitted surface is symmetrized. Scatters
-    larger than ``bin_threshold`` are pre-aggregated onto the grid nodes.
+    smoothing buys nothing). With ``bandwidth`` None it is chosen from
+    ``candidates`` (defaults: fractions of the grid's domain length) by the
+    requested objective, and a GCV search's winning fit is the estimate.
+    The fitted surface is symmetrized. Scatters larger than
+    ``bin_threshold`` are pre-aggregated onto the grid nodes; LOSO-CV
+    scores the unbinned pairs, since binning pools subjects.
     """
     kern = get_kernel(kernel) if isinstance(kernel, str) else kernel
     if raw.n_pairs == 0:
@@ -352,9 +360,32 @@ def estimate_covariance(
     binned = raw.n_pairs > bin_threshold
     if binned:
         x1, x2, z, w = bin_scatter_2d(x1, x2, z, grid.points, grid.points)
-    surface = local_linear_2d(
-        x1, x2, z, grid.points, grid.points, (bandwidth, bandwidth), kern, weights=w, flags=flags
-    )
+    surface = None
+    if bandwidth is None:
+        cands = (
+            list(candidates)
+            if candidates is not None
+            else _default_candidates(COV_BANDWIDTH_FRACTIONS, grid.interval.length)
+        )
+        loso = objective == "loso-cv"
+        s1, s2, v, wv = (raw.s1, raw.s2, raw.value, None) if loso else (x1, x2, z, w)
+        sel = select_bandwidth_2d(
+            s1, s2, v,
+            [(c, c) for c in cands],
+            grid.points,
+            grid.points,
+            kern,
+            weights=wv,
+            objective=objective,
+            subject_index=raw.subject,
+            flags=flags,
+        )
+        bandwidth, surface = float(sel.chosen[0]), sel.fit
+    if surface is None:
+        surface = local_linear_2d(
+            x1, x2, z, grid.points, grid.points, (bandwidth, bandwidth), kern,
+            weights=w, flags=flags,
+        )
     surface = 0.5 * (surface + surface.T)
     return CovarianceEstimate(grid, surface, float(bandwidth), binned=binned)
 
@@ -710,41 +741,24 @@ def fit_fpca(
         ),
     )
     raw = run("raw_covariances", lambda: raw_covariances(sample, mean))
-
-    def pick_cov_bandwidth():
-        if config.cov_bandwidth is not None:
-            return float(config.cov_bandwidth)
-        cands = _default_candidates(config.cov_bandwidth_fractions, sample.domain.length)
-        x1, x2, z, w = raw.s1, raw.s2, raw.value, None
-        subj = raw.subject
-        if config.bandwidth_objective == "gcv" and raw.n_pairs > config.bin_threshold:
-            x1, x2, z, w = bin_scatter_2d(x1, x2, z, grid.points, grid.points)
-            subj = None
-        sel = select_bandwidth_2d(
-            x1,
-            x2,
-            z,
-            [(c, c) for c in cands],
-            grid.points,
-            grid.points,
-            kern,
-            weights=w,
-            objective=config.bandwidth_objective,
-            subject_index=subj,
-            flags=flags,
-        )
-        return float(sel.chosen[0])
-
-    h_cov = run("covariance_bandwidth", pick_cov_bandwidth)
     cov = run(
         "covariance",
         lambda: estimate_covariance(
-            raw, grid, h_cov, kern, bin_threshold=config.bin_threshold, flags=flags
+            raw,
+            grid,
+            bandwidth=config.cov_bandwidth,
+            kernel=kern,
+            candidates=_default_candidates(
+                config.cov_bandwidth_fractions, sample.domain.length
+            ),
+            objective=config.bandwidth_objective,
+            bin_threshold=config.bin_threshold,
+            flags=flags,
         ),
     )
     sigma2 = run(
         "noise_variance",
-        lambda: estimate_noise_variance(raw, grid, h_cov, kern, flags=flags),
+        lambda: estimate_noise_variance(raw, grid, cov.bandwidth, kern, flags=flags),
     )
     eig = run("eigendecompose", lambda: eigendecompose(cov, floor=config.eigen_floor, flags=flags))
 

@@ -114,6 +114,18 @@ def _as_weights(weights: np.ndarray | None, n: int) -> np.ndarray:
     return w
 
 
+def _support(
+    sorted_x: np.ndarray, centers: np.ndarray, half_widths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds [lo, hi) of the points of ``sorted_x`` inside each open window
+    (c - h, c + h), padded by a few ulps so that rounding in ``c - x`` can
+    never leave a point with nonzero kernel weight outside its window."""
+    pad = 4.0 * np.finfo(float).eps * (np.abs(centers) + half_widths)
+    lo = np.searchsorted(sorted_x, centers - half_widths - pad, side="left")
+    hi = np.searchsorted(sorted_x, centers + half_widths + pad, side="right")
+    return lo, hi
+
+
 def local_linear_1d(
     x: np.ndarray,
     y: np.ndarray,
@@ -128,7 +140,8 @@ def local_linear_1d(
     At each evaluation point ``s`` the returned value is the intercept of
     the weighted least-squares line fitted to ``(x_i, y_i)`` with weights
     ``w_i * K((x_i - s) / b)``. The solve is the exact 2x2 normal-equation
-    solution, so affine data are reproduced to rounding error.
+    solution, so affine data are reproduced to rounding error. Only the
+    points inside each kernel window enter its sums.
 
     Parameters
     ----------
@@ -157,7 +170,7 @@ def local_linear_1d(
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
-    s = np.atleast_1d(np.asarray(eval_points, dtype=float))
+    s = np.atleast_1d(np.asarray(eval_points, dtype=float)).ravel()
     if x.size == 0:
         raise ValueError("cannot smooth an empty scatter")
     if x.shape != y.shape:
@@ -170,30 +183,42 @@ def local_linear_1d(
     if ux.size == 0:
         raise ValueError("all points have zero weight")
 
-    out = np.empty(s.size)
-    # Full distance matrix: eval counts stay small (grids, subject times),
-    # so (n_eval, n_pts) is affordable and keeps the math direct.
-    d = s[:, None] - x[None, :]
-    kw = kernel(d / bandwidth) * w[None, :]
-
     # Windows with fewer than 2 distinct x cannot support a line; widen them
-    # to reach the nearest 2 distinct values.
-    inside = np.abs(ux[None, :] - s[:, None]) < bandwidth
-    need_widen = inside.sum(axis=1) < 2
-    if need_widen.any() and ux.size >= 2:
-        if flags is not None:
-            flags.widened_windows += int(need_widen.sum())
-        for i in np.flatnonzero(need_widen):
-            dist = np.sort(np.abs(ux - s[i]))
-            b_i = max(bandwidth, dist[1]) * _WIDEN_FACTOR
-            kw[i] = kernel(d[i] / b_i) * w
+    # to reach the nearest 2 distinct values. Distances grow monotonically on
+    # each side of s, so the two values on either side decide both the count
+    # and the second-nearest distance.
+    b = np.full(s.size, float(bandwidth))
+    if ux.size >= 2:
+        near = np.searchsorted(ux, s)[:, None] + np.arange(-2, 2)
+        valid = (near >= 0) & (near < ux.size)
+        dist = np.where(valid, np.abs(ux[np.clip(near, 0, ux.size - 1)] - s[:, None]), np.inf)
+        need_widen = (dist < bandwidth).sum(axis=1) < 2
+        if need_widen.any():
+            if flags is not None:
+                flags.widened_windows += int(need_widen.sum())
+            second = np.sort(dist[need_widen], axis=1)[:, 1]
+            b[need_widen] = np.maximum(bandwidth, second) * _WIDEN_FACTOR
+
+    # Each window covers a contiguous run of the sorted scatter; gather all
+    # runs into one padded block whose padding points at a zero-weight
+    # sentinel, so every sum below spans only the kernel's support.
+    order = np.argsort(x, kind="stable")
+    xs, ys, ws = (np.append(a[order], 0.0) for a in (x, y, w))
+    lo, hi = _support(xs[:-1], s, b)
+    idx = lo[:, None] + np.arange(int((hi - lo).max(initial=1)))
+    idx[idx >= hi[:, None]] = x.size
+    d = s[:, None] - xs[idx]
+    kw = kernel(d / b[:, None]) * ws[idx]
+    kd = kw * d
+    yg = ys[idx]
 
     s0 = kw.sum(axis=1)
-    s1 = (kw * d).sum(axis=1)
-    s2 = (kw * d * d).sum(axis=1)
-    t0 = kw @ y
-    t1 = (kw * d) @ y
+    s1 = kd.sum(axis=1)
+    s2 = (kd * d).sum(axis=1)
+    t0 = (kw * yg).sum(axis=1)
+    t1 = (kd * yg).sum(axis=1)
 
+    out = np.empty(s.size)
     det = s0 * s2 - s1 * s1
     scale = s0 * s2
     ok = (scale > 0) & (det > _DEGENERATE_TOL * scale)
@@ -246,9 +271,13 @@ def _plane_moments_at(
 def _solve_plane_batch(
     moments: tuple[np.ndarray, ...],
     flags: SmoothFlags | None,
+    line_fallback: bool = False,
+    empty: float = 0.0,
 ) -> np.ndarray:
-    """Batch-solve 3x3 plane fits from moment arrays; degenerate nodes drop
-    the linear terms and fall back to the local constant."""
+    """Batch-solve 3-term local fits from moment arrays; degenerate nodes
+    drop the second term (with ``line_fallback``, keeping the line in the
+    first) or both, falling back to the local constant, or to ``empty``
+    where no point carries weight."""
     s00, s10, s01, s20, s11, s02, t0, t1, t2 = (np.asarray(m, dtype=float) for m in moments)
     shape = s00.shape
 
@@ -287,12 +316,18 @@ def _solve_plane_batch(
     out[okf] = sol[okf, 0] / d0.ravel()[okf]
 
     badf = ~okf
+    if line_fallback and badf.any():
+        s00f, s10f, s20f = s00.ravel(), s10.ravel(), s20.ravel()
+        det = s00f * s20f - s10f * s10f
+        line = badf & (s00f > 0) & (s20f > 0) & (det > _DEGENERATE_TOL * s00f * s20f)
+        out[line] = (s20f[line] * t0.ravel()[line] - s10f[line] * t1.ravel()[line]) / det[line]
+        badf &= ~line
     if badf.any():
         if flags is not None:
             flags.constant_fallbacks += int(badf.sum())
         s00f, t0f = s00.ravel()[badf], t0.ravel()[badf]
         safe = s00f > 0
-        const = np.zeros(s00f.size)
+        const = np.full(s00f.size, empty)
         const[safe] = t0f[safe] / s00f[safe]
         out[badf] = const
     return out.reshape(shape)
@@ -420,14 +455,16 @@ def local_diag_rotated(
     product kernel weights in (d, o); the value at the target is ``b0``.
     Fitting a quadratic across the diagonal instead of a plane keeps the
     surface ridge from being flattened, which matters because the diagonal
-    feeds the noise-variance estimate.
+    feeds the noise-variance estimate. Degenerate targets drop the
+    curvature term and keep the line along the diagonal, then fall back to
+    a local constant.
 
     ``eval_points`` are diagonal locations in original coordinates.
     """
     x1 = np.asarray(x1, dtype=float).ravel()
     x2 = np.asarray(x2, dtype=float).ravel()
     z = np.asarray(z, dtype=float).ravel()
-    s = np.atleast_1d(np.asarray(eval_points, dtype=float))
+    s = np.atleast_1d(np.asarray(eval_points, dtype=float)).ravel()
     if x1.size == 0:
         raise ValueError("cannot smooth an empty scatter")
     if not bandwidth > 0:
@@ -437,53 +474,45 @@ def local_diag_rotated(
     rt2 = np.sqrt(2.0)
     dd = (x1 + x2) / rt2
     oo = (x2 - x1) / rt2
-    o2 = oo * oo
+    targets = rt2 * s
 
-    out = np.empty(s.size)
-    for i, si in enumerate(s):
-        target = rt2 * si
-        dc = dd - target
-        kw = kernel(dc / bandwidth) * kernel(oo / bandwidth) * w
+    # Only pairs inside the band |o| < h carry weight; sorted along the
+    # diagonal, each target's window is one contiguous slice of the band.
+    ko = kernel(oo / bandwidth)
+    band = np.flatnonzero((ko > 0) & (w > 0))
+    band = band[np.argsort(dd[band], kind="stable")]
+    bd, bk, bw, bz = dd[band], ko[band], w[band], z[band]
+    bo2 = oo[band] * oo[band]
+    lo, hi = _support(bd, targets, np.full(s.size, float(bandwidth)))
+
+    moments = np.empty((9, s.size))
+    for i, target in enumerate(targets):
+        win = slice(lo[i], hi[i])
+        dc, o2, zz = bd[win] - target, bo2[win], bz[win]
+        kw = kernel(dc / bandwidth) * bk[win] * bw[win]
         if not kw.sum() > 0:
+            # Nothing in the window: widen over the full scatter to reach
+            # the 3 nearest pairs (scaled Chebyshev distance).
             if flags is not None:
                 flags.widened_windows += 1
+            dc, o2, zz = dd - target, oo * oo, z
             r = np.maximum(np.abs(dc), np.abs(oo)) / bandwidth
             k = min(2, r.size - 1)
             f = max(float(np.partition(r, k)[k]), 1e-300) * _WIDEN_FACTOR
             kw = kernel(dc / (f * bandwidth)) * kernel(oo / (f * bandwidth)) * w
-
-        s00 = kw.sum()
-        s10 = kw @ dc
-        s01 = kw @ o2
-        s20 = kw @ (dc * dc)
-        s11 = kw @ (dc * o2)
-        s02 = kw @ (o2 * o2)
-        t0 = kw @ z
-        t1 = kw @ (z * dc)
-        t2 = kw @ (z * o2)
-
-        d0, d1, d2 = np.sqrt(s00), np.sqrt(max(s20, 0.0)), np.sqrt(max(s02, 0.0))
-        solved = False
-        if d0 > 0 and d1 > 0 and d2 > 0:
-            a = s10 / (d0 * d1)
-            b = s01 / (d0 * d2)
-            c = s11 / (d1 * d2)
-            det = 1.0 + 2.0 * a * b * c - a * a - b * b - c * c
-            if np.isfinite(det) and det > _DEGENERATE_TOL:
-                m = np.array([[1.0, a, b], [a, 1.0, c], [b, c, 1.0]])
-                rhs = np.array([t0 / d0, t1 / d1, t2 / d2])
-                out[i] = np.linalg.solve(m, rhs)[0] / d0
-                solved = True
-        if not solved and d0 > 0 and d1 > 0:
-            # Drop the curvature term, keep the along-diagonal line.
-            det = s00 * s20 - s10 * s10
-            if det > _DEGENERATE_TOL * s00 * s20:
-                out[i] = (s20 * t0 - s10 * t1) / det
-                solved = True
-        if not solved:
-            if flags is not None:
-                flags.constant_fallbacks += 1
-            out[i] = t0 / s00 if s00 > 0 else float(np.average(z, weights=w))
+        moments[:, i] = (
+            kw.sum(),
+            kw @ dc,
+            kw @ o2,
+            kw @ (dc * dc),
+            kw @ (dc * o2),
+            kw @ (o2 * o2),
+            kw @ zz,
+            kw @ (zz * dc),
+            kw @ (zz * o2),
+        )
+    empty = float(np.average(z, weights=w)) if not (moments[0] > 0).all() else 0.0
+    out = _solve_plane_batch(tuple(moments), flags, line_fallback=True, empty=empty)
     return out.reshape(np.shape(eval_points))
 
 
@@ -553,12 +582,18 @@ def interp_bilinear(
 
 @dataclass(frozen=True)
 class BandwidthSelection:
-    """Outcome of a bandwidth search: chosen value plus the full score table."""
+    """Outcome of a bandwidth search: chosen value plus the full score table.
+
+    Under GCV ``fit`` is the chosen candidate's fitted curve or surface on
+    the search grid, so callers need not refit it; LOSO-CV fits no
+    full-data candidate and leaves it None.
+    """
 
     chosen: float | tuple[float, float]
     candidates: tuple
     scores: tuple
     objective: str
+    fit: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def _gcv_denominator(trace_estimate: float, n_effective: float) -> float:
@@ -584,7 +619,7 @@ def select_bandwidth_1d(
         and scores weighted RSS divided by (1 - trace/N)^2 with the classical
         trace approximation trace ~= K(0) * range / b. Candidates too small
         for the approximation (slack <= 0) score infinity. Ties go to the
-        first (smallest) candidate.
+        first (smallest) candidate, whose grid fit is returned as ``fit``.
     loso-cv
         Leave-one-subject-out squared prediction error; needs
         ``subject_index`` aligned with the points and at least 2 subjects.
@@ -597,7 +632,7 @@ def select_bandwidth_1d(
         raise ValueError("empty candidate list")
     cands = [float(b) for b in candidates]
     rng = float(g.max() - g.min())
-    scores = []
+    scores, fits = [], []
     if objective == "gcv":
         n_eff = float(w.sum())
         for b in cands:
@@ -606,6 +641,7 @@ def select_bandwidth_1d(
             rss = float(w @ (resid * resid))
             denom = _gcv_denominator(kernel.at_zero * rng / b, n_eff)
             scores.append(rss / denom if np.isfinite(denom) else np.inf)
+            fits.append(fit_grid)
     elif objective == "loso-cv":
         if subject_index is None:
             raise ValueError("loso-cv requires subject_index")
@@ -630,7 +666,8 @@ def select_bandwidth_1d(
     best = int(np.argmin(scores))
     if not np.isfinite(scores[best]):
         raise ValueError("no candidate bandwidth produced a finite score")
-    return BandwidthSelection(cands[best], tuple(cands), tuple(scores), objective)
+    fit = fits[best] if fits else None
+    return BandwidthSelection(cands[best], tuple(cands), tuple(scores), objective, fit)
 
 
 def select_bandwidth_2d(
@@ -661,7 +698,7 @@ def select_bandwidth_2d(
     cands = [(float(a), float(b)) for a, b in candidates]
     r1 = float(g1.max() - g1.min())
     r2 = float(g2.max() - g2.min())
-    scores = []
+    scores, fits = [], []
     if objective == "gcv":
         n_eff = float(w.sum())
         k0 = kernel.at_zero
@@ -671,6 +708,7 @@ def select_bandwidth_2d(
             rss = float(w @ (resid * resid))
             denom = _gcv_denominator(k0 * k0 * r1 * r2 / (h1 * h2), n_eff)
             scores.append(rss / denom if np.isfinite(denom) else np.inf)
+            fits.append(fit)
     elif objective == "loso-cv":
         if subject_index is None:
             raise ValueError("loso-cv requires subject_index")
@@ -703,4 +741,5 @@ def select_bandwidth_2d(
     best = int(np.argmin(scores))
     if not np.isfinite(scores[best]):
         raise ValueError("no candidate bandwidth pair produced a finite score")
-    return BandwidthSelection(cands[best], tuple(cands), tuple(scores), objective)
+    fit = fits[best] if fits else None
+    return BandwidthSelection(cands[best], tuple(cands), tuple(scores), objective, fit)

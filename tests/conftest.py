@@ -10,6 +10,8 @@ from sparseflr import (
     RegularGrid,
     SimConfig,
     SimDesign,
+    SparseFunctionalSample,
+    SubjectRecord,
     fit_flr,
     gen_pair,
 )
@@ -72,6 +74,16 @@ def make_truth_model(design, grid, noise_var=0.25):
         cov_bandwidth=1.0,
         n_subjects=1,
     )
+
+
+def ragged_sample(ids, counts, seed):
+    """Sample with the given per-subject observation counts (0 allowed) and
+    times on a coarse lattice, so that subjects carry tied times."""
+    rng = np.random.default_rng(seed)
+    return SparseFunctionalSample(DOMAIN, tuple(
+        SubjectRecord(sid, 0.5 * rng.integers(0, 21, n), rng.normal(size=n))
+        for sid, n in zip(ids, counts)
+    ))
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ either way.
 import math
 
 import numpy as np
+import pytest
 
 from sparseflr import (
     CovarianceEstimate,
@@ -94,6 +95,7 @@ def sparse_normal_oracle():
     return _reports["sn_oracle"]
 
 
+@pytest.mark.slow
 def test_criterion_1a_sparse_normal_ce_median_window():
     # The floor is the oracle's median error over the same runs: a harness
     # whose fitted predictions beat the oracle's is leaking the truth.
@@ -109,6 +111,7 @@ def test_criterion_1a_sparse_normal_ce_median_window():
     assert ok, f"CE median {ce:.5f} outside [{oracle:.5f}, 0.02]"
 
 
+@pytest.mark.slow
 def test_criterion_1a_oracle_replays_harness_draws():
     # Refitting run 0 from the replayed draws must reproduce the harness's
     # CE error exactly, so the oracle scores the very subjects the fitted
@@ -131,6 +134,7 @@ def test_criterion_1a_oracle_replays_harness_draws():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_1b_sparse_normal_method_ratio():
     report = sparse_normal_report()
     ratio = report.median_in / report.median_ce
@@ -144,6 +148,7 @@ def test_criterion_1b_sparse_normal_method_ratio():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_2_sparse_mixture_ce_beats_in():
     report = run_monte_carlo(SimConfig(seed=0, n_runs=100, score_dist="mixture"))
     ok = report.median_ce < report.median_in
@@ -155,6 +160,7 @@ def test_criterion_2_sparse_mixture_ce_beats_in():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_3_dense_normal_ce_at_most_in():
     report = run_monte_carlo(SimConfig(seed=0, n_runs=50, sparsity="dense"))
     ok = report.median_ce <= report.median_in

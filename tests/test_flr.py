@@ -28,8 +28,48 @@ from sparseflr import (
     r2_integrated,
     r2_pointwise,
 )
-from sparseflr.flr import estimate_beta, estimate_cross_covariance, estimate_sigma_km
+import sparseflr.flr
+import sparseflr.smoothing
+from sparseflr.flr import (
+    _cross_raw_pairs,
+    estimate_beta,
+    estimate_cross_covariance,
+    estimate_sigma_km,
+)
 from sparseflr.fpca import MeanEstimate
+from sparseflr.smoothing import local_linear_2d
+
+from conftest import ragged_sample
+
+
+def loop_cross_raw_pairs(x_sample, y_sample, x_mean, y_mean):
+    """Reference for ``_cross_raw_pairs``: the per-subject loop it replaced."""
+    y_by_id = y_sample.by_id()
+    s_parts, t_parts, v_parts, idx_parts = [], [], [], []
+    n_shared = 0
+    for i, sx in enumerate(x_sample.subjects):
+        sy = y_by_id.get(sx.subject_id)
+        if sy is None:
+            continue
+        n_shared += 1
+        if sx.n_obs == 0 or sy.n_obs == 0:
+            continue
+        rx = sx.values - x_mean.at(sx.times)
+        ry = sy.values - y_mean.at(sy.times)
+        ss, tt = np.meshgrid(sx.times, sy.times, indexing="ij")
+        s_parts.append(ss.ravel())
+        t_parts.append(tt.ravel())
+        v_parts.append(np.outer(rx, ry).ravel())
+        idx_parts.append(np.full(sx.n_obs * sy.n_obs, i, dtype=np.intp))
+    if not v_parts:
+        return (np.empty(0), np.empty(0), np.empty(0), np.empty(0, dtype=np.intp), n_shared)
+    return (
+        np.concatenate(s_parts),
+        np.concatenate(t_parts),
+        np.concatenate(v_parts),
+        np.concatenate(idx_parts),
+        n_shared,
+    )
 
 
 def truth_y_model(design, grid, noise_var=0.1):
@@ -214,6 +254,50 @@ class TestCrossCovariance:
         assert cross.n_shared_subjects == 12
         assert cross.n_pairs == 12 * 16
 
+    @pytest.mark.parametrize("x_ids, x_counts, y_ids, y_counts", [
+        # shared ids in another roster order, ids in one sample only, 0- and
+        # 1-observation subjects on either side, tied times
+        (["a", "b", "c", "d", "e", "f"], [3, 0, 1, 4, 2, 6],
+         ["f", "x", "d", "c", "b", "a", "y"], [2, 3, 0, 1, 5, 4, 1]),
+        (["a", "b"], [2, 3], ["c", "d"], [2, 2]),  # nothing shared
+        (["a", "b"], [2, 3], [], []),  # empty response roster
+    ])
+    def test_raw_pairs_bit_identical_to_per_subject_loop(
+        self, grid, x_ids, x_counts, y_ids, y_counts
+    ):
+        x_sample = ragged_sample(x_ids, x_counts, seed=1)
+        y_sample = ragged_sample(y_ids, y_counts, seed=2)
+        x_mean = MeanEstimate(grid, np.sin(grid.points), 1.0)
+        y_mean = MeanEstimate(grid, np.cos(grid.points), 1.0)
+        got = _cross_raw_pairs(x_sample, y_sample, x_mean, y_mean)
+        want = loop_cross_raw_pairs(x_sample, y_sample, x_mean, y_mean)
+        for a, b in zip(got[:4], want[:4]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert got[4] == want[4]
+
+    def test_search_fit_is_the_estimate(self, grid, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[5])
+            return local_linear_2d(*args, **kwargs)
+
+        monkeypatch.setattr(sparseflr.flr, "local_linear_2d", counting)
+        monkeypatch.setattr(sparseflr.smoothing, "local_linear_2d", counting)
+        ids = [f"s{i}" for i in range(40)]
+        x_sample = ragged_sample(ids, [4] * 40, seed=5)
+        y_sample = ragged_sample(ids, [3] * 40, seed=6)
+        mean = MeanEstimate(grid, np.zeros(grid.n_points), 1.0)
+        cands = [(1.5, 1.5), (3.0, 3.0)]
+        cross = estimate_cross_covariance(
+            x_sample, y_sample, mean, mean, grid, grid, candidates=cands
+        )
+        assert calls == cands  # one fit per candidate, no refit
+        fixed = estimate_cross_covariance(
+            x_sample, y_sample, mean, mean, grid, grid, cross.bandwidths
+        )
+        assert np.array_equal(cross.surface, fixed.surface)
+
     def test_disjoint_ids_are_rejected_by_fit(self, domain):
         rng = np.random.default_rng(4)
 
@@ -393,3 +477,41 @@ class TestFitFlr:
         assert model.sigma_km.shape == (2, 2)
         assert model.x.n_components == 2
         assert model.y.n_components == 2
+
+
+def selections(model):
+    """Every tuning choice of a fit: bandwidths and component counts."""
+    return (
+        model.x.mean_bandwidth, model.x.cov_bandwidth, model.x.n_components,
+        model.y.mean_bandwidth, model.y.cov_bandwidth, model.y.n_components,
+        model.cross.bandwidths,
+    )
+
+
+class TestInvariance:
+    def test_roster_order_changes_nothing(self, fitted, sparse_pair):
+        x_sample, y_sample, _ = sparse_pair
+        rng = np.random.default_rng(8)
+
+        def shuffled(sample):
+            order = rng.permutation(sample.n_subjects)
+            return SparseFunctionalSample(
+                sample.domain, tuple(sample.subjects[i] for i in order)
+            )
+
+        model = fit_flr(shuffled(x_sample), shuffled(y_sample))
+        assert selections(model) == selections(fitted)
+        scale = np.max(np.abs(fitted.beta))
+        assert np.max(np.abs(model.beta - fitted.beta)) <= 1e-10 * scale
+
+    def test_response_scale_carries_through(self, fitted, sparse_pair):
+        x_sample, y_sample, _ = sparse_pair
+        c = 3.0
+        y_scaled = SparseFunctionalSample(y_sample.domain, tuple(
+            SubjectRecord(s.subject_id, s.times, c * s.values) for s in y_sample.subjects
+        ))
+        model = fit_flr(x_sample, y_scaled)
+        assert selections(model) == selections(fitted)
+        scale = np.max(np.abs(c * fitted.beta))
+        assert np.max(np.abs(model.beta - c * fitted.beta)) <= 1e-10 * scale
+        assert model.r2.value_raw == pytest.approx(fitted.r2.value_raw, rel=1e-10)

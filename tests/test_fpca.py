@@ -24,9 +24,13 @@ from sparseflr import (
     pace_scores,
     pace_scores_batch,
 )
+import sparseflr.fpca
+import sparseflr.smoothing
+from sparseflr.data import pooled_points
 from sparseflr.fpca import MeanEstimate, RawCovariances, raw_covariances, select_ncomp
+from sparseflr.smoothing import local_linear_1d, local_linear_2d
 
-from conftest import make_truth_model
+from conftest import make_truth_model, ragged_sample
 
 RNG = np.random.default_rng(7)
 
@@ -96,14 +100,81 @@ class TestEstimateMean:
         mean = estimate_mean(affine_sample(), grid, candidates=[1.0, 2.5])
         assert mean.bandwidth in (1.0, 2.5)
 
+    def test_search_fit_is_the_estimate(self, grid, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return local_linear_1d(*args, **kwargs)
+
+        monkeypatch.setattr(sparseflr.smoothing, "local_linear_1d", counting)
+        monkeypatch.setattr(sparseflr.fpca, "local_linear_1d", counting)
+        sample = affine_sample()
+        cands = [0.8, 1.6, 2.5]
+        mean = estimate_mean(sample, grid, candidates=cands)
+        assert calls == cands  # one fit per candidate, no refit
+        pooled = pooled_points(sample)
+        fresh = local_linear_1d(pooled.times, pooled.values, grid.points, mean.bandwidth)
+        assert np.array_equal(mean.values, fresh)
+
     def test_interpolation_consistency(self, grid):
         mean = estimate_mean(affine_sample(), grid, bandwidth=2.0)
         assert np.array_equal(mean.at(grid.points), mean.values)
 
 
+def loop_raw_covariances(sample, mean):
+    """Reference for ``raw_covariances``: the per-subject loop it replaced."""
+    s1_parts, s2_parts, v_parts, idx_parts = [], [], [], []
+    dt_parts, dv_parts, di_parts = [], [], []
+    for i, subj in enumerate(sample.subjects):
+        L = subj.n_obs
+        if L == 0:
+            continue
+        resid = subj.values - mean.at(subj.times)
+        dt_parts.append(subj.times)
+        dv_parts.append(resid * resid)
+        di_parts.append(np.full(L, i, dtype=np.intp))
+        if L < 2:
+            continue
+        tt1, tt2 = np.meshgrid(subj.times, subj.times, indexing="ij")
+        rr = np.outer(resid, resid)
+        off = ~np.eye(L, dtype=bool)
+        s1_parts.append(tt1[off])
+        s2_parts.append(tt2[off])
+        v_parts.append(rr[off])
+        idx_parts.append(np.full(L * (L - 1), i, dtype=np.intp))
+
+    def cat(parts, dtype=float):
+        return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+
+    return RawCovariances(
+        s1=cat(s1_parts),
+        s2=cat(s2_parts),
+        value=cat(v_parts),
+        subject=cat(idx_parts, np.intp),
+        diag_t=cat(dt_parts),
+        diag_value=cat(dv_parts),
+        diag_subject=cat(di_parts, np.intp),
+    )
+
+
 class TestRawCovariances:
     def zero_mean(self, grid):
         return MeanEstimate(grid, np.zeros(grid.n_points), 1.0)
+
+    @pytest.mark.parametrize("counts", [
+        [0, 3, 1, 0, 5, 2, 1, 8],  # empty, single and tied-time subjects
+        [1, 1, 0],  # no pairs at all
+        [],
+    ])
+    def test_bit_identical_to_per_subject_loop(self, grid, counts):
+        sample = ragged_sample([f"s{i}" for i in range(len(counts))], counts, seed=len(counts))
+        mean = MeanEstimate(grid, np.sin(grid.points), 1.0)
+        raw = raw_covariances(sample, mean)
+        ref = loop_raw_covariances(sample, mean)
+        for name in RawCovariances.__dataclass_fields__:
+            got, want = getattr(raw, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
 
     def test_pair_counts(self, grid, domain):
         sample = SparseFunctionalSample(
@@ -170,6 +241,44 @@ class TestEstimateCovariance:
         binned = estimate_covariance(raw, grid, 2.0, bin_threshold=1)
         assert not plain.binned and binned.binned
         assert np.max(np.abs(plain.surface - binned.surface)) < 1e-9
+
+
+    @pytest.mark.parametrize("bin_threshold", [10**9, 100])
+    def test_search_fit_is_the_estimate(self, grid, monkeypatch, bin_threshold):
+        counts = {"bin": 0, "fit": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        bin_fn = counted("bin", sparseflr.smoothing.bin_scatter_2d)
+        fit_fn = counted("fit", local_linear_2d)
+        monkeypatch.setattr(sparseflr.fpca, "bin_scatter_2d", bin_fn)
+        monkeypatch.setattr(sparseflr.fpca, "local_linear_2d", fit_fn)
+        monkeypatch.setattr(sparseflr.smoothing, "local_linear_2d", fit_fn)
+        n = 600
+        raw = handmade_raw(
+            RNG.uniform(0, 10, n), RNG.uniform(0, 10, n), RNG.normal(size=n)
+        )
+        cands = [1.5, 2.5, 4.0]
+        cov = estimate_covariance(raw, grid, candidates=cands, bin_threshold=bin_threshold)
+        assert counts == {"bin": int(cov.binned), "fit": len(cands)}
+        assert cov.binned == (bin_threshold < n)
+        fixed = estimate_covariance(raw, grid, cov.bandwidth, bin_threshold=bin_threshold)
+        assert np.array_equal(cov.surface, fixed.surface)
+
+    def test_loso_selects_on_unbinned_pairs(self, grid):
+        rng = np.random.default_rng(5)
+        raw = handmade_raw(rng.uniform(0, 10, 300), rng.uniform(0, 10, 300), rng.normal(size=300))
+        raw = RawCovariances(**{**raw.__dict__, "subject": np.repeat(np.arange(30), 10)})
+        cov = estimate_covariance(
+            raw, grid, candidates=[2.0, 4.0], objective="loso-cv", bin_threshold=100
+        )
+        assert cov.binned and cov.bandwidth in (2.0, 4.0)
+        fixed = estimate_covariance(raw, grid, cov.bandwidth, bin_threshold=100)
+        assert np.array_equal(cov.surface, fixed.surface)
 
 
 class TestNoiseVariance:

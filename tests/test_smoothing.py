@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparseflr.smoothing import (
+    _DEGENERATE_TOL,
+    _WIDEN_FACTOR,
     EPANECHNIKOV,
     QUARTIC,
     SmoothFlags,
@@ -45,6 +47,207 @@ def wls_plane_at(x1, x2, z, s1, s2, b1, b2, kernel):
     sw = np.sqrt(w[keep])
     coef, *_ = np.linalg.lstsq(sw[:, None] * design, sw * z[keep], rcond=None)
     return coef[0]
+
+
+
+def full_scatter_local_linear_1d(x, y, s, bandwidth, kernel=EPANECHNIKOV, weights=None, flags=None):
+    """Reference for the windowed ``local_linear_1d``: the full-scatter body
+    it replaced, which weighs every point at every evaluation point."""
+    x, y, s = (np.asarray(a, dtype=float).ravel() for a in (x, y, s))
+    w = np.ones(x.size) if weights is None else np.asarray(weights, dtype=float)
+    ux = np.unique(x[w > 0])
+    out = np.empty(s.size)
+    d = s[:, None] - x[None, :]
+    kw = kernel(d / bandwidth) * w[None, :]
+    inside = np.abs(ux[None, :] - s[:, None]) < bandwidth
+    need_widen = inside.sum(axis=1) < 2
+    if need_widen.any() and ux.size >= 2:
+        if flags is not None:
+            flags.widened_windows += int(need_widen.sum())
+        for i in np.flatnonzero(need_widen):
+            dist = np.sort(np.abs(ux - s[i]))
+            b_i = max(bandwidth, dist[1]) * _WIDEN_FACTOR
+            kw[i] = kernel(d[i] / b_i) * w
+    s0 = kw.sum(axis=1)
+    s1 = (kw * d).sum(axis=1)
+    s2 = (kw * d * d).sum(axis=1)
+    t0 = kw @ y
+    t1 = (kw * d) @ y
+    det = s0 * s2 - s1 * s1
+    scale = s0 * s2
+    ok = (scale > 0) & (det > _DEGENERATE_TOL * scale)
+    out[ok] = (s2[ok] * t0[ok] - s1[ok] * t1[ok]) / det[ok]
+    bad = ~ok
+    if bad.any():
+        if flags is not None:
+            flags.constant_fallbacks += int(bad.sum())
+        s0b = s0[bad]
+        safe = s0b > 0
+        const = np.empty(s0b.size)
+        const[safe] = t0[bad][safe] / s0b[safe]
+        if (~safe).any():
+            const[~safe] = float(np.average(y, weights=w))
+        out[bad] = const
+    return out
+
+
+def per_point_local_diag_rotated(x1, x2, z, s, bandwidth, kernel=EPANECHNIKOV, weights=None, flags=None):
+    """Reference for the banded ``local_diag_rotated``: the per-target body
+    it replaced, which weighs the full scatter at every target."""
+    x1, x2, z, s = (np.asarray(a, dtype=float).ravel() for a in (x1, x2, z, s))
+    w = np.ones(x1.size) if weights is None else np.asarray(weights, dtype=float)
+    rt2 = np.sqrt(2.0)
+    dd = (x1 + x2) / rt2
+    oo = (x2 - x1) / rt2
+    o2 = oo * oo
+    out = np.empty(s.size)
+    for i, si in enumerate(s):
+        target = rt2 * si
+        dc = dd - target
+        kw = kernel(dc / bandwidth) * kernel(oo / bandwidth) * w
+        if not kw.sum() > 0:
+            if flags is not None:
+                flags.widened_windows += 1
+            r = np.maximum(np.abs(dc), np.abs(oo)) / bandwidth
+            k = min(2, r.size - 1)
+            f = max(float(np.partition(r, k)[k]), 1e-300) * _WIDEN_FACTOR
+            kw = kernel(dc / (f * bandwidth)) * kernel(oo / (f * bandwidth)) * w
+        s00 = kw.sum()
+        s10 = kw @ dc
+        s01 = kw @ o2
+        s20 = kw @ (dc * dc)
+        s11 = kw @ (dc * o2)
+        s02 = kw @ (o2 * o2)
+        t0 = kw @ z
+        t1 = kw @ (z * dc)
+        t2 = kw @ (z * o2)
+        d0, d1, d2 = np.sqrt(s00), np.sqrt(max(s20, 0.0)), np.sqrt(max(s02, 0.0))
+        solved = False
+        if d0 > 0 and d1 > 0 and d2 > 0:
+            a = s10 / (d0 * d1)
+            b = s01 / (d0 * d2)
+            c = s11 / (d1 * d2)
+            det = 1.0 + 2.0 * a * b * c - a * a - b * b - c * c
+            if np.isfinite(det) and det > _DEGENERATE_TOL:
+                m = np.array([[1.0, a, b], [a, 1.0, c], [b, c, 1.0]])
+                rhs = np.array([t0 / d0, t1 / d1, t2 / d2])
+                out[i] = np.linalg.solve(m, rhs)[0] / d0
+                solved = True
+        if not solved and d0 > 0 and d1 > 0:
+            det = s00 * s20 - s10 * s10
+            if det > _DEGENERATE_TOL * s00 * s20:
+                out[i] = (s20 * t0 - s10 * t1) / det
+                solved = True
+        if not solved:
+            if flags is not None:
+                flags.constant_fallbacks += 1
+            out[i] = t0 / s00 if s00 > 0 else float(np.average(z, weights=w))
+    return out
+
+
+# Scatters for the oracle comparisons. Coordinates sit on lattices offset
+# from the evaluation points and bandwidths span at most four lattice steps,
+# so no point lands on a kernel edge: near an edge a weight of 1e-16 relative
+# can decide a line, and any change of summation order then moves the fit by
+# far more than rounding. Evaluation points reach past the data by up to 1.75
+# (widened windows, extrapolation); duplicate x and zero weights are common.
+LATTICE = np.arange(0.0, 10.01, 0.5)
+WEIGHTS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+KERNELS = st.sampled_from([EPANECHNIKOV, QUARTIC])
+
+
+@st.composite
+def scatters_1d(draw):
+    n = draw(st.integers(1, 30))
+    support = draw(st.lists(st.sampled_from(LATTICE), min_size=1, max_size=8))
+    x = np.array(draw(st.lists(st.sampled_from(support), min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    w = np.array(draw(st.lists(WEIGHTS, min_size=n, max_size=n)))
+    w[0] = max(w[0], 1.0)
+    steps = int(round((x.max() - x.min()) / 0.5)) + 7
+    s = x.min() - 1.75 + 0.5 * np.array(draw(st.lists(st.integers(0, steps), min_size=1, max_size=6)))
+    return x, y, w, s, 0.5 * draw(st.integers(1, 4)), draw(KERNELS)
+
+
+@st.composite
+def scatters_diag(draw):
+    n = draw(st.integers(1, 30))
+    support = draw(st.lists(st.sampled_from(LATTICE), min_size=1, max_size=8))
+    x1 = np.array(draw(st.lists(st.sampled_from(support), min_size=n, max_size=n)))
+    x2 = 0.25 + np.array(draw(st.lists(st.sampled_from(support), min_size=n, max_size=n)))
+    z = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    w = np.array(draw(st.lists(WEIGHTS, min_size=n, max_size=n)))
+    w[0] = max(w[0], 1.0)
+    lo = min(x1.min(), x2.min())
+    steps = int(round((max(x1.max(), x2.max()) - lo) / 0.25)) + 8
+    s = lo - 1.0 + 0.25 * np.array(draw(st.lists(st.integers(0, steps), min_size=1, max_size=6)))
+    h = 0.5 * draw(st.integers(1, 4)) / np.sqrt(2.0)
+    return x1, x2, z, w, s, h, draw(KERNELS)
+
+
+def flag_counts(flags):
+    return flags.widened_windows, flags.constant_fallbacks
+
+
+class TestWindowedSmoothersMatchFullScatter:
+    """The support-windowed smoothers against the bodies they replaced.
+
+    Sums run over the same terms in another order, so values agree to
+    rounding (1e-12 of the larger of the data and fit magnitudes) and every
+    widening and fallback decision, hence every flag count, is identical.
+    """
+
+    @settings(derandomize=True, max_examples=60)
+    @given(case=scatters_1d())
+    # widened window far left of the data
+    @example(case=(np.array([8.0, 8.5, 9.0]), np.array([1.0, 2.0, 3.0]), np.ones(3),
+                   np.array([-1.25, 8.25]), 0.5, EPANECHNIKOV))
+    # one distinct weighted x: constant fallback inside, weighted mean outside
+    @example(case=(np.array([3.0, 3.0, 6.0]), np.array([1.0, 5.0, 9.0]), np.array([1.0, 2.0, 0.0]),
+                   np.array([3.25, 7.75]), 0.5, QUARTIC))
+    def test_local_linear_1d(self, case):
+        x, y, w, s, b, kernel = case
+        new, old = SmoothFlags(), SmoothFlags()
+        out = local_linear_1d(x, y, s, b, kernel, weights=w, flags=new)
+        ref = full_scatter_local_linear_1d(x, y, s, b, kernel, weights=w, flags=old)
+        scale = max(np.max(np.abs(y)), np.max(np.abs(ref)), 1e-300)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * scale
+        assert flag_counts(new) == flag_counts(old)
+
+    @settings(derandomize=True, max_examples=60)
+    @given(case=scatters_diag())
+    # a band holding a single pair; the far target widens over the scatter
+    @example(case=(np.array([1.0, 3.0]), np.array([1.25, 9.25]), np.array([2.0, -4.0]), np.ones(2),
+                   np.array([1.125, 5.0]), 0.5 / np.sqrt(2.0), EPANECHNIKOV))
+    # three pairs along the diagonal: the line fallback, then targets beyond
+    @example(case=(np.array([2.0, 4.0, 6.0]), np.array([2.25, 4.25, 6.25]),
+                   np.array([1.0, 2.0, 4.0]), np.array([1.0, 0.5, 2.0]),
+                   np.array([4.0, 0.0, 9.5]), 2.0 / np.sqrt(2.0), QUARTIC))
+    def test_local_diag_rotated(self, case):
+        x1, x2, z, w, s, h, kernel = case
+        new, old = SmoothFlags(), SmoothFlags()
+        out = local_diag_rotated(x1, x2, z, s, h, kernel, weights=w, flags=new)
+        ref = per_point_local_diag_rotated(x1, x2, z, s, h, kernel, weights=w, flags=old)
+        scale = max(np.max(np.abs(z)), np.max(np.abs(ref)), 1e-300)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * scale
+        assert flag_counts(new) == flag_counts(old)
+
+    def test_every_fallback_tier_is_reached(self):
+        # the explicit examples above must exercise what they claim
+        flags = SmoothFlags()
+        local_linear_1d([8.0, 8.5, 9.0], [1.0, 2.0, 3.0], [-1.25], 0.5, flags=flags)
+        assert flag_counts(flags) == (1, 0)
+        flags = SmoothFlags()
+        out = local_linear_1d([3.0, 3.0, 6.0], [1.0, 5.0, 9.0], [3.25, 7.75], 0.5,
+                              QUARTIC, weights=[1.0, 2.0, 0.0], flags=flags)
+        assert flag_counts(flags) == (0, 2)
+        assert np.allclose(out, 11.0 / 3.0, rtol=1e-15)
+        # one pair in the band: a constant; the widened target holds two
+        # pairs, enough for the line along the diagonal
+        flags = SmoothFlags()
+        local_diag_rotated([1.0, 3.0], [1.25, 9.25], [2.0, -4.0], [1.125, 5.0],
+                           0.5 / np.sqrt(2.0), flags=flags)
+        assert flag_counts(flags) == (1, 1)
 
 
 class TestKernels:
@@ -295,6 +498,24 @@ class TestBandwidthSelection:
         )
         assert sel.chosen in (1.0, 5.0)
         assert np.isfinite(sel.scores).all()
+
+    def test_gcv_returns_the_chosen_fit(self):
+        x = RNG.uniform(0, 10, 90)
+        y = np.sin(x) + RNG.normal(scale=0.3, size=90)
+        grid = np.linspace(0, 10, 21)
+        sel = select_bandwidth_1d(x, y, [0.8, 1.5, 3.0], grid)
+        assert np.array_equal(sel.fit, local_linear_1d(x, y, grid, sel.chosen))
+        x2 = RNG.uniform(0, 10, 90)
+        sel = select_bandwidth_2d(x, x2, y, [(1.5, 1.5), (3.0, 2.0)], grid, grid)
+        assert np.array_equal(sel.fit, local_linear_2d(x, x2, y, grid, grid, sel.chosen))
+
+    def test_loso_returns_no_fit(self):
+        x = np.sort(RNG.uniform(0, 10, 40))
+        sel = select_bandwidth_1d(
+            x, x, [1.0, 5.0], np.linspace(0, 10, 21),
+            objective="loso-cv", subject_index=np.repeat(np.arange(10), 4),
+        )
+        assert sel.fit is None
 
     def test_gcv_2d_matches_direct_tabulation(self):
         n = 150
