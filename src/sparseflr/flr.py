@@ -32,16 +32,11 @@ from .fpca import (
     MeanEstimate,
     ScorePrediction,
     _pair_indices,
+    _smooth_pairs,
     fit_fpca,
     pace_scores,
 )
-from .smoothing import (
-    SmoothFlags,
-    bin_scatter_2d,
-    get_kernel,
-    local_linear_2d,
-    select_bandwidth_2d,
-)
+from .smoothing import Kernel, SmoothFlags, get_kernel
 
 __all__ = [
     "FlrConfig",
@@ -73,7 +68,8 @@ class FlrConfig:
 
     Bandwidths left as None are selected per sample. The cross-covariance
     search ties its two axis bandwidths to equal fractions of each axis
-    range, one free parameter instead of two.
+    range, one free parameter instead of two. Both marginal configurations
+    are built on construction, so invalid settings raise DataError here.
     """
 
     n_grid: int = 51
@@ -91,6 +87,10 @@ class FlrConfig:
     max_components: int = 10
     eigen_floor: float = 1e-10
     bin_threshold: int = 20000
+
+    def __post_init__(self):
+        self.marginal(self.ncomp_x)
+        self.marginal(self.ncomp_y)
 
     def marginal(self, ncomp: int | None) -> FpcaConfig:
         return FpcaConfig(
@@ -226,7 +226,7 @@ def estimate_cross_covariance(
     grid_s: RegularGrid,
     grid_t: RegularGrid,
     bandwidths: tuple[float, float] | None = None,
-    kernel: str = "epanechnikov",
+    kernel: Kernel | str = "epanechnikov",
     candidates: Sequence[tuple[float, float]] | None = None,
     objective: str = "gcv",
     bin_threshold: int = 20000,
@@ -237,50 +237,22 @@ def estimate_cross_covariance(
     Unlike the marginal covariance there is no diagonal to exclude: the two
     coordinates come from different processes, so every (predictor time,
     response time) pair is informative. Subjects appearing in only one
-    sample contribute nothing. A GCV bandwidth search's winning fit is the
-    estimate.
+    sample contribute nothing. Binning and the bandwidth search follow
+    ``estimate_covariance``: LOSO-CV scores the unbinned pairs, and a GCV
+    search's winning fit is the estimate.
     """
-    kern = get_kernel(kernel)
     s, t, v, subj, n_shared = _cross_raw_pairs(x_sample, y_sample, x_mean, y_mean)
     if v.size == 0:
         raise FitError(
             "cross", "no subject has observations in both samples; cannot couple them"
         )
-    n_raw_pairs = int(v.size)
-    w, surface = None, None
-    binned = v.size > bin_threshold
-    if binned:
-        s, t, v, w = bin_scatter_2d(s, t, v, grid_s.points, grid_t.points)
-        subj = None
-    if bandwidths is None:
-        if candidates is None:
-            candidates = [
-                (f * grid_s.interval.length, f * grid_t.interval.length)
-                for f in COV_BANDWIDTH_FRACTIONS
-            ]
-        if objective == "loso-cv" and binned:
-            raise FitError("cross", "loso-cv bandwidth search is incompatible with binning")
-        sel = select_bandwidth_2d(
-            s,
-            t,
-            v,
-            list(candidates),
-            grid_s.points,
-            grid_t.points,
-            kern,
-            weights=w,
-            objective=objective,
-            subject_index=subj,
-            flags=flags,
-        )
-        bandwidths, surface = tuple(sel.chosen), sel.fit
-    if surface is None:
-        surface = local_linear_2d(
-            s, t, v, grid_s.points, grid_t.points, bandwidths, kern, weights=w, flags=flags
-        )
+    surface, bandwidths, binned = _smooth_pairs(
+        s, t, v, subj, grid_s, grid_t, bandwidths, get_kernel(kernel), candidates,
+        objective, bin_threshold, flags,
+    )
     return CrossCovarianceEstimate(
-        grid_s, grid_t, surface, (float(bandwidths[0]), float(bandwidths[1])),
-        n_pairs=n_raw_pairs, n_shared_subjects=n_shared, binned=binned,
+        grid_s, grid_t, surface, bandwidths,
+        n_pairs=int(v.size), n_shared_subjects=n_shared, binned=binned,
     )
 
 

@@ -105,6 +105,8 @@ class FpcaConfig:
             raise DataError(
                 f"bandwidth_objective must be 'gcv' or 'loso-cv', got {self.bandwidth_objective!r}"
             )
+        if not isinstance(self.kernel, str):
+            raise DataError(f"kernel must be a kernel name, got {self.kernel!r}")
         get_kernel(self.kernel)
 
 
@@ -256,21 +258,18 @@ def estimate_mean(
     domain length) by the requested objective; a GCV search's winning fit
     is the estimate.
     """
-    kern = get_kernel(kernel) if isinstance(kernel, str) else kernel
+    kern = get_kernel(kernel)
     pooled = pooled_points(sample)
     if pooled.times.size == 0:
         raise DataError("cannot estimate a mean from a sample with no observations")
     values = None
     if bandwidth is None:
-        cands = (
-            list(candidates)
-            if candidates is not None
-            else _default_candidates(MEAN_BANDWIDTH_FRACTIONS, sample.domain.length)
-        )
+        if candidates is None:
+            candidates = _default_candidates(MEAN_BANDWIDTH_FRACTIONS, sample.domain.length)
         sel = select_bandwidth_1d(
             pooled.times,
             pooled.values,
-            cands,
+            candidates,
             grid.points,
             kern,
             objective=objective,
@@ -333,6 +332,54 @@ def raw_covariances(sample: SparseFunctionalSample, mean: MeanEstimate) -> RawCo
     )
 
 
+def _smooth_pairs(
+    s1: np.ndarray,
+    s2: np.ndarray,
+    value: np.ndarray,
+    subject: np.ndarray,
+    grid1: RegularGrid,
+    grid2: RegularGrid,
+    bandwidths: tuple[float, float] | None,
+    kernel: Kernel,
+    candidates: Sequence[tuple[float, float]] | None,
+    objective: str,
+    bin_threshold: int,
+    flags: SmoothFlags | None,
+) -> tuple[np.ndarray, tuple[float, float], bool]:
+    """(surface, bandwidths, binned) of a raw pair scatter on ``grid1 x
+    grid2``, binned, searched and fitted as ``estimate_covariance`` says;
+    default candidates are fractions of each axis's domain length."""
+    x1, x2, z, w = s1, s2, value, None
+    binned = value.size > bin_threshold
+    if binned:
+        x1, x2, z, w = bin_scatter_2d(s1, s2, value, grid1.points, grid2.points)
+    surface = None
+    if bandwidths is None:
+        if candidates is None:
+            candidates = [
+                (f * grid1.interval.length, f * grid2.interval.length)
+                for f in COV_BANDWIDTH_FRACTIONS
+            ]
+        loso = objective == "loso-cv"
+        sel = select_bandwidth_2d(
+            *((s1, s2, value) if loso else (x1, x2, z)),
+            candidates,
+            grid1.points,
+            grid2.points,
+            kernel,
+            weights=None if loso else w,
+            objective=objective,
+            subject_index=subject,
+            flags=flags,
+        )
+        bandwidths, surface = sel.chosen, sel.fit
+    if surface is None:
+        surface = local_linear_2d(
+            x1, x2, z, grid1.points, grid2.points, bandwidths, kernel, weights=w, flags=flags
+        )
+    return surface, (float(bandwidths[0]), float(bandwidths[1])), binned
+
+
 def estimate_covariance(
     raw: RawCovariances,
     grid: RegularGrid,
@@ -353,41 +400,17 @@ def estimate_covariance(
     ``bin_threshold`` are pre-aggregated onto the grid nodes; LOSO-CV
     scores the unbinned pairs, since binning pools subjects.
     """
-    kern = get_kernel(kernel) if isinstance(kernel, str) else kernel
     if raw.n_pairs == 0:
         raise FitError("covariance", "no subject contributes an off-diagonal pair")
-    x1, x2, z, w = raw.s1, raw.s2, raw.value, None
-    binned = raw.n_pairs > bin_threshold
-    if binned:
-        x1, x2, z, w = bin_scatter_2d(x1, x2, z, grid.points, grid.points)
-    surface = None
-    if bandwidth is None:
-        cands = (
-            list(candidates)
-            if candidates is not None
-            else _default_candidates(COV_BANDWIDTH_FRACTIONS, grid.interval.length)
-        )
-        loso = objective == "loso-cv"
-        s1, s2, v, wv = (raw.s1, raw.s2, raw.value, None) if loso else (x1, x2, z, w)
-        sel = select_bandwidth_2d(
-            s1, s2, v,
-            [(c, c) for c in cands],
-            grid.points,
-            grid.points,
-            kern,
-            weights=wv,
-            objective=objective,
-            subject_index=raw.subject,
-            flags=flags,
-        )
-        bandwidth, surface = float(sel.chosen[0]), sel.fit
-    if surface is None:
-        surface = local_linear_2d(
-            x1, x2, z, grid.points, grid.points, (bandwidth, bandwidth), kern,
-            weights=w, flags=flags,
-        )
+    surface, (bandwidth, _), binned = _smooth_pairs(
+        raw.s1, raw.s2, raw.value, raw.subject, grid, grid,
+        None if bandwidth is None else (bandwidth, bandwidth),
+        get_kernel(kernel),
+        None if candidates is None else [(c, c) for c in candidates],
+        objective, bin_threshold, flags,
+    )
     surface = 0.5 * (surface + surface.T)
-    return CovarianceEstimate(grid, surface, float(bandwidth), binned=binned)
+    return CovarianceEstimate(grid, surface, bandwidth, binned=binned)
 
 
 def estimate_noise_variance(
@@ -405,7 +428,7 @@ def estimate_noise_variance(
     least reliable) and scaled back to a per-point variance. Negative
     estimates truncate to zero.
     """
-    kern = get_kernel(kernel) if isinstance(kernel, str) else kernel
+    kern = get_kernel(kernel)
     if raw.diag_t.size == 0:
         raise FitError("noise_variance", "no observations to fit the raw diagonal")
     if raw.n_pairs == 0:

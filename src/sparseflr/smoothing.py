@@ -10,12 +10,17 @@ All estimators in the package reduce to three smoothing primitives:
 Each fits, at every evaluation point, an exact weighted least-squares
 polynomial against kernel weights with compact support. Windows that hold
 too few points are widened to the nearest points (counted in the flags
-accumulator); windows whose normal equations are numerically rank-deficient
-fall back to a local constant fit. Output is therefore finite whenever at
-least one data point exists.
+accumulator); the two 2-d smoothers share one rule for that, stretching the
+window to the 3 nearest points, and one nine-moment sum. Windows whose
+normal equations are numerically rank-deficient fall back to a local
+constant fit. Output is therefore finite whenever at least one data point
+exists.
 
 Bandwidth selection offers pooled GCV (default, cheap) and
-leave-one-subject-out CV (honest but n times the work).
+leave-one-subject-out CV (honest but n times the work). One search runs
+both for 1-d and 2-d scatters; ``select_bandwidth_1d`` and
+``select_bandwidth_2d`` supply only the candidate fit, the held-out fit and
+the GCV trace formula.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .errors import DataError
 
 __all__ = [
     "Kernel",
@@ -84,11 +91,14 @@ QUARTIC = Kernel("quartic", 0.9375, _quartic)
 _KERNELS = {k.name: k for k in (EPANECHNIKOV, QUARTIC)}
 
 
-def get_kernel(name: str) -> Kernel:
+def get_kernel(kernel: Kernel | str) -> Kernel:
+    """The named kernel (DataError if unknown); a ``Kernel`` passes through."""
+    if isinstance(kernel, Kernel):
+        return kernel
     try:
-        return _KERNELS[name]
+        return _KERNELS[kernel]
     except KeyError:
-        raise ValueError(f"unknown kernel {name!r}; choose from {sorted(_KERNELS)}") from None
+        raise DataError(f"unknown kernel {kernel!r}; choose from {sorted(_KERNELS)}") from None
 
 
 @dataclass
@@ -240,31 +250,38 @@ def local_linear_1d(
     return out.reshape(np.shape(eval_points))
 
 
-def _plane_moments_at(
-    x1: np.ndarray,
-    x2: np.ndarray,
-    z: np.ndarray,
-    w: np.ndarray,
-    s1: float,
-    s2: float,
+def _widened_weights(
+    u1: np.ndarray,
+    u2: np.ndarray,
     h1: float,
     h2: float,
+    w: np.ndarray,
     kernel: Kernel,
+) -> np.ndarray:
+    """Product-kernel weights of a window stretched to reach the 3 nearest
+    points, at offsets (u1, u2) from its center, in scaled Chebyshev
+    distance (so the support stays square in bandwidth units)."""
+    r = np.maximum(np.abs(u1) / h1, np.abs(u2) / h2)
+    k = min(2, r.size - 1)
+    f = max(float(np.partition(r, k)[k]), 1e-300) * _WIDEN_FACTOR
+    return kernel(u1 / (f * h1)) * kernel(u2 / (f * h2)) * w
+
+
+def _nine_moments(
+    kw: np.ndarray, d1: np.ndarray, d2: np.ndarray, z: np.ndarray
 ) -> tuple[float, ...]:
-    """Direct per-node moment sums for the 2-d plane fit (widening path)."""
-    kw = kernel((x1 - s1) / h1) * kernel((x2 - s2) / h2) * w
-    d1 = s1 - x1
-    d2 = s2 - x2
+    """Weighted moment sums of one 3-term local fit in regressors d1, d2,
+    in the order ``_solve_plane_batch`` takes them."""
     return (
-        float(kw.sum()),
-        float((kw * d1).sum()),
-        float((kw * d2).sum()),
-        float((kw * d1 * d1).sum()),
-        float((kw * d1 * d2).sum()),
-        float((kw * d2 * d2).sum()),
-        float((kw * z).sum()),
-        float((kw * z * d1).sum()),
-        float((kw * z * d2).sum()),
+        kw.sum(),
+        kw @ d1,
+        kw @ d2,
+        kw @ (d1 * d1),
+        kw @ (d1 * d2),
+        kw @ (d2 * d2),
+        kw @ z,
+        kw @ (z * d1),
+        kw @ (z * d2),
     )
 
 
@@ -399,43 +416,30 @@ def local_linear_2d(
 
     S1 = s1c[:, None]
     S2 = s2c[None, :]
-    s00 = p00
-    s10 = S1 * p00 - p10
-    s01 = S2 * p00 - p01
-    s20 = S1 * S1 * p00 - 2.0 * S1 * p10 + p20
-    s11 = S1 * S2 * p00 - S1 * p01 - S2 * p10 + p11
-    s02 = S2 * S2 * p00 - 2.0 * S2 * p01 + p02
-    t0 = q0
-    t1 = S1 * q0 - q1
-    t2 = S2 * q0 - q2
+    moments = (
+        p00,
+        S1 * p00 - p10,
+        S2 * p00 - p01,
+        S1 * S1 * p00 - 2.0 * S1 * p10 + p20,
+        S1 * S2 * p00 - S1 * p01 - S2 * p10 + p11,
+        S2 * S2 * p00 - 2.0 * S2 * p01 + p02,
+        q0,
+        S1 * q0 - q1,
+        S2 * q0 - q2,
+    )
 
-    # Widen empty windows before solving. Scaled Chebyshev distance keeps the
-    # product-kernel support square in bandwidth units.
-    empty = ~(s00 > 0)
+    # Widen empty windows before solving.
+    empty = ~(p00 > 0)
     if empty.any():
         if flags is not None:
             flags.widened_windows += int(empty.sum())
         for i, j in zip(*np.nonzero(empty)):
-            r = np.maximum(np.abs(x1c - s1c[i]) / h1, np.abs(x2c - s2c[j]) / h2)
-            k = min(2, r.size - 1)
-            reach = np.partition(r, k)[k]
-            f = max(reach, 1e-300) * _WIDEN_FACTOR
-            m = _plane_moments_at(
-                x1c, x2c, z, w, s1c[i], s2c[j], f * h1, f * h2, kernel
-            )
-            (
-                s00[i, j],
-                s10[i, j],
-                s01[i, j],
-                s20[i, j],
-                s11[i, j],
-                s02[i, j],
-                t0[i, j],
-                t1[i, j],
-                t2[i, j],
-            ) = m
+            d1, d2 = s1c[i] - x1c, s2c[j] - x2c
+            kw = _widened_weights(d1, d2, h1, h2, w, kernel)
+            for m, v in zip(moments, _nine_moments(kw, d1, d2, z)):
+                m[i, j] = v
 
-    return _solve_plane_batch((s00, s10, s01, s20, s11, s02, t0, t1, t2), flags)
+    return _solve_plane_batch(moments, flags)
 
 
 def local_diag_rotated(
@@ -491,26 +495,12 @@ def local_diag_rotated(
         dc, o2, zz = bd[win] - target, bo2[win], bz[win]
         kw = kernel(dc / bandwidth) * bk[win] * bw[win]
         if not kw.sum() > 0:
-            # Nothing in the window: widen over the full scatter to reach
-            # the 3 nearest pairs (scaled Chebyshev distance).
+            # Nothing in the window: widen over the full scatter.
             if flags is not None:
                 flags.widened_windows += 1
             dc, o2, zz = dd - target, oo * oo, z
-            r = np.maximum(np.abs(dc), np.abs(oo)) / bandwidth
-            k = min(2, r.size - 1)
-            f = max(float(np.partition(r, k)[k]), 1e-300) * _WIDEN_FACTOR
-            kw = kernel(dc / (f * bandwidth)) * kernel(oo / (f * bandwidth)) * w
-        moments[:, i] = (
-            kw.sum(),
-            kw @ dc,
-            kw @ o2,
-            kw @ (dc * dc),
-            kw @ (dc * o2),
-            kw @ (o2 * o2),
-            kw @ zz,
-            kw @ (zz * dc),
-            kw @ (zz * o2),
-        )
+            kw = _widened_weights(dc, oo, bandwidth, bandwidth, w, kernel)
+        moments[:, i] = _nine_moments(kw, dc, o2, zz)
     empty = float(np.average(z, weights=w)) if not (moments[0] > 0).all() else 0.0
     out = _solve_plane_batch(tuple(moments), flags, line_fallback=True, empty=empty)
     return out.reshape(np.shape(eval_points))
@@ -596,9 +586,54 @@ class BandwidthSelection:
     fit: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
-def _gcv_denominator(trace_estimate: float, n_effective: float) -> float:
-    slack = 1.0 - trace_estimate / n_effective
-    return slack * slack if slack > 0 else np.nan
+def _search(
+    cands: list,
+    objective: str,
+    w: np.ndarray,
+    subject_index: np.ndarray | None,
+    grid_fit: Callable[[object], tuple[np.ndarray, np.ndarray]],
+    held_out: Callable[[object, np.ndarray], np.ndarray],
+    trace: Callable[[object], float],
+) -> BandwidthSelection:
+    """The bandwidth search shared by the 1-d and 2-d selectors.
+
+    ``grid_fit(c)`` fits all points at candidate ``c`` and returns the grid
+    fit with the residuals at the points; ``held_out(c, mask)`` fits the
+    points outside ``mask`` and returns the residuals of those inside;
+    ``trace(c)`` is the GCV smoother-trace approximation.
+    """
+    if not cands:
+        raise ValueError("empty candidate list")
+    scores, fits = [], []
+    if objective == "gcv":
+        n_eff = float(w.sum())
+        for c in cands:
+            fit, resid = grid_fit(c)
+            rss = float(w @ (resid * resid))
+            slack = 1.0 - trace(c) / n_eff
+            scores.append(rss / (slack * slack) if slack > 0 else np.inf)
+            fits.append(fit)
+    elif objective == "loso-cv":
+        if subject_index is None:
+            raise ValueError("loso-cv requires subject_index")
+        idx = np.asarray(subject_index).ravel()
+        subjects = np.unique(idx)
+        if subjects.size < 2:
+            raise ValueError("loso-cv needs at least 2 subjects")
+        for c in cands:
+            sse = 0.0
+            for sid in subjects:
+                mask = idx == sid
+                r = held_out(c, mask)
+                sse += float(w[mask] @ (r * r))
+            scores.append(sse)
+    else:
+        raise ValueError(f"unknown objective {objective!r}")
+    best = int(np.argmin(scores))
+    if not np.isfinite(scores[best]):
+        raise ValueError("no candidate bandwidth produced a finite score")
+    fit = fits[best] if fits else None
+    return BandwidthSelection(cands[best], tuple(cands), tuple(scores), objective, fit)
 
 
 def select_bandwidth_1d(
@@ -628,46 +663,21 @@ def select_bandwidth_1d(
     y = np.asarray(y, dtype=float).ravel()
     g = np.asarray(grid, dtype=float).ravel()
     w = _as_weights(weights, x.size)
-    if len(candidates) == 0:
-        raise ValueError("empty candidate list")
-    cands = [float(b) for b in candidates]
     rng = float(g.max() - g.min())
-    scores, fits = [], []
-    if objective == "gcv":
-        n_eff = float(w.sum())
-        for b in cands:
-            fit_grid = local_linear_1d(x, y, g, b, kernel, weights=w, flags=flags)
-            resid = y - interp_linear(g, fit_grid, x)
-            rss = float(w @ (resid * resid))
-            denom = _gcv_denominator(kernel.at_zero * rng / b, n_eff)
-            scores.append(rss / denom if np.isfinite(denom) else np.inf)
-            fits.append(fit_grid)
-    elif objective == "loso-cv":
-        if subject_index is None:
-            raise ValueError("loso-cv requires subject_index")
-        idx = np.asarray(subject_index).ravel()
-        subjects = np.unique(idx)
-        if subjects.size < 2:
-            raise ValueError("loso-cv needs at least 2 subjects")
-        for b in cands:
-            sse = 0.0
-            for sid in subjects:
-                mask = idx == sid
-                if not mask.any() or mask.all():
-                    continue
-                pred = local_linear_1d(
-                    x[~mask], y[~mask], x[mask], b, kernel, weights=w[~mask], flags=flags
-                )
-                r = y[mask] - pred
-                sse += float(w[mask] @ (r * r))
-            scores.append(sse)
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
-    best = int(np.argmin(scores))
-    if not np.isfinite(scores[best]):
-        raise ValueError("no candidate bandwidth produced a finite score")
-    fit = fits[best] if fits else None
-    return BandwidthSelection(cands[best], tuple(cands), tuple(scores), objective, fit)
+
+    def grid_fit(b):
+        fit = local_linear_1d(x, y, g, b, kernel, weights=w, flags=flags)
+        return fit, y - interp_linear(g, fit, x)
+
+    def held_out(b, mask):
+        keep = ~mask
+        pred = local_linear_1d(x[keep], y[keep], x[mask], b, kernel, weights=w[keep], flags=flags)
+        return y[mask] - pred
+
+    return _search(
+        [float(b) for b in candidates], objective, w, subject_index,
+        grid_fit, held_out, lambda b: kernel.at_zero * rng / b,
+    )
 
 
 def select_bandwidth_2d(
@@ -693,53 +703,21 @@ def select_bandwidth_2d(
     g1 = np.asarray(grid1, dtype=float).ravel()
     g2 = np.asarray(grid2, dtype=float).ravel()
     w = _as_weights(weights, x1.size)
-    if len(candidates) == 0:
-        raise ValueError("empty candidate list")
-    cands = [(float(a), float(b)) for a, b in candidates]
     r1 = float(g1.max() - g1.min())
     r2 = float(g2.max() - g2.min())
-    scores, fits = [], []
-    if objective == "gcv":
-        n_eff = float(w.sum())
-        k0 = kernel.at_zero
-        for h1, h2 in cands:
-            fit = local_linear_2d(x1, x2, z, g1, g2, (h1, h2), kernel, weights=w, flags=flags)
-            resid = z - interp_bilinear(g1, g2, fit, x1, x2)
-            rss = float(w @ (resid * resid))
-            denom = _gcv_denominator(k0 * k0 * r1 * r2 / (h1 * h2), n_eff)
-            scores.append(rss / denom if np.isfinite(denom) else np.inf)
-            fits.append(fit)
-    elif objective == "loso-cv":
-        if subject_index is None:
-            raise ValueError("loso-cv requires subject_index")
-        idx = np.asarray(subject_index).ravel()
-        subjects = np.unique(idx)
-        if subjects.size < 2:
-            raise ValueError("loso-cv needs at least 2 subjects")
-        for h1, h2 in cands:
-            sse = 0.0
-            for sid in subjects:
-                mask = idx == sid
-                if not mask.any() or mask.all():
-                    continue
-                fit = local_linear_2d(
-                    x1[~mask],
-                    x2[~mask],
-                    z[~mask],
-                    g1,
-                    g2,
-                    (h1, h2),
-                    kernel,
-                    weights=w[~mask],
-                    flags=flags,
-                )
-                r = z[mask] - interp_bilinear(g1, g2, fit, x1[mask], x2[mask])
-                sse += float(w[mask] @ (r * r))
-            scores.append(sse)
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
-    best = int(np.argmin(scores))
-    if not np.isfinite(scores[best]):
-        raise ValueError("no candidate bandwidth pair produced a finite score")
-    fit = fits[best] if fits else None
-    return BandwidthSelection(cands[best], tuple(cands), tuple(scores), objective, fit)
+
+    def grid_fit(h):
+        fit = local_linear_2d(x1, x2, z, g1, g2, h, kernel, weights=w, flags=flags)
+        return fit, z - interp_bilinear(g1, g2, fit, x1, x2)
+
+    def held_out(h, mask):
+        fit = local_linear_2d(
+            x1[~mask], x2[~mask], z[~mask], g1, g2, h, kernel, weights=w[~mask], flags=flags
+        )
+        return z[mask] - interp_bilinear(g1, g2, fit, x1[mask], x2[mask])
+
+    k0 = kernel.at_zero
+    return _search(
+        [(float(a), float(b)) for a, b in candidates], objective, w, subject_index,
+        grid_fit, held_out, lambda h: k0 * k0 * r1 * r2 / (h[0] * h[1]),
+    )

@@ -217,6 +217,15 @@ class TestPredict:
         assert code == 3
         assert "sigma_km has shape" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section", ["x", "cross", "r2", "flags"])
+    def test_unknown_key_is_data_error(self, fit_dir, data_dir, tmp_path, capsys, section):
+        def add_key(doc):
+            doc[section]["surprise"] = 1
+
+        code = self.predict_with_edited_model(fit_dir, data_dir, tmp_path, add_key)
+        assert code == 3
+        assert "surprise" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_reruns_byte_identical(self, tmp_path):

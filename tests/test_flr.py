@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sparseflr import (
     CovarianceEstimate,
     CrossCovarianceEstimate,
+    DataError,
     FitError,
     FlrConfig,
     FpcaModel,
@@ -28,7 +29,7 @@ from sparseflr import (
     r2_integrated,
     r2_pointwise,
 )
-import sparseflr.flr
+import sparseflr.fpca
 import sparseflr.smoothing
 from sparseflr.flr import (
     _cross_raw_pairs,
@@ -37,7 +38,7 @@ from sparseflr.flr import (
     estimate_sigma_km,
 )
 from sparseflr.fpca import MeanEstimate
-from sparseflr.smoothing import local_linear_2d
+from sparseflr.smoothing import QUARTIC, local_linear_2d
 
 from conftest import ragged_sample
 
@@ -282,7 +283,7 @@ class TestCrossCovariance:
             calls.append(args[5])
             return local_linear_2d(*args, **kwargs)
 
-        monkeypatch.setattr(sparseflr.flr, "local_linear_2d", counting)
+        monkeypatch.setattr(sparseflr.fpca, "local_linear_2d", counting)
         monkeypatch.setattr(sparseflr.smoothing, "local_linear_2d", counting)
         ids = [f"s{i}" for i in range(40)]
         x_sample = ragged_sample(ids, [4] * 40, seed=5)
@@ -297,6 +298,35 @@ class TestCrossCovariance:
             x_sample, y_sample, mean, mean, grid, grid, cross.bandwidths
         )
         assert np.array_equal(cross.surface, fixed.surface)
+
+    def test_loso_selects_on_unbinned_pairs(self, grid):
+        ids = [f"s{i}" for i in range(30)]
+        x_sample = ragged_sample(ids, [4] * 30, seed=7)
+        y_sample = ragged_sample(ids, [3] * 30, seed=8)
+        mean = MeanEstimate(grid, np.zeros(grid.n_points), 1.0)
+        cands = [(2.0, 2.0), (4.0, 4.0)]
+        cross = estimate_cross_covariance(
+            x_sample, y_sample, mean, mean, grid, grid, candidates=cands,
+            objective="loso-cv", bin_threshold=100,
+        )
+        assert cross.binned and cross.bandwidths in cands
+        fixed = estimate_cross_covariance(
+            x_sample, y_sample, mean, mean, grid, grid, cross.bandwidths, bin_threshold=100
+        )
+        assert np.array_equal(cross.surface, fixed.surface)
+
+    def test_accepts_a_kernel_object(self, grid):
+        ids = [f"s{i}" for i in range(20)]
+        x_sample = ragged_sample(ids, [4] * 20, seed=9)
+        y_sample = ragged_sample(ids, [3] * 20, seed=10)
+        mean = MeanEstimate(grid, np.zeros(grid.n_points), 1.0)
+        by_object, by_name = (
+            estimate_cross_covariance(
+                x_sample, y_sample, mean, mean, grid, grid, (2.0, 2.0), kernel=kernel
+            )
+            for kernel in (QUARTIC, "quartic")
+        )
+        assert np.array_equal(by_object.surface, by_name.surface)
 
     def test_disjoint_ids_are_rejected_by_fit(self, domain):
         rng = np.random.default_rng(4)
@@ -515,3 +545,20 @@ class TestInvariance:
         scale = np.max(np.abs(c * fitted.beta))
         assert np.max(np.abs(model.beta - c * fitted.beta)) <= 1e-10 * scale
         assert model.r2.value_raw == pytest.approx(fitted.r2.value_raw, rel=1e-10)
+
+
+class TestFlrConfig:
+    @pytest.mark.parametrize("settings", [
+        {"kernel": "nope", "max_components": 0},
+        {"kernel": "nope"},
+        {"max_components": 0},
+        {"ncomp_x": 0},
+        {"ncomp_y": 0},
+        {"n_grid": 1},
+        {"ncomp_method": "bic"},
+        {"bandwidth_objective": "aic"},
+        {"kernel": QUARTIC},  # a config stores kernel names, which serialize
+    ])
+    def test_invalid_settings_raise_on_construction(self, settings):
+        with pytest.raises(DataError):
+            FlrConfig(**settings)

@@ -1,12 +1,14 @@
 """Model persistence: byte-stable saves, faithful loads, hard schema checks."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sparseflr import DataError, load_model, model_document, predict_response, save_model
 from sparseflr.serialize import SCHEMA_VERSION
+from sparseflr.smoothing import SmoothFlags
 
 
 class TestRoundTrip:
@@ -34,12 +36,12 @@ class TestRoundTrip:
         p2 = str(tmp_path / "b.json")
         save_model(fitted, p1)
         save_model(load_model(p1), p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_file_ends_with_newline(self, fitted, tmp_path):
         path = str(tmp_path / "model.json")
         save_model(fitted, path)
-        assert open(path, "rb").read().endswith(b"\n")
+        assert Path(path).read_bytes().endswith(b"\n")
 
 
 class TestLoadErrors:
@@ -51,6 +53,10 @@ class TestLoadErrors:
     def test_invalid_json(self, tmp_path):
         with pytest.raises(DataError):
             load_model(self.write(tmp_path, "{not json"))
+
+    def test_document_that_is_not_an_object(self, tmp_path):
+        with pytest.raises(DataError):
+            load_model(self.write(tmp_path, "[1, 2]"))
 
     def test_wrong_schema_version(self, fitted, tmp_path):
         doc = model_document(fitted)
@@ -69,3 +75,34 @@ class TestLoadErrors:
         del doc["x"]
         with pytest.raises(DataError):
             load_model(self.write(tmp_path, json.dumps(doc)))
+
+    @pytest.mark.parametrize("section", ["x", "cross", "r2", "flags"])
+    def test_unknown_key_is_rejected(self, fitted, tmp_path, section):
+        doc = model_document(fitted)
+        doc[section]["surprise"] = 1
+        with pytest.raises(DataError, match="surprise"):
+            load_model(self.write(tmp_path, json.dumps(doc)))
+
+
+class TestOptionalKeys:
+    OPTIONAL = {
+        "x": ("selection", "n_subjects"),
+        "cross": ("n_pairs", "n_shared_subjects", "binned"),
+        None: ("flags", "n_shared_subjects"),
+    }
+
+    def test_v1_document_without_optional_keys_loads_with_defaults(self, fitted, tmp_path):
+        doc = model_document(fitted)
+        for section, keys in self.OPTIONAL.items():
+            for key in keys:
+                del (doc if section is None else doc[section])[key]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        loaded = load_model(str(path))
+        assert loaded.x.selection == {} and loaded.x.n_subjects == 0
+        assert loaded.y.n_subjects == fitted.y.n_subjects
+        assert (loaded.cross.n_pairs, loaded.cross.n_shared_subjects) == (0, 0)
+        assert loaded.cross.binned is False
+        assert loaded.n_shared_subjects == 0
+        assert loaded.flags == SmoothFlags()
+        assert np.array_equal(loaded.beta, fitted.beta)

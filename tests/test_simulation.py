@@ -1,5 +1,7 @@
 """Data generator fidelity, quadrature scores, error metric, and the harness."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -262,7 +264,7 @@ class TestMonteCarlo:
         report = run_monte_carlo(self.small_config())
         path = str(tmp_path / "runs.csv")
         save_run_results(report, path)
-        rows = [line.split(",") for line in open(path).read().splitlines()]
+        rows = [line.split(",") for line in Path(path).read_text().splitlines()]
         assert rows[0] == ["run", "method", "rmspe", "failed", "error"]
         assert len(rows) == 1 + 2 * len(report.runs)
         ce_row = rows[1]
