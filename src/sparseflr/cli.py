@@ -26,7 +26,7 @@ import numpy as np
 from .data import Interval, SubjectRecord, load_sample, save_sample, summarize
 from .errors import DataError, FitError
 from .flr import FlrConfig, fit_flr, prediction_band, trajectory_from_scores
-from .fpca import pace_scores_batch
+from .fpca import FpcaConfig, pace_scores_batch
 from .serialize import load_model, save_model
 from .simulation import SimConfig, gen_pair, run_monte_carlo, save_run_results
 
@@ -38,6 +38,10 @@ except PackageNotFoundError:  # running from a source tree
 USAGE_ERROR = 2
 DATA_ERROR = 3
 NUMERICAL_ERROR = 4
+
+
+# The fit flags' defaults are the library's.
+_FIT_DEFAULTS = FpcaConfig()
 
 
 class UsageError(Exception):
@@ -57,14 +61,13 @@ class RunConfig:
     y_columns: tuple[str, str, str] = ("subject_id", "time", "value")
     domain_x: tuple[float, float] | None = None
     domain_y: tuple[float, float] | None = None
-    grid_points: int = 51
-    kernel: str = "epanechnikov"
+    grid_points: int = _FIT_DEFAULTS.n_grid
+    kernel: str = _FIT_DEFAULTS.kernel
     bandwidth: float | None = None
     bandwidth_grid: tuple[float, ...] | None = None
-    bandwidth_objective: str = "gcv"
+    bandwidth_objective: str = _FIT_DEFAULTS.bandwidth_objective
     ncomp: int | None = None
-    ncomp_method: str = "aic"
-    max_components: int = 10
+    max_components: int = _FIT_DEFAULTS.max_components
     level: float = 0.95
     subjects: tuple[str, ...] | None = None
     sparsity: str = "sparse"
@@ -103,27 +106,23 @@ def _parse_columns(spec: str) -> tuple[str, str, str]:
 
 
 def _flr_config(cfg: RunConfig, length_x: float) -> FlrConfig:
-    kwargs: dict = {
+    marginal: dict = {
         "n_grid": cfg.grid_points,
         "kernel": cfg.kernel,
         "bandwidth_objective": cfg.bandwidth_objective,
-        "ncomp_x": cfg.ncomp,
-        "ncomp_y": cfg.ncomp,
-        "ncomp_method": cfg.ncomp_method,
         "max_components": cfg.max_components,
     }
+    joint: dict = {"ncomp_x": cfg.ncomp, "ncomp_y": cfg.ncomp}
     if cfg.bandwidth is not None:
-        kwargs["mean_bandwidth"] = cfg.bandwidth
-        kwargs["cov_bandwidth"] = cfg.bandwidth
-        kwargs["cross_bandwidth"] = (cfg.bandwidth, cfg.bandwidth)
+        marginal["mean_bandwidth"] = marginal["cov_bandwidth"] = cfg.bandwidth
+        joint["cross_bandwidth"] = (cfg.bandwidth, cfg.bandwidth)
     elif cfg.bandwidth_grid is not None:
         # Absolute candidates, expressed on the predictor axis; the response
         # and cross searches scale them proportionally to their axis length.
         fractions = tuple(b / length_x for b in cfg.bandwidth_grid)
-        kwargs["mean_bandwidth_fractions"] = fractions
-        kwargs["cov_bandwidth_fractions"] = fractions
-        kwargs["cross_bandwidth_fractions"] = fractions
-    return FlrConfig(**kwargs)
+        marginal["mean_bandwidth_fractions"] = marginal["cov_bandwidth_fractions"] = fractions
+        joint["cross_bandwidth_fractions"] = fractions
+    return FlrConfig(FpcaConfig(**marginal), **joint)
 
 
 def _interval(pair: tuple[float, float] | None) -> Interval | None:
@@ -299,13 +298,13 @@ def cmd_report(cfg: RunConfig) -> int:
     )
     for name, marginal, grid in (("x", model.x, s_grid), ("y", model.y, t_grid)):
         k = marginal.n_components
-        total = float(marginal.eigenvalues.sum())
+        fractions = marginal.eigensystem.variance_fractions()
         _write_csv(
             os.path.join(cfg.out_dir, f"scree_{name}.csv"),
             ["component", "eigenvalue", "variance_fraction"],
             (
-                [i + 1, float(ev), float(ev / total) if total > 0 else 0.0]
-                for i, ev in enumerate(marginal.eigenvalues)
+                [i + 1, float(ev), float(fraction)]
+                for i, (ev, fraction) in enumerate(zip(marginal.eigenvalues, fractions))
             ),
         )
         header = ["t"] + [f"pc{i + 1}" for i in range(k)]
@@ -334,11 +333,13 @@ def cmd_report(cfg: RunConfig) -> int:
 
 
 def _add_fit_controls(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-points", type=int, default=51, help="evaluation grid size")
+    p.add_argument(
+        "--grid-points", type=int, default=_FIT_DEFAULTS.n_grid, help="evaluation grid size"
+    )
     p.add_argument(
         "--kernel",
         choices=["epanechnikov", "quartic"],
-        default="epanechnikov",
+        default=_FIT_DEFAULTS.kernel,
         help="smoothing kernel",
     )
     group = p.add_mutually_exclusive_group()
@@ -354,14 +355,11 @@ def _add_fit_controls(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--bandwidth-objective",
         choices=["gcv", "loso-cv"],
-        default="gcv",
+        default=_FIT_DEFAULTS.bandwidth_objective,
         help="bandwidth selection objective",
     )
     p.add_argument("--ncomp", type=int, default=None, help="fixed component count")
-    p.add_argument(
-        "--ncomp-method", choices=["aic", "cv"], default="aic", help="component selection"
-    )
-    p.add_argument("--max-components", type=int, default=10)
+    p.add_argument("--max-components", type=int, default=_FIT_DEFAULTS.max_components)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -435,9 +433,11 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     seed = get("seed", 0)
     if seed is not None and seed < 0:
         raise UsageError("--seed must be nonnegative")
-    if get("grid_points", 51) < 2:
+    grid_points = get("grid_points", _FIT_DEFAULTS.n_grid)
+    max_components = get("max_components", _FIT_DEFAULTS.max_components)
+    if grid_points < 2:
         raise UsageError("--grid-points must be at least 2")
-    if get("max_components", 10) < 1:
+    if max_components < 1:
         raise UsageError("--max-components must be at least 1")
     if get("ncomp") is not None and args.ncomp < 1:
         raise UsageError("--ncomp must be at least 1")
@@ -461,14 +461,13 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         y_columns=_parse_columns(get("y_columns", "subject_id,time,value")),
         domain_x=tuple(args.domain_x) if get("domain_x") else None,
         domain_y=tuple(args.domain_y) if get("domain_y") else None,
-        grid_points=get("grid_points", 51),
-        kernel=get("kernel", "epanechnikov"),
+        grid_points=grid_points,
+        kernel=get("kernel", _FIT_DEFAULTS.kernel),
         bandwidth=get("bandwidth"),
         bandwidth_grid=bandwidth_grid,
-        bandwidth_objective=get("bandwidth_objective", "gcv"),
+        bandwidth_objective=get("bandwidth_objective", _FIT_DEFAULTS.bandwidth_objective),
         ncomp=get("ncomp"),
-        ncomp_method=get("ncomp_method", "aic"),
-        max_components=get("max_components", 10),
+        max_components=max_components,
         level=level,
         subjects=tuple(s.strip() for s in subjects.split(",")) if subjects else None,
         sparsity=get("sparsity", "sparse"),

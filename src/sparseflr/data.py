@@ -191,14 +191,13 @@ def pooled_points(sample: SparseFunctionalSample) -> PooledPoints:
     ``sample.subjects``. Zero-observation subjects contribute nothing but
     keep their roster slot, so indices stay aligned with the roster.
     """
-    times, values, idx = [], [], []
-    for i, s in enumerate(sample.subjects):
-        times.append(s.times)
-        values.append(s.values)
-        idx.append(np.full(s.n_obs, i, dtype=np.intp))
-    if not times:
-        return PooledPoints(np.empty(0), np.empty(0), np.empty(0, dtype=np.intp))
-    return PooledPoints(np.concatenate(times), np.concatenate(values), np.concatenate(idx))
+    subjects = sample.subjects
+    counts = np.array([s.n_obs for s in subjects], dtype=np.intp)
+    return PooledPoints(
+        np.concatenate([np.empty(0)] + [s.times for s in subjects]),
+        np.concatenate([np.empty(0)] + [s.values for s in subjects]),
+        np.repeat(np.arange(len(subjects), dtype=np.intp), counts),
+    )
 
 
 def summarize(sample: SparseFunctionalSample) -> SampleSummary:

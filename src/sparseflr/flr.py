@@ -23,10 +23,9 @@ import numpy as np
 from scipy.special import ndtri
 
 from .data import RegularGrid, SparseFunctionalSample, SubjectRecord, pooled_points
-from .errors import FitError
+from .errors import DataError, FitError
 from .fpca import (
     COV_BANDWIDTH_FRACTIONS,
-    MEAN_BANDWIDTH_FRACTIONS,
     FpcaConfig,
     FpcaModel,
     MeanEstimate,
@@ -64,49 +63,25 @@ _R2_DENOM_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class FlrConfig:
-    """Controls for the joint fit; marginal settings apply to X and Y alike.
+    """Controls for the joint fit; ``marginal`` applies to X and Y alike.
 
     Bandwidths left as None are selected per sample. The cross-covariance
     search ties its two axis bandwidths to equal fractions of each axis
-    range, one free parameter instead of two. Both marginal configurations
-    are built on construction, so invalid settings raise DataError here.
+    range, one free parameter instead of two. Component counts left as None
+    are selected by AIC.
     """
 
-    n_grid: int = 51
-    kernel: str = "epanechnikov"
-    mean_bandwidth: float | None = None
-    cov_bandwidth: float | None = None
-    cross_bandwidth: tuple[float, float] | None = None
-    mean_bandwidth_fractions: tuple[float, ...] = MEAN_BANDWIDTH_FRACTIONS
-    cov_bandwidth_fractions: tuple[float, ...] = COV_BANDWIDTH_FRACTIONS
-    cross_bandwidth_fractions: tuple[float, ...] = COV_BANDWIDTH_FRACTIONS
-    bandwidth_objective: str = "gcv"
+    marginal: FpcaConfig = FpcaConfig()
     ncomp_x: int | None = None
     ncomp_y: int | None = None
-    ncomp_method: str = "aic"
-    max_components: int = 10
-    eigen_floor: float = 1e-10
-    bin_threshold: int = 20000
+    cross_bandwidth: tuple[float, float] | None = None
+    cross_bandwidth_fractions: tuple[float, ...] = COV_BANDWIDTH_FRACTIONS
 
     def __post_init__(self):
-        self.marginal(self.ncomp_x)
-        self.marginal(self.ncomp_y)
-
-    def marginal(self, ncomp: int | None) -> FpcaConfig:
-        return FpcaConfig(
-            n_grid=self.n_grid,
-            kernel=self.kernel,
-            mean_bandwidth=self.mean_bandwidth,
-            cov_bandwidth=self.cov_bandwidth,
-            mean_bandwidth_fractions=self.mean_bandwidth_fractions,
-            cov_bandwidth_fractions=self.cov_bandwidth_fractions,
-            bandwidth_objective=self.bandwidth_objective,
-            ncomp=ncomp,
-            ncomp_method=self.ncomp_method,
-            max_components=self.max_components,
-            eigen_floor=self.eigen_floor,
-            bin_threshold=self.bin_threshold,
-        )
+        for name in ("ncomp_x", "ncomp_y"):
+            ncomp = getattr(self, name)
+            if ncomp is not None and ncomp < 1:
+                raise DataError(f"{name} must be >= 1, got {ncomp}")
 
 
 @dataclass(frozen=True)
@@ -440,12 +415,9 @@ def fit_flr(
     surfaces as FitError tagged with the stage name.
     """
     flags = SmoothFlags()
-    x_model = fit_fpca(
-        x_sample, config.marginal(config.ncomp_x), flags=flags, stage_prefix="x_"
-    )
-    y_model = fit_fpca(
-        y_sample, config.marginal(config.ncomp_y), flags=flags, stage_prefix="y_"
-    )
+    marginal = config.marginal
+    x_model = fit_fpca(x_sample, marginal, config.ncomp_x, flags, stage_prefix="x_")
+    y_model = fit_fpca(y_sample, marginal, config.ncomp_y, flags, stage_prefix="y_")
     x_mean = MeanEstimate(x_model.grid, x_model.mean, x_model.mean_bandwidth)
     y_mean = MeanEstimate(y_model.grid, y_model.mean, y_model.mean_bandwidth)
 
@@ -462,10 +434,10 @@ def fit_flr(
             x_model.grid,
             y_model.grid,
             bandwidths=config.cross_bandwidth,
-            kernel=config.kernel,
+            kernel=marginal.kernel,
             candidates=candidates,
-            objective=config.bandwidth_objective,
-            bin_threshold=config.bin_threshold,
+            objective=marginal.bandwidth_objective,
+            bin_threshold=marginal.bin_threshold,
             flags=flags,
         )
     except (ValueError, np.linalg.LinAlgError) as exc:

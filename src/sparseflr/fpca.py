@@ -8,7 +8,11 @@ coordinates and compared against a fit of the raw diagonal, gives the
 observation-noise variance. Eigenfunctions come from the trapezoid
 discretization of the covariance operator, and per-subject component scores
 are best linear predictors given the subject's noisy observations, which
-stay well defined with as few as one observation per subject.
+stay well defined with as few as one observation per subject. The component
+count is fixed by the caller or chosen by a pseudo-Gaussian AIC.
+
+``FpcaConfig`` declares every marginal setting once; a joint fit nests one
+in ``FlrConfig`` and applies it to both variables.
 """
 
 from __future__ import annotations
@@ -75,8 +79,8 @@ class FpcaConfig:
     """Fitting controls for one functional sample.
 
     ``mean_bandwidth`` and ``cov_bandwidth`` may be fixed; when None they are
-    selected from candidate fractions of the domain length. ``ncomp`` fixed
-    or selected by ``ncomp_method`` (aic or cv) up to ``max_components``.
+    selected from candidate fractions of the domain length. Unless
+    ``fit_fpca`` is given a count, AIC selects it up to ``max_components``.
     """
 
     n_grid: int = 51
@@ -86,8 +90,6 @@ class FpcaConfig:
     mean_bandwidth_fractions: tuple[float, ...] = MEAN_BANDWIDTH_FRACTIONS
     cov_bandwidth_fractions: tuple[float, ...] = COV_BANDWIDTH_FRACTIONS
     bandwidth_objective: str = "gcv"
-    ncomp: int | None = None
-    ncomp_method: str = "aic"
     max_components: int = 10
     eigen_floor: float = 1e-10
     bin_threshold: int = 20000
@@ -95,12 +97,8 @@ class FpcaConfig:
     def __post_init__(self):
         if self.n_grid < 2:
             raise DataError(f"n_grid must be >= 2, got {self.n_grid}")
-        if self.ncomp is not None and self.ncomp < 1:
-            raise DataError(f"ncomp must be >= 1, got {self.ncomp}")
         if self.max_components < 1:
             raise DataError(f"max_components must be >= 1, got {self.max_components}")
-        if self.ncomp_method not in ("aic", "cv"):
-            raise DataError(f"ncomp_method must be 'aic' or 'cv', got {self.ncomp_method!r}")
         if self.bandwidth_objective not in ("gcv", "loso-cv"):
             raise DataError(
                 f"bandwidth_objective must be 'gcv' or 'loso-cv', got {self.bandwidth_objective!r}"
@@ -639,69 +637,12 @@ def _aic_curve(
     return np.einsum("mn,mn->m", r, r) / (2.0 * sigma2) + log_term + np.arange(1, max_m + 1)
 
 
-def _cv_curve(
-    sample: SparseFunctionalSample,
-    config: FpcaConfig,
-    model: FpcaModel,
-    max_m: int,
-) -> np.ndarray:
-    """Leave-one-subject-out prediction error for component counts 1..max_m.
-
-    Mean and eigenfunctions are re-estimated without the held-out subject,
-    reusing the full-sample bandwidths and noise variance (re-selecting
-    bandwidths inside the loop would multiply the cost for little gain).
-    """
-    kern = get_kernel(config.kernel)
-    grid = model.grid
-    cv = np.zeros(max_m)
-    for i, subj in enumerate(sample.subjects):
-        if subj.n_obs == 0:
-            continue
-        rest = SparseFunctionalSample(
-            sample.domain,
-            tuple(s for j, s in enumerate(sample.subjects) if j != i),
-        )
-        if all(s.n_obs < 2 for s in rest.subjects):
-            continue
-        mean_i = estimate_mean(rest, grid, bandwidth=model.mean_bandwidth, kernel=kern)
-        raw_i = raw_covariances(rest, mean_i)
-        cov_i = estimate_covariance(
-            raw_i, grid, model.cov_bandwidth, kern, bin_threshold=config.bin_threshold
-        )
-        try:
-            eig_i = eigendecompose(cov_i, floor=config.eigen_floor)
-        except FitError:
-            continue
-        m_avail = min(max_m, eig_i.n_retained)
-        model_i = FpcaModel(
-            grid=grid,
-            mean=mean_i.values,
-            surface=cov_i.surface,
-            noise_var=model.noise_var,
-            eigenvalues=eig_i.eigenvalues,
-            eigenfunctions=eig_i.functions,
-            n_components=m_avail,
-            mean_bandwidth=model.mean_bandwidth,
-            cov_bandwidth=model.cov_bandwidth,
-        )
-        pred = pace_scores(model_i, subj.times, subj.values, m_avail)
-        resid = subj.values - mean_i.at(subj.times)
-        psi = model_i.eigenfunctions_at(subj.times, m_avail)
-        for m in range(1, max_m + 1):
-            mm = min(m, m_avail)
-            r = resid - pred.scores[:mm] @ psi[:mm]
-            cv[m - 1] += float(r @ r)
-    return cv
-
-
 def select_ncomp(
     sample: SparseFunctionalSample,
     model: FpcaModel,
-    method: str = "aic",
     max_components: int = 10,
-    config: FpcaConfig | None = None,
 ) -> tuple[int, dict]:
-    """Pick the component count by AIC (default) or leave-one-subject-out CV.
+    """Pick the component count by pseudo-Gaussian AIC.
 
     Returns the argmin count and a record of the criterion curve. Ties go to
     the smaller count.
@@ -709,28 +650,27 @@ def select_ncomp(
     max_m = min(max_components, model.eigenvalues.size)
     if max_m < 1:
         raise FitError("select_ncomp", "no retained eigenvalues to choose from")
-    if method == "aic":
-        curve = _aic_curve(model, sample, max_m)
-    elif method == "cv":
-        curve = _cv_curve(sample, config or FpcaConfig(), model, max_m)
-    else:
-        raise ValueError(f"unknown ncomp method {method!r}")
+    curve = _aic_curve(model, sample, max_m)
     n = int(np.argmin(curve)) + 1
-    return n, {"method": method, "criterion": [float(v) for v in curve], "chosen": n}
+    return n, {"method": "aic", "criterion": [float(v) for v in curve], "chosen": n}
 
 
 def fit_fpca(
     sample: SparseFunctionalSample,
     config: FpcaConfig = FpcaConfig(),
+    ncomp: int | None = None,
     flags: SmoothFlags | None = None,
     stage_prefix: str = "",
 ) -> FpcaModel:
     """Fit the full marginal model: mean, surface, noise, eigenpairs, count.
 
-    Raises FitError with a stage name (optionally prefixed, so a joint fit
-    can distinguish predictor from response stages) when any step cannot
-    proceed.
+    A fixed ``ncomp`` (at least 1, clamped to the retained eigenpairs)
+    replaces the AIC selection. Raises FitError with a stage name
+    (optionally prefixed, so a joint fit can distinguish predictor from
+    response stages) when any step cannot proceed.
     """
+    if ncomp is not None and ncomp < 1:
+        raise DataError(f"ncomp must be >= 1, got {ncomp}")
     flags = flags if flags is not None else SmoothFlags()
     kern = get_kernel(config.kernel)
     grid = RegularGrid(sample.domain, config.n_grid)
@@ -792,27 +732,20 @@ def fit_fpca(
         noise_var=sigma2,
         eigenvalues=eig.eigenvalues,
         eigenfunctions=eig.functions,
-        n_components=min(
-            config.ncomp if config.ncomp is not None else eig.n_retained,
-            eig.n_retained,
-        ),
+        n_components=min(ncomp or eig.n_retained, eig.n_retained),
         mean_bandwidth=mean.bandwidth,
         cov_bandwidth=cov.bandwidth,
         selection={},
         n_subjects=sample.n_subjects,
         flags=flags,
     )
-    if config.ncomp is not None:
-        if config.ncomp > eig.n_retained:
-            flags.note(
-                f"requested {config.ncomp} components, only {eig.n_retained} retained"
-            )
+    if ncomp is not None:
+        if ncomp > eig.n_retained:
+            flags.note(f"requested {ncomp} components, only {eig.n_retained} retained")
         info = {"method": "fixed", "chosen": model.n_components}
         return replace(model, selection=info)
     n, info = run(
         "select_ncomp",
-        lambda: select_ncomp(
-            sample, model, config.ncomp_method, config.max_components, config
-        ),
+        lambda: select_ncomp(sample, model, config.max_components),
     )
     return replace(model, n_components=n, selection=info)

@@ -11,6 +11,9 @@ flags.
 Floats serialize through Python's shortest-repr encoding, so a document
 written and re-read reproduces every array bit for bit. Documents carry a
 ``schema_version``; loading an unknown version fails rather than guessing.
+Version 2 is written. Version 1 documents still load: their flat ``config``
+is nested into the v2 form (the marginal settings under ``marginal``) and
+its ``ncomp_method``, always AIC or the retired in-sample CV, is dropped.
 NaN values (possible in the pointwise R-squared curve) use JSON's
 non-strict NaN literal, which the standard library reads back symmetrically.
 """
@@ -26,12 +29,12 @@ import numpy as np
 
 from .data import Interval, RegularGrid
 from .errors import DataError
-from .flr import FlrModel
+from .flr import FlrConfig, FlrModel
 from .fpca import FpcaModel
 
 __all__ = ["SCHEMA_VERSION", "save_model", "load_model", "model_document"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Fields a document leaves out; decoding gives them their defaults.
 _NOT_STORED = {FpcaModel: ("flags",)}
@@ -106,6 +109,18 @@ def _check_shapes(model: FlrModel) -> None:
             raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
 
 
+def _nest_v1_config(doc: dict) -> None:
+    """Rewrite a v1 document's flat ``config`` section in the v2 nesting."""
+    config = doc.get("config")
+    if not isinstance(config, dict):
+        return
+    if config.get("ncomp_method") in ("aic", "cv"):
+        del config["ncomp_method"]
+    own = [f.name for f in fields(FlrConfig) if f.name != "marginal"]
+    marginal = {k: v for k, v in config.items() if k not in own}
+    doc["config"] = {"marginal": marginal, **{k: config[k] for k in own if k in config}}
+
+
 def model_document(model: FlrModel) -> dict:
     """Plain-dict form of a fitted regression model."""
     return {"schema_version": SCHEMA_VERSION, "kind": "flr_model", **_encode(model)}
@@ -133,10 +148,12 @@ def load_model(path: str) -> FlrModel:
     if not isinstance(doc, dict):
         raise DataError(f"model document {path!r} is not a JSON object")
     version = doc.pop("schema_version", None)
-    if version != SCHEMA_VERSION:
+    if version not in (1, SCHEMA_VERSION):
         raise DataError(
-            f"unsupported model schema version {version!r} (expected {SCHEMA_VERSION})"
+            f"unsupported model schema version {version!r} (expected 1 or {SCHEMA_VERSION})"
         )
+    if version == 1:
+        _nest_v1_config(doc)
     kind = doc.pop("kind", None)
     if kind != "flr_model":
         raise DataError(f"unsupported document kind {kind!r}")

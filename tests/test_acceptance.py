@@ -76,7 +76,7 @@ def sparse_normal_oracle():
     if "sn_oracle" not in _reports:
         config = SPARSE_NORMAL
         design = SimDesign(Interval(*config.domain))
-        grid = RegularGrid(design.domain, config.fit.n_grid)
+        grid = RegularGrid(design.domain, config.fit.marginal.n_grid)
         model = make_truth_model(design, grid, config.noise_var_x)
         pts = grid.points
         errors = []

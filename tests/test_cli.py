@@ -111,6 +111,10 @@ class TestFit:
         assert main(base + ["--max-components", "0"]) == 2
         assert main(base + ["--bandwidth-grid", "0.1,-0.3"]) == 2
 
+    def test_removed_ncomp_method_flag_is_usage_error(self, data_dir, tmp_path):
+        args = ["fit", "--x", str(data_dir / "x.csv"), "--y", str(data_dir / "y.csv")]
+        assert main(args + ["--ncomp-method", "aic", "--out", str(tmp_path / "o")]) == 2
+
 
 class TestPredict:
     def run_predict(self, fit_dir, data_dir, out, extra=()):

@@ -128,6 +128,31 @@ class TestSample:
         assert np.array_equal(pooled.subject_index, [0, 0, 1])
         assert np.array_equal(pooled.values, [1.0, 4.0, 9.0])
 
+    @staticmethod
+    def looped_pooled_points(sample):
+        """Reference: the per-subject loop the vectorized build replaces."""
+        times, values, idx = [], [], []
+        for i, s in enumerate(sample.subjects):
+            times.append(s.times)
+            values.append(s.values)
+            idx.append(np.full(s.n_obs, i, dtype=np.intp))
+        if not times:
+            return np.empty(0), np.empty(0), np.empty(0, dtype=np.intp)
+        return np.concatenate(times), np.concatenate(values), np.concatenate(idx)
+
+    def test_pooled_matches_the_loop_bit_for_bit(self, sparse_pair):
+        x_sample, y_sample, _ = sparse_pair
+        ragged = make_sample([("a", [], []), ("b", [2.0, 2.0], [1.0, -1.0]), ("c", [], [])])
+        empty = make_sample([])
+        for sample in (x_sample, y_sample, ragged, empty):
+            pooled = pooled_points(sample)
+            for got, want in zip(
+                (pooled.times, pooled.values, pooled.subject_index),
+                self.looped_pooled_points(sample),
+            ):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
 
 class TestSummarize:
     def test_counts(self):

@@ -13,6 +13,7 @@ from sparseflr import (
     DataError,
     FitError,
     FlrConfig,
+    FpcaConfig,
     FpcaModel,
     Interval,
     SimConfig,
@@ -548,17 +549,20 @@ class TestInvariance:
 
 
 class TestFlrConfig:
+    # An invalid setting anywhere in the tree raises while the tree is built,
+    # before any fit starts. "marginal" cases are FpcaConfig's own checks.
     @pytest.mark.parametrize("settings", [
-        {"kernel": "nope", "max_components": 0},
-        {"kernel": "nope"},
-        {"max_components": 0},
+        {"marginal": {"kernel": "nope", "max_components": 0}},
+        {"marginal": {"kernel": "nope"}},
+        {"marginal": {"max_components": 0}},
         {"ncomp_x": 0},
         {"ncomp_y": 0},
-        {"n_grid": 1},
-        {"ncomp_method": "bic"},
-        {"bandwidth_objective": "aic"},
-        {"kernel": QUARTIC},  # a config stores kernel names, which serialize
+        {"marginal": {"n_grid": 1}},
+        {"marginal": {"n_grid": 11}, "ncomp_x": 2, "ncomp_y": -1},
+        {"marginal": {"bandwidth_objective": "aic"}},
+        {"marginal": {"kernel": QUARTIC}},  # a config stores kernel names
     ])
     def test_invalid_settings_raise_on_construction(self, settings):
+        settings = dict(settings)
         with pytest.raises(DataError):
-            FlrConfig(**settings)
+            FlrConfig(FpcaConfig(**settings.pop("marginal", {})), **settings)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from sparseflr import (
     CovarianceEstimate,
+    DataError,
     FitError,
-    FpcaConfig,
     FpcaModel,
     Interval,
     RegularGrid,
@@ -556,22 +556,10 @@ class TestSelectNcomp:
             v = truth_x_model.mean_at(t) + rng.normal(scale=0.6, size=4)
             subjects.append(SubjectRecord(f"s{i}", t, v))
         sample = SparseFunctionalSample(domain, tuple(subjects))
-        n, info = select_ncomp(sample, truth_x_model, "aic", max_components=2)
+        n, info = select_ncomp(sample, truth_x_model, max_components=2)
         expected = self.hand_aic(truth_x_model, sample, 2)
         assert np.allclose(info["criterion"], expected, rtol=1e-8)
         assert n == int(np.argmin(expected)) + 1
-
-    def test_cv_method_runs(self, sparse_pair):
-        x_sample, _, _ = sparse_pair
-        model = fit_fpca(x_sample, FpcaConfig(ncomp=3))
-        n, info = select_ncomp(sample=x_sample, model=model, method="cv", max_components=3)
-        assert 1 <= n <= 3
-        assert info["method"] == "cv"
-
-    def test_unknown_method_rejected(self, sparse_pair, truth_x_model):
-        x_sample, _, _ = sparse_pair
-        with pytest.raises(ValueError):
-            select_ncomp(x_sample, truth_x_model, "bic")
 
 
 class TestFitFpca:
@@ -598,10 +586,15 @@ class TestFitFpca:
 
     def test_fixed_count_clamps_to_retained(self, sparse_pair):
         x_sample, _, _ = sparse_pair
-        model = fit_fpca(x_sample, FpcaConfig(ncomp=40))
+        model = fit_fpca(x_sample, ncomp=40)
         assert model.selection["method"] == "fixed"
         assert model.n_components == model.eigenvalues.size
         assert any("retained" in note for note in model.flags.notes)
+
+    def test_count_below_one_rejected(self, sparse_pair):
+        x_sample, _, _ = sparse_pair
+        with pytest.raises(DataError, match="ncomp"):
+            fit_fpca(x_sample, ncomp=0)
 
     def test_all_single_observation_subjects_rejected(self, domain):
         subjects = tuple(

@@ -6,7 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparseflr import DataError, load_model, model_document, predict_response, save_model
+from sparseflr import (
+    DataError,
+    FlrConfig,
+    FpcaConfig,
+    fit_flr,
+    load_model,
+    model_document,
+    predict_response,
+    save_model,
+)
 from sparseflr.serialize import SCHEMA_VERSION
 from sparseflr.smoothing import SmoothFlags
 
@@ -83,6 +92,12 @@ class TestLoadErrors:
         with pytest.raises(DataError, match="surprise"):
             load_model(self.write(tmp_path, json.dumps(doc)))
 
+    def test_unknown_marginal_config_key_is_rejected(self, fitted, tmp_path):
+        doc = model_document(fitted)
+        doc["config"]["marginal"]["surprise"] = 1
+        with pytest.raises(DataError, match="surprise"):
+            load_model(self.write(tmp_path, json.dumps(doc)))
+
 
 class TestOptionalKeys:
     OPTIONAL = {
@@ -106,3 +121,45 @@ class TestOptionalKeys:
         assert loaded.n_shared_subjects == 0
         assert loaded.flags == SmoothFlags()
         assert np.array_equal(loaded.beta, fitted.beta)
+
+
+V1_FIXTURE = Path(__file__).parent / "data" / "model_v1.json"
+
+
+class TestSchemaV1:
+    """A v1 document: the sparse_pair cohort fitted with n_grid=11 and saved
+    before the marginal settings were nested under ``config.marginal``."""
+
+    @pytest.fixture(scope="class")
+    def v1_doc(self):
+        return json.loads(V1_FIXTURE.read_text())
+
+    def test_fixture_is_a_flat_v1_document(self, v1_doc):
+        assert v1_doc["schema_version"] == 1 < SCHEMA_VERSION
+        assert v1_doc["config"]["ncomp_method"] == "aic"
+        assert "marginal" not in v1_doc["config"]
+
+    def test_v1_document_loads_as_the_current_fit(self, sparse_pair):
+        x_sample, y_sample, _ = sparse_pair
+        current = fit_flr(x_sample, y_sample, FlrConfig(FpcaConfig(n_grid=11)))
+        loaded = load_model(str(V1_FIXTURE))
+        assert json.dumps(model_document(loaded)) == json.dumps(model_document(current))
+
+    def test_cv_selection_record_still_loads(self, v1_doc, tmp_path):
+        doc = json.loads(json.dumps(v1_doc))
+        doc["config"]["ncomp_method"] = "cv"
+        doc["x"]["selection"]["method"] = "cv"
+        path = tmp_path / "cv.json"
+        path.write_text(json.dumps(doc))
+        loaded = load_model(str(path))
+        assert loaded.x.selection == doc["x"]["selection"]
+        assert loaded.config == load_model(str(V1_FIXTURE)).config
+
+    @pytest.mark.parametrize("key, value", [("surprise", 1), ("ncomp_method", "bic")])
+    def test_unknown_flat_config_entry_is_rejected(self, v1_doc, tmp_path, key, value):
+        doc = json.loads(json.dumps(v1_doc))
+        doc["config"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=key):
+            load_model(str(path))
