@@ -180,6 +180,26 @@ class SparseFunctionalSample:
     def n_subjects(self) -> int:
         return len(self.subjects)
 
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Observation count of each subject, in roster order (read-only)."""
+        counts = np.array([s.n_obs for s in self.subjects], dtype=np.intp)
+        counts.flags.writeable = False
+        return counts
+
+    @cached_property
+    def pooled(self) -> PooledPoints:
+        """The roster's observations flattened as ``pooled_points`` describes,
+        built on first use and kept (read-only arrays)."""
+        pooled = PooledPoints(
+            np.concatenate([np.empty(0)] + [s.times for s in self.subjects]),
+            np.concatenate([np.empty(0)] + [s.values for s in self.subjects]),
+            np.repeat(np.arange(self.n_subjects, dtype=np.intp), self.counts),
+        )
+        for a in pooled:
+            a.flags.writeable = False
+        return pooled
+
     def by_id(self) -> dict[str, SubjectRecord]:
         return {s.subject_id: s for s in self.subjects}
 
@@ -189,30 +209,25 @@ def pooled_points(sample: SparseFunctionalSample) -> PooledPoints:
 
     ``subject_index`` maps each observation back to its position in
     ``sample.subjects``. Zero-observation subjects contribute nothing but
-    keep their roster slot, so indices stay aligned with the roster.
+    keep their roster slot, so indices stay aligned with the roster. The
+    arrays are built once per sample and are read-only.
     """
-    subjects = sample.subjects
-    counts = np.array([s.n_obs for s in subjects], dtype=np.intp)
-    return PooledPoints(
-        np.concatenate([np.empty(0)] + [s.times for s in subjects]),
-        np.concatenate([np.empty(0)] + [s.values for s in subjects]),
-        np.repeat(np.arange(len(subjects), dtype=np.intp), counts),
-    )
+    return sample.pooled
 
 
 def summarize(sample: SparseFunctionalSample) -> SampleSummary:
     """Roster-level counts; count fields are None for an empty roster."""
-    counts = [s.n_obs for s in sample.subjects]
+    counts = sample.counts
     pooled = pooled_points(sample)
-    if not counts:
+    if not counts.size:
         return SampleSummary(0, 0, None, None, None, None, None)
     have_any = pooled.times.size > 0
     return SampleSummary(
-        n_subjects=len(counts),
-        n_obs_total=int(sum(counts)),
-        min_obs=int(min(counts)),
+        n_subjects=counts.size,
+        n_obs_total=int(counts.sum()),
+        min_obs=int(counts.min()),
         median_obs=float(np.median(counts)),
-        max_obs=int(max(counts)),
+        max_obs=int(counts.max()),
         time_min=float(pooled.times.min()) if have_any else None,
         time_max=float(pooled.times.max()) if have_any else None,
     )

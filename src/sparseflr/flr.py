@@ -183,9 +183,9 @@ def _cross_raw_pairs(
     px, py = pooled_points(x_sample), pooled_points(y_sample)
     rx = px.values - x_mean.at(px.times)
     ry = py.values - y_mean.at(py.times)
-    count_x = np.array([s.n_obs for s in x_sample.subjects], dtype=np.intp)
+    count_x = x_sample.counts
     # the trailing empty entry is what an unmatched id (index -1) pairs with
-    count_y = np.array([s.n_obs for s in y_sample.subjects] + [0], dtype=np.intp)
+    count_y = np.append(y_sample.counts, 0)
     start_y = np.cumsum(count_y) - count_y
     a, b, subject = _pair_indices(
         np.cumsum(count_x) - count_x, count_x, start_y[match], count_y[match]

@@ -193,12 +193,13 @@ class ScoreBatch:
     """``ScorePrediction`` fields of many subjects, stacked; row i is subject i.
 
     ``scores`` is (n, m) and ``omega`` (n, m, m); the flags are (n,) arrays.
+    ``omega`` and ``omega_clipped`` are None when the batch skipped them.
     """
 
     scores: np.ndarray
-    omega: np.ndarray
+    omega: np.ndarray | None
     ridged: np.ndarray
-    omega_clipped: np.ndarray
+    omega_clipped: np.ndarray | None
     no_data: np.ndarray
 
 
@@ -225,11 +226,7 @@ class FpcaModel:
     def eigenfunctions_at(self, t: np.ndarray, n: int | None = None) -> np.ndarray:
         n = self.n_components if n is None else n
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if n == 0:
-            return np.empty((0, t.size))
-        return np.vstack([
-            interp_linear(self.grid.points, row, t) for row in self.eigenfunctions[:n]
-        ])
+        return interp_linear(self.grid.points, self.eigenfunctions[:n], t)
 
     @property
     def eigensystem(self) -> EigenSystem:
@@ -316,7 +313,7 @@ def raw_covariances(sample: SparseFunctionalSample, mean: MeanEstimate) -> RawCo
     """
     pooled = pooled_points(sample)
     resid = pooled.values - mean.at(pooled.times)
-    counts = np.array([s.n_obs for s in sample.subjects], dtype=np.intp)
+    counts = sample.counts
     starts = np.cumsum(counts) - counts
     a, b, subject = _pair_indices(starts, counts, starts, counts, off_diagonal=True)
     return RawCovariances(
@@ -496,18 +493,21 @@ def _check_ncomp(model: FpcaModel, n_components: int | None) -> int:
     return m
 
 
-def _score_group(model: FpcaModel, psi: np.ndarray, resid: np.ndarray) -> tuple:
+def _score_group(
+    model: FpcaModel, psi: np.ndarray, resid: np.ndarray, with_omega: bool = True
+) -> tuple:
     """Scores of G subjects sharing one observation count L, solved stacked.
 
     ``psi`` (G, m, L) holds eigenfunction values in C order, which makes
     each stacked product round exactly as it would for one subject alone;
     ``resid`` (G, L) holds observations minus the mean. Returns (h, sigma_u,
-    scores, omega, ridged, omega_clipped). Sigma_U is ridged only where an
-    LU solve would be unstable, when its smallest eigenvalue magnitude falls
-    to 1e-12 of the largest (near-duplicate times with a zero noise
-    estimate, for example): 1e-8 * max(trace, largest magnitude) / L is
-    added to its diagonal. Omega's negative eigenvalues, left by rounding,
-    are clipped to zero.
+    scores, omega, ridged, omega_clipped); with ``with_omega`` False the
+    conditional covariance is not computed and its two entries are None.
+    Sigma_U is ridged only where an LU solve would be unstable, when its
+    smallest eigenvalue magnitude falls to 1e-12 of the largest
+    (near-duplicate times with a zero noise estimate, for example): 1e-8 *
+    max(trace, largest magnitude) / L is added to its diagonal. Omega's
+    negative eigenvalues, left by rounding, are clipped to zero.
     """
     n_obs = psi.shape[2]
     rho = model.eigenvalues[: psi.shape[1]]
@@ -523,6 +523,8 @@ def _score_group(model: FpcaModel, psi: np.ndarray, resid: np.ndarray) -> tuple:
         floor = np.maximum(np.maximum(trace, amax[ridged]), np.finfo(float).tiny)
         sigma[ridged] += (1e-8 * floor / n_obs)[:, None, None] * eye
     scores = (h @ np.linalg.solve(sigma, resid[:, :, None]))[:, :, 0]
+    if not with_omega:
+        return h, sigma, scores, None, ridged, None
     omega = np.diag(rho) - h @ np.linalg.solve(sigma, h.transpose(0, 2, 1))
     omega = 0.5 * (omega + omega.transpose(0, 2, 1))
     lam, vec = np.linalg.eigh(omega)
@@ -538,6 +540,7 @@ def pace_scores_batch(
     model: FpcaModel,
     subjects: Sequence[SubjectRecord],
     n_components: int | None = None,
+    with_omega: bool = True,
 ) -> ScoreBatch:
     """Conditional-expectation component scores for many subjects at once.
 
@@ -545,7 +548,9 @@ def pace_scores_batch(
     for that subject alone. The mean and the eigenfunctions are interpolated
     once at the pooled times, and subjects sharing an observation count are
     solved stacked, so the cost grows with the number of distinct counts
-    rather than of subjects.
+    rather than of subjects. With ``with_omega`` False the conditional
+    covariances are skipped (``omega`` and ``omega_clipped`` are None); the
+    scores are the same.
     """
     m = _check_ncomp(model, n_components)
     n = len(subjects)
@@ -556,17 +561,19 @@ def pace_scores_batch(
     psi_all = model.eigenfunctions_at(t_all, m)
     starts = np.cumsum(counts) - counts
     scores = np.zeros((n, m))
-    omega = np.repeat(np.diag(model.eigenvalues[:m])[None], n, axis=0)
     ridged = np.zeros(n, dtype=bool)
-    clipped = np.zeros(n, dtype=bool)
+    omegas = np.repeat(np.diag(model.eigenvalues[:m])[None], n, axis=0) if with_omega else None
+    clipped = np.zeros(n, dtype=bool) if with_omega else None
     for n_obs in sorted(set(counts.tolist()) - {0}):
         rows = np.flatnonzero(counts == n_obs)
         idx = starts[rows, None] + np.arange(n_obs)
         psi = np.ascontiguousarray(psi_all[:, idx].transpose(1, 0, 2))
-        _, _, scores[rows], omega[rows], ridged[rows], clipped[rows] = _score_group(
-            model, psi, resid_all[idx]
+        _, _, scores[rows], group_omega, ridged[rows], group_clipped = _score_group(
+            model, psi, resid_all[idx], with_omega
         )
-    return ScoreBatch(scores, omega, ridged, clipped, counts == 0)
+        if with_omega:
+            omegas[rows], clipped[rows] = group_omega, group_clipped
+    return ScoreBatch(scores, omegas, ridged, clipped, counts == 0)
 
 
 def pace_scores(
@@ -627,7 +634,7 @@ def _aic_curve(
     """
     diag_scale = float(np.mean(np.diag(model.surface)))
     sigma2 = max(model.noise_var, 1e-8 * max(diag_scale, 0.0), 1e-300)
-    scores = pace_scores_batch(model, sample.subjects, max_m).scores
+    scores = pace_scores_batch(model, sample.subjects, max_m, with_omega=False).scores
     pooled = pooled_points(sample)
     resid = pooled.values - model.mean_at(pooled.times)
     psi = model.eigenfunctions_at(pooled.times, max_m)
@@ -675,7 +682,7 @@ def fit_fpca(
     kern = get_kernel(config.kernel)
     grid = RegularGrid(sample.domain, config.n_grid)
 
-    if all(s.n_obs < 2 for s in sample.subjects):
+    if not (sample.counts >= 2).any():
         raise FitError(
             stage_prefix + "covariance",
             "need at least one subject with 2 or more observations",

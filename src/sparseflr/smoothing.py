@@ -8,13 +8,17 @@ All estimators in the package reduce to three smoothing primitives:
   coordinates rotated 45 degrees so the diagonal ridge is not flattened.
 
 Each fits, at every evaluation point, an exact weighted least-squares
-polynomial against kernel weights with compact support. Windows that hold
-too few points are widened to the nearest points (counted in the flags
-accumulator); the two 2-d smoothers share one rule for that, stretching the
-window to the 3 nearest points, and one nine-moment sum. Windows whose
-normal equations are numerically rank-deficient fall back to a local
-constant fit. Output is therefore finite whenever at least one data point
-exists.
+polynomial against kernel weights with compact support. Only the points
+inside an evaluation point's support window enter its sums: the scatter is
+sorted along an axis once per call and each window is a contiguous run of
+it, so the work grows with the points per window, not with all points times
+all evaluation points. Windows that hold too few points are widened to the
+nearest points (counted in the flags accumulator); the two 2-d smoothers
+share one rule for that, stretching the window over the full scatter to the
+3 nearest points, one nine-moment sum and one written-out 3x3 plane solve.
+Windows whose normal equations are numerically rank-deficient fall back to
+a local constant fit. Output is therefore finite whenever at least one data
+point exists.
 
 Bandwidth selection offers pooled GCV (default, cheap) and
 leave-one-subject-out CV (honest but n times the work). One search runs
@@ -295,17 +299,33 @@ def _solve_plane_batch(
     drop the second term (with ``line_fallback``, keeping the line in the
     first) or both, falling back to the local constant, or to ``empty``
     where no point carries weight."""
-    s00, s10, s01, s20, s11, s02, t0, t1, t2 = (np.asarray(m, dtype=float) for m in moments)
-    shape = s00.shape
+    shape = np.shape(moments[0])
+    s00, s10, s01, s20, s11, s02, t0, t1, t2 = (
+        np.asarray(m, dtype=float).ravel() for m in moments
+    )
 
     d1 = np.sqrt(np.maximum(s20, 0.0))
     d2 = np.sqrt(np.maximum(s02, 0.0))
     d0 = np.sqrt(np.maximum(s00, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # The scaled system [[1, a, b], [a, 1, c], [b, c, 1]] x = t / d, solved by
+    # Gaussian elimination written out for three unknowns. Its pivots, 1,
+    # 1 - a^2 >= det_scaled and det_scaled / (1 - a^2), are positive wherever
+    # ``ok`` holds, so it needs no row swaps and is backward stable like LU.
+    # Cramer's rule (cofactors over det_scaled) is not, and strays from LU by
+    # up to 6e-9 relative on nearly collinear windows. Nodes failing ``ok``
+    # are computed too and then overwritten.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a = s10 / (d0 * d1)
         b = s01 / (d0 * d2)
         c = s11 / (d1 * d2)
         det_scaled = 1.0 + 2.0 * a * b * c - a * a - b * b - c * c
+        r0, r1, r2 = t0 / d0, t1 / d1, t2 / d2
+        m11, m12 = 1.0 - a * a, c - a * b
+        y1 = r1 - a * r0
+        l21 = m12 / m11
+        x2 = (r2 - b * r0 - l21 * y1) / ((1.0 - b * b) - l21 * m12)
+        x1 = (y1 - m12 * x2) / m11
+        out = (r0 - b * x2 - a * x1) / d0
     ok = (
         (s00 > 0)
         & (s20 > 0)
@@ -314,39 +334,20 @@ def _solve_plane_batch(
         & (det_scaled > _DEGENERATE_TOL)
     )
 
-    n = int(np.prod(shape))
-    mats = np.zeros((n, 3, 3))
-    rhs = np.zeros((n, 3))
-    okf = ok.ravel()
-    af, bf, cf = a.ravel()[okf], b.ravel()[okf], c.ravel()[okf]
-    mats[okf, 0, 0] = mats[okf, 1, 1] = mats[okf, 2, 2] = 1.0
-    mats[okf, 0, 1] = mats[okf, 1, 0] = af
-    mats[okf, 0, 2] = mats[okf, 2, 0] = bf
-    mats[okf, 1, 2] = mats[okf, 2, 1] = cf
-    mats[~okf] = np.eye(3)
-    rhs[okf, 0] = t0.ravel()[okf] / d0.ravel()[okf]
-    rhs[okf, 1] = t1.ravel()[okf] / d1.ravel()[okf]
-    rhs[okf, 2] = t2.ravel()[okf] / d2.ravel()[okf]
-
-    sol = np.linalg.solve(mats, rhs[..., None])[..., 0]
-    out = np.empty(n)
-    out[okf] = sol[okf, 0] / d0.ravel()[okf]
-
-    badf = ~okf
-    if line_fallback and badf.any():
-        s00f, s10f, s20f = s00.ravel(), s10.ravel(), s20.ravel()
-        det = s00f * s20f - s10f * s10f
-        line = badf & (s00f > 0) & (s20f > 0) & (det > _DEGENERATE_TOL * s00f * s20f)
-        out[line] = (s20f[line] * t0.ravel()[line] - s10f[line] * t1.ravel()[line]) / det[line]
-        badf &= ~line
-    if badf.any():
+    bad = ~ok
+    if line_fallback and bad.any():
+        det = s00 * s20 - s10 * s10
+        line = bad & (s00 > 0) & (s20 > 0) & (det > _DEGENERATE_TOL * s00 * s20)
+        out[line] = (s20[line] * t0[line] - s10[line] * t1[line]) / det[line]
+        bad &= ~line
+    if bad.any():
         if flags is not None:
-            flags.constant_fallbacks += int(badf.sum())
-        s00f, t0f = s00.ravel()[badf], t0.ravel()[badf]
-        safe = s00f > 0
-        const = np.full(s00f.size, empty)
-        const[safe] = t0f[safe] / s00f[safe]
-        out[badf] = const
+            flags.constant_fallbacks += int(bad.sum())
+        s00b, t0b = s00[bad], t0[bad]
+        safe = s00b > 0
+        const = np.full(s00b.size, empty)
+        const[safe] = t0b[safe] / s00b[safe]
+        out[bad] = const
     return out.reshape(shape)
 
 
@@ -365,14 +366,16 @@ def local_linear_2d(
 
     Kernel weights take the product form K(.) * K(.) with per-axis
     bandwidths. The per-node weighted plane fit is assembled from nine
-    moment sums computed as matrix products, which keeps the cost at a few
-    dense GEMMs regardless of grid size. Coordinates are shifted to the grid
-    midpoints first: the moment expansion in raw powers would otherwise lose
-    precision when the domain sits far from zero.
+    moment sums, one (9 x n_i) @ (n_i x len(grid2)) matrix product per grid
+    row over the n_i points inside that row's x1 window, so the cost grows
+    with the points in each window rather than with all points times all
+    nodes. Coordinates are shifted to the grid midpoints first: the moment
+    expansion in raw powers would otherwise lose precision when the domain
+    sits far from zero.
 
-    Empty windows are widened to the nearest 3 points (scaled Chebyshev
-    distance) and counted in ``flags``. Rank-deficient nodes drop to a local
-    constant.
+    Empty windows are widened over the full scatter to the nearest 3 points
+    (scaled Chebyshev distance) and counted in ``flags``. Rank-deficient
+    nodes drop to a local constant.
 
     Returns
     -------
@@ -397,22 +400,29 @@ def local_linear_2d(
     x1c, x2c = x1 - c1, x2 - c2
     s1c, s2c = g1 - c1, g2 - c2
 
-    A = kernel((x1c[None, :] - s1c[:, None]) / h1) * w[None, :]  # (n1, npts)
-    B = kernel((x2c[None, :] - s2c[:, None]) / h2)  # (n2, npts)
-    Bt = B.T
-
-    def cross(v: np.ndarray) -> np.ndarray:
-        return (A * v[None, :]) @ Bt  # (n1, n2)
-
-    p00 = cross(np.ones_like(x1c))
-    p10 = cross(x1c)
-    p01 = cross(x2c)
-    p20 = cross(x1c * x1c)
-    p11 = cross(x1c * x2c)
-    p02 = cross(x2c * x2c)
-    q0 = cross(z)
-    q1 = cross(z * x1c)
-    q2 = cross(z * x2c)
+    # Sorted by x1, each grid row's window is one run of the points, and
+    # sorted by x2 each column's. The x2 weights are evaluated on each
+    # column's run only and scattered into an (npts, n2) matrix that is zero
+    # elsewhere; each row then takes one (9 x n_i) @ (n_i x n2) product over
+    # its run. Working per row and column keeps the temporaries window-sized.
+    order = np.argsort(x1c, kind="stable")
+    x1s, x2s, ws, zs = x1c[order], x2c[order], w[order], z[order]
+    by_x2 = np.argsort(x2s, kind="stable")
+    lo, hi = _support(x2s[by_x2], s2c, np.full(g2.size, float(h2)))
+    Bt = np.zeros((x1.size, g2.size))
+    for j in range(g2.size):
+        pts = by_x2[lo[j]:hi[j]]
+        Bt[pts, j] = kernel((x2s[pts] - s2c[j]) / h2)
+    V = np.stack([
+        np.ones_like(x1s), x1s, x2s, x1s * x1s, x1s * x2s, x2s * x2s, zs, zs * x1s, zs * x2s
+    ])
+    lo, hi = _support(x1s, s1c, np.full(g1.size, float(h1)))
+    P = np.zeros((9, g1.size, g2.size))
+    for i in range(g1.size):
+        win = slice(lo[i], hi[i])
+        kw = kernel((x1s[win] - s1c[i]) / h1) * ws[win]
+        P[:, i, :] = (V[:, win] * kw) @ Bt[win]
+    p00, p10, p01, p20, p11, p02, q0, q1, q2 = P
 
     S1 = s1c[:, None]
     S2 = s2c[None, :]
@@ -428,7 +438,7 @@ def local_linear_2d(
         S2 * q0 - q2,
     )
 
-    # Widen empty windows before solving.
+    # Widen empty windows over the full scatter before solving.
     empty = ~(p00 > 0)
     if empty.any():
         if flags is not None:
@@ -538,8 +548,27 @@ def bin_scatter_2d(
 
 
 def interp_linear(grid_points: np.ndarray, values: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Piecewise-linear interpolation, clamped at the grid ends."""
-    return np.interp(np.asarray(t, dtype=float), grid_points, values)
+    """Piecewise-linear interpolation, clamped at the grid ends.
+
+    ``values`` is one curve (G,) or curves stacked in rows (m, G), returning
+    (m,) + t.shape in C order. Rows share one interval search and are
+    computed as ``np.interp`` computes one curve, so for finite times each
+    row equals ``np.interp`` of it bit for bit: the node value on a node and
+    beyond either end, else slope * (t - left node) + left value.
+    """
+    t = np.asarray(t, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 1:
+        return np.interp(t, grid_points, values)
+    xp = np.asarray(grid_points, dtype=float)
+    tc = np.minimum(np.maximum(t, xp[0]), xp[-1])
+    k = xp.searchsorted(tc, "right") - 1
+    d = tc - xp[k]
+    node = values.take(k, axis=-1)
+    slopes = (values[..., 1:] - values[..., :-1]) / (xp[1:] - xp[:-1])
+    out = slopes.take(np.minimum(k, xp.size - 2), axis=-1) * d + node
+    np.copyto(out, node, where=d == 0)
+    return out
 
 
 def interp_bilinear(

@@ -154,6 +154,19 @@ class TestSample:
                 assert np.array_equal(got, want)
 
 
+    def test_pooled_arrays_and_counts_are_built_once_read_only(self, sparse_pair):
+        x_sample, _, _ = sparse_pair
+        pooled = pooled_points(x_sample)
+        assert pooled_points(x_sample) is pooled
+        assert x_sample.counts is x_sample.counts
+        assert np.array_equal(x_sample.counts, [s.n_obs for s in x_sample.subjects])
+        assert x_sample.counts.dtype == np.intp
+        for a in (*pooled, x_sample.counts):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[:1] = 0
+
+
 class TestSummarize:
     def test_counts(self):
         s = make_sample(

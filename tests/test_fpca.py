@@ -1,5 +1,6 @@
 """Mean/covariance estimation, eigenanalysis, and score prediction oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -527,7 +528,76 @@ class TestPaceScoresBatch:
             pace_scores_batch(truth_x_model, [], 3)
 
 
+class TestEigenfunctionsAt:
+    def test_matches_per_row_interp_bit_for_bit(self, grid):
+        """One shared interval search equals np.interp row by row, bit for bit:
+        clamped ends, times on nodes and signed zeros included."""
+        funcs = six_component_model(grid, 0.25).eigenfunctions.copy()
+        funcs[0, 3] = -0.0
+        funcs[1, :5] = 0.0
+        funcs[1, 2] = -0.0
+        funcs[2, 7:9] = [-0.0, 0.0]
+        model = dataclasses.replace(six_component_model(grid, 0.25), eigenfunctions=funcs)
+        pts = grid.points
+        lo, hi = pts[0], pts[-1]
+        t = np.concatenate([
+            np.random.default_rng(4).uniform(lo - 2.0, hi + 2.0, 400),
+            pts,
+            np.nextafter(pts, -np.inf),
+            np.nextafter(pts, np.inf),
+            [-0.0, lo - 1e-300, hi + 1e-12, -5.0, 15.0],
+        ])
+        for n in (None, 0, 1, 4, 6):
+            got = model.eigenfunctions_at(t, n)
+            rows = funcs[: 6 if n is None else n]
+            want = np.array([np.interp(t, pts, row) for row in rows]).reshape(len(rows), t.size)
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestSelectNcomp:
+    @staticmethod
+    def full_batch_aic(model, sample, max_m):
+        """Reference: the AIC curve from the full batch (scores computed
+        beside their conditional covariances), with the pooled arrays and
+        the eigenfunction rows built afresh by loops."""
+        diag_scale = float(np.mean(np.diag(model.surface)))
+        sigma2 = max(model.noise_var, 1e-8 * max(diag_scale, 0.0), 1e-300)
+        batch = pace_scores_batch(model, sample.subjects, max_m)
+        assert batch.omega is not None
+        times = np.concatenate([np.empty(0)] + [s.times for s in sample.subjects])
+        values = np.concatenate([np.empty(0)] + [s.values for s in sample.subjects])
+        index = np.concatenate(
+            [np.empty(0, dtype=np.intp)]
+            + [np.full(s.n_obs, i, dtype=np.intp) for i, s in enumerate(sample.subjects)]
+        )
+        resid = values - model.mean_at(times)
+        psi = np.vstack([np.interp(times, model.grid.points, row) for row in model.eigenfunctions[:max_m]])
+        r = resid - np.cumsum(batch.scores[index].T * psi, axis=0)
+        log_term = 0.5 * resid.size * (math.log(2.0 * math.pi) + math.log(sigma2))
+        return np.einsum("mn,mn->m", r, r) / (2.0 * sigma2) + log_term + np.arange(1, max_m + 1)
+
+    def test_aic_skips_omega_bit_for_bit(self, fitted, sparse_pair, grid, domain):
+        x_sample, y_sample, _ = sparse_pair
+        cohort = SparseFunctionalSample(domain, tuple(mixed_cohort()))
+        for model, sample in (
+            (fitted.x, x_sample),
+            (fitted.y, y_sample),
+            (six_component_model(grid, 0.0), cohort),
+        ):
+            max_m = min(10, model.eigenvalues.size)
+            want = self.full_batch_aic(model, sample, max_m)
+            n, info = select_ncomp(sample, model, max_components=10)
+            assert np.array_equal(sparseflr.fpca._aic_curve(model, sample, max_m), want)
+            assert info["criterion"] == [float(v) for v in want]
+            assert n == int(np.argmin(want)) + 1
+            lean = pace_scores_batch(model, sample.subjects, max_m, with_omega=False)
+            full = pace_scores_batch(model, sample.subjects, max_m)
+            assert lean.omega is None and lean.omega_clipped is None
+            assert np.array_equal(lean.scores, full.scores)
+            assert np.array_equal(lean.ridged, full.ridged)
+            assert np.array_equal(lean.no_data, full.no_data)
+
     def hand_aic(self, model, sample, max_m):
         """Deviance-plus-count criterion, assembled from its definition."""
         sigma2 = max(model.noise_var, 1e-8 * float(np.mean(np.diag(model.surface))), 1e-300)

@@ -21,6 +21,7 @@ from sparseflr.smoothing import (
     select_bandwidth_1d,
     select_bandwidth_2d,
 )
+from sparseflr.smoothing import _nine_moments, _solve_plane_batch, _widened_weights
 
 RNG = np.random.default_rng(42)
 finite_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -145,6 +146,99 @@ def per_point_local_diag_rotated(x1, x2, z, s, bandwidth, kernel=EPANECHNIKOV, w
     return out
 
 
+def lu_solve_plane_batch(moments, flags, line_fallback=False, empty=0.0):
+    """Reference for the written-out plane solve: the body it replaced, which
+    builds every correlation-scaled 3x3 system and LU-solves the batch."""
+    s00, s10, s01, s20, s11, s02, t0, t1, t2 = (np.asarray(m, dtype=float) for m in moments)
+    shape = s00.shape
+    d1 = np.sqrt(np.maximum(s20, 0.0))
+    d2 = np.sqrt(np.maximum(s02, 0.0))
+    d0 = np.sqrt(np.maximum(s00, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = s10 / (d0 * d1)
+        b = s01 / (d0 * d2)
+        c = s11 / (d1 * d2)
+        det_scaled = 1.0 + 2.0 * a * b * c - a * a - b * b - c * c
+    ok = (s00 > 0) & (s20 > 0) & (s02 > 0) & np.isfinite(det_scaled) & (det_scaled > _DEGENERATE_TOL)
+    n = int(np.prod(shape))
+    mats = np.zeros((n, 3, 3))
+    rhs = np.zeros((n, 3))
+    okf = ok.ravel()
+    af, bf, cf = a.ravel()[okf], b.ravel()[okf], c.ravel()[okf]
+    mats[okf, 0, 0] = mats[okf, 1, 1] = mats[okf, 2, 2] = 1.0
+    mats[okf, 0, 1] = mats[okf, 1, 0] = af
+    mats[okf, 0, 2] = mats[okf, 2, 0] = bf
+    mats[okf, 1, 2] = mats[okf, 2, 1] = cf
+    mats[~okf] = np.eye(3)
+    rhs[okf, 0] = t0.ravel()[okf] / d0.ravel()[okf]
+    rhs[okf, 1] = t1.ravel()[okf] / d1.ravel()[okf]
+    rhs[okf, 2] = t2.ravel()[okf] / d2.ravel()[okf]
+    sol = np.linalg.solve(mats, rhs[..., None])[..., 0]
+    out = np.empty(n)
+    out[okf] = sol[okf, 0] / d0.ravel()[okf]
+    badf = ~okf
+    if line_fallback and badf.any():
+        s00f, s10f, s20f = s00.ravel(), s10.ravel(), s20.ravel()
+        det = s00f * s20f - s10f * s10f
+        line = badf & (s00f > 0) & (s20f > 0) & (det > _DEGENERATE_TOL * s00f * s20f)
+        out[line] = (s20f[line] * t0.ravel()[line] - s10f[line] * t1.ravel()[line]) / det[line]
+        badf &= ~line
+    if badf.any():
+        if flags is not None:
+            flags.constant_fallbacks += int(badf.sum())
+        s00f, t0f = s00.ravel()[badf], t0.ravel()[badf]
+        safe = s00f > 0
+        const = np.full(s00f.size, empty)
+        const[safe] = t0f[safe] / s00f[safe]
+        out[badf] = const
+    return out.reshape(shape)
+
+
+def full_scatter_local_linear_2d(x1, x2, z, g1, g2, bandwidths, kernel=EPANECHNIKOV, weights=None, flags=None):
+    """Reference for the windowed ``local_linear_2d``: the body it replaced,
+    nine dense (n1 x npts) @ (npts x n2) products over every point. The plane
+    solve is the module's own (``TestPlaneSolve`` checks it against LU), so
+    a disagreement points at the moment sums."""
+    x1, x2, z, g1, g2 = (np.asarray(a, dtype=float).ravel() for a in (x1, x2, z, g1, g2))
+    h1, h2 = bandwidths
+    w = np.ones(x1.size) if weights is None else np.asarray(weights, dtype=float)
+    c1 = 0.5 * (g1.min() + g1.max())
+    c2 = 0.5 * (g2.min() + g2.max())
+    x1c, x2c = x1 - c1, x2 - c2
+    s1c, s2c = g1 - c1, g2 - c2
+    A = kernel((x1c[None, :] - s1c[:, None]) / h1) * w[None, :]
+    Bt = kernel((x2c[None, :] - s2c[:, None]) / h2).T
+
+    def cross(v):
+        return (A * v[None, :]) @ Bt
+
+    p00, p10, p01 = cross(np.ones_like(x1c)), cross(x1c), cross(x2c)
+    p20, p11, p02 = cross(x1c * x1c), cross(x1c * x2c), cross(x2c * x2c)
+    q0, q1, q2 = cross(z), cross(z * x1c), cross(z * x2c)
+    S1, S2 = s1c[:, None], s2c[None, :]
+    moments = (
+        p00,
+        S1 * p00 - p10,
+        S2 * p00 - p01,
+        S1 * S1 * p00 - 2.0 * S1 * p10 + p20,
+        S1 * S2 * p00 - S1 * p01 - S2 * p10 + p11,
+        S2 * S2 * p00 - 2.0 * S2 * p01 + p02,
+        q0,
+        S1 * q0 - q1,
+        S2 * q0 - q2,
+    )
+    empty = ~(p00 > 0)
+    if empty.any():
+        if flags is not None:
+            flags.widened_windows += int(empty.sum())
+        for i, j in zip(*np.nonzero(empty)):
+            d1, d2 = s1c[i] - x1c, s2c[j] - x2c
+            kw = _widened_weights(d1, d2, h1, h2, w, kernel)
+            for m, v in zip(moments, _nine_moments(kw, d1, d2, z)):
+                m[i, j] = v
+    return _solve_plane_batch(moments, flags)
+
+
 # Scatters for the oracle comparisons. Coordinates sit on lattices offset
 # from the evaluation points and bandwidths span at most four lattice steps,
 # so no point lands on a kernel edge: near an edge a weight of 1e-16 relative
@@ -183,6 +277,32 @@ def scatters_diag(draw):
     s = lo - 1.0 + 0.25 * np.array(draw(st.lists(st.integers(0, steps), min_size=1, max_size=6)))
     h = 0.5 * draw(st.integers(1, 4)) / np.sqrt(2.0)
     return x1, x2, z, w, s, h, draw(KERNELS)
+
+
+@st.composite
+def scatters_2d(draw):
+    """Lattice scatters for ``local_linear_2d``. The first axis lives on the
+    0.5-lattice of ``LATTICE``; the second either on the same lattice (the
+    covariance case) or, like a cross-covariance, on a 0.3-lattice of its own
+    domain far from zero. Grid nodes sit half a step off each lattice and
+    bandwidths are whole steps, so no point lands on a kernel edge."""
+    n = draw(st.integers(1, 30))
+    support1 = draw(st.lists(st.sampled_from(LATTICE), min_size=1, max_size=8))
+    x1 = np.array(draw(st.lists(st.sampled_from(support1), min_size=n, max_size=n)))
+    step2, origin2 = draw(st.sampled_from([(0.5, 0.0), (0.3, 40.0)]))
+    support2 = origin2 + step2 * np.array(
+        draw(st.lists(st.integers(0, 20), min_size=1, max_size=8)), dtype=float
+    )
+    x2 = np.array(draw(st.lists(st.sampled_from(support2.tolist()), min_size=n, max_size=n)))
+    z = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    w = np.array(draw(st.lists(WEIGHTS, min_size=n, max_size=n)))
+    w[0] = max(w[0], 1.0)
+    k1 = draw(st.integers(0, int(round((x1.max() - x1.min()) / 0.5)) + 4))
+    g1 = x1.min() - 1.75 + 0.5 * np.arange(draw(st.integers(2, 8)) + k1 // 3)
+    k2 = draw(st.integers(0, 4))
+    g2 = support2.min() - (k2 + 0.5) * step2 + step2 * np.arange(draw(st.integers(2, 8)) + k2)
+    h = (0.5 * draw(st.integers(1, 4)), step2 * draw(st.integers(1, 4)))
+    return x1, x2, z, w, g1, g2, h, draw(KERNELS)
 
 
 def flag_counts(flags):
@@ -232,6 +352,29 @@ class TestWindowedSmoothersMatchFullScatter:
         assert np.max(np.abs(out - ref)) <= 1e-12 * scale
         assert flag_counts(new) == flag_counts(old)
 
+    @settings(derandomize=True, max_examples=80)
+    @given(case=scatters_2d())
+    # grid reaching past the data: every node but one widened, h1 != h2
+    @example(case=(np.array([1.0, 1.5, 2.0, 1.0]), np.array([1.0, 2.0, 1.5, 1.5]),
+                   np.array([3.0, -1.0, 2.0, 0.5]), np.array([1.0, 0.0, 2.0, 0.5]),
+                   np.array([-0.25, 1.25, 4.75]), np.array([0.75, 1.75, 6.25]), (0.5, 1.0),
+                   EPANECHNIKOV))
+    # cross-covariance shape: unequal grids and a second axis far from zero
+    @example(case=(np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.0]),
+                   np.array([40.0, 40.3, 40.6, 40.3, 40.0, 40.9]),
+                   np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), np.array([1.0, 1.0, 0.5, 2.0, 1.0, 1.0]),
+                   np.array([0.25, 0.75, 1.25, 1.75]), np.array([39.85, 40.15, 40.45, 40.75, 41.05]),
+                   (1.0, 0.6), QUARTIC))
+    def test_local_linear_2d(self, case):
+        x1, x2, z, w, g1, g2, h, kernel = case
+        new, old = SmoothFlags(), SmoothFlags()
+        out = local_linear_2d(x1, x2, z, g1, g2, h, kernel, weights=w, flags=new)
+        ref = full_scatter_local_linear_2d(x1, x2, z, g1, g2, h, kernel, weights=w, flags=old)
+        scale = max(np.max(np.abs(z)), np.max(np.abs(ref)), 1e-300)
+        assert out.shape == (g1.size, g2.size)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * scale
+        assert flag_counts(new) == flag_counts(old)
+
     def test_every_fallback_tier_is_reached(self):
         # the explicit examples above must exercise what they claim
         flags = SmoothFlags()
@@ -248,6 +391,69 @@ class TestWindowedSmoothersMatchFullScatter:
         local_diag_rotated([1.0, 3.0], [1.25, 9.25], [2.0, -4.0], [1.125, 5.0],
                            0.5 / np.sqrt(2.0), flags=flags)
         assert flag_counts(flags) == (1, 1)
+
+
+def plane_moments(rng, n_nodes):
+    """Moment sums (about 0) of random weighted 3-term fits, in the order
+    ``_solve_plane_batch`` takes them. The third regressor is an affine map
+    of the second plus noise of scale 10^-7..1, so det_scaled runs from well
+    posed through the degeneracy threshold to collinear. The last three
+    nodes carry no weight, an exactly collinear design and a single point."""
+    cols = []
+    for k in range(n_nodes):
+        n = int(rng.integers(3, 15))
+        u = rng.normal(size=n)
+        v = rng.normal() * u + rng.normal() + 10.0 ** rng.uniform(-7, 0) * rng.normal(size=n)
+        wt = rng.uniform(0.0, 2.0, n)
+        if k == n_nodes - 3:
+            wt[:] = 0.0
+        elif k == n_nodes - 2:
+            u = np.arange(n, dtype=float)
+            v = 2.0 * u + 1.0
+        elif k == n_nodes - 1:
+            u, v, wt = u[:1], v[:1], wt[:1]
+        z = rng.normal(size=u.size)
+        cols.append([wt.sum(), wt @ u, wt @ v, wt @ (u * u), wt @ (u * v), wt @ (v * v),
+                     wt @ z, wt @ (z * u), wt @ (z * v)])
+    return np.array(cols).T
+
+
+class TestPlaneSolve:
+    """The written-out elimination of ``_solve_plane_batch`` against the LU
+    solve it replaced. The ok/line/constant decisions come before either
+    solve, so fallback nodes and counts are identical; solved nodes agree to
+    a few ulps of the conditioning-amplified solution, the forward error both
+    backward-stable solves share."""
+
+    @pytest.mark.parametrize("line_fallback", [False, True])
+    def test_matches_lu_solve(self, line_fallback):
+        ms = plane_moments(np.random.default_rng(5), 3000)
+        new, old = SmoothFlags(), SmoothFlags()
+        out = _solve_plane_batch(tuple(ms), new, line_fallback, empty=-7.0)
+        ref = lu_solve_plane_batch(tuple(ms), old, line_fallback, empty=-7.0)
+        assert flag_counts(new) == flag_counts(old)
+
+        s00, s10, s01, s20, s11, s02, t0, t1, t2 = ms
+        d0, d1, d2 = np.sqrt(s00), np.sqrt(s20), np.sqrt(s02)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a, b, c = s10 / (d0 * d1), s01 / (d0 * d2), s11 / (d1 * d2)
+            det = 1.0 + 2.0 * a * b * c - a * a - b * b - c * c
+        ok = (s00 > 0) & (s20 > 0) & (s02 > 0) & (det > _DEGENERATE_TOL)
+        near = det[ok] / _DEGENERATE_TOL
+        assert ((near < 10.0).sum() >= 10) and (((det > 0) & (det <= _DEGENERATE_TOL)).sum() >= 10)
+        assert np.array_equal(out[~ok], ref[~ok])
+        if not line_fallback:
+            assert new.constant_fallbacks == (~ok).sum()
+
+        m = np.zeros((ok.sum(), 3, 3))
+        m[:, 0, 0] = m[:, 1, 1] = m[:, 2, 2] = 1.0
+        m[:, 0, 1] = m[:, 1, 0] = a[ok]
+        m[:, 0, 2] = m[:, 2, 0] = b[ok]
+        m[:, 1, 2] = m[:, 2, 1] = c[ok]
+        rhs = np.stack([t0[ok] / d0[ok], t1[ok] / d1[ok], t2[ok] / d2[ok]], axis=-1)
+        x = np.linalg.solve(m, rhs[..., None])[..., 0]
+        bound = 4.0 * np.finfo(float).eps * np.linalg.cond(m) * np.abs(x).max(axis=1)
+        assert (np.abs(out[ok] - ref[ok]) * d0[ok] <= bound).all()
 
 
 class TestKernels:
