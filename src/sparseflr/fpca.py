@@ -553,12 +553,26 @@ def pace_scores_batch(
     scores are the same.
     """
     m = _check_ncomp(model, n_components)
-    n = len(subjects)
     counts = np.array([s.n_obs for s in subjects], dtype=np.intp)
     t_all = np.concatenate([np.empty(0)] + [s.times for s in subjects])
     u_all = np.concatenate([np.empty(0)] + [s.values for s in subjects])
-    resid_all = u_all - model.mean_at(t_all)
-    psi_all = model.eigenfunctions_at(t_all, m)
+    return _pooled_scores(model, t_all, u_all, counts, m, with_omega)[0]
+
+
+def _pooled_scores(
+    model: FpcaModel,
+    times: np.ndarray,
+    values: np.ndarray,
+    counts: np.ndarray,
+    m: int,
+    with_omega: bool,
+) -> tuple[ScoreBatch, np.ndarray, np.ndarray]:
+    """``pace_scores_batch`` on pooled arrays, where subject i owns the next
+    ``counts[i]`` entries. Also returns the residuals from the mean at the
+    pooled times and the (m, N) eigenfunction values there."""
+    n = counts.size
+    resid_all = values - model.mean_at(times)
+    psi_all = model.eigenfunctions_at(times, m)
     starts = np.cumsum(counts) - counts
     scores = np.zeros((n, m))
     ridged = np.zeros(n, dtype=bool)
@@ -573,7 +587,8 @@ def pace_scores_batch(
         )
         if with_omega:
             omegas[rows], clipped[rows] = group_omega, group_clipped
-    return ScoreBatch(scores, omegas, ridged, clipped, counts == 0)
+    batch = ScoreBatch(scores, omegas, ridged, clipped, counts == 0)
+    return batch, resid_all, psi_all
 
 
 def pace_scores(
@@ -634,12 +649,12 @@ def _aic_curve(
     """
     diag_scale = float(np.mean(np.diag(model.surface)))
     sigma2 = max(model.noise_var, 1e-8 * max(diag_scale, 0.0), 1e-300)
-    scores = pace_scores_batch(model, sample.subjects, max_m, with_omega=False).scores
     pooled = pooled_points(sample)
-    resid = pooled.values - model.mean_at(pooled.times)
-    psi = model.eigenfunctions_at(pooled.times, max_m)
+    batch, resid, psi = _pooled_scores(
+        model, pooled.times, pooled.values, sample.counts, max_m, with_omega=False
+    )
     # row m - 1 holds the residuals of the trajectory truncated to m components
-    r = resid - np.cumsum(scores[pooled.subject_index].T * psi, axis=0)
+    r = resid - np.cumsum(batch.scores[pooled.subject_index].T * psi, axis=0)
     log_term = 0.5 * resid.size * (math.log(2.0 * math.pi) + math.log(sigma2))
     return np.einsum("mn,mn->m", r, r) / (2.0 * sigma2) + log_term + np.arange(1, max_m + 1)
 
