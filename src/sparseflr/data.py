@@ -188,9 +188,9 @@ class SparseFunctionalSample:
         return counts
 
     @cached_property
-    def pooled(self) -> PooledPoints:
-        """The roster's observations flattened as ``pooled_points`` describes,
-        built on first use and kept (read-only arrays)."""
+    def _pooled(self) -> PooledPoints:
+        """``pooled_points(self)``, built on first use and kept (read-only
+        arrays)."""
         pooled = PooledPoints(
             np.concatenate([np.empty(0)] + [s.times for s in self.subjects]),
             np.concatenate([np.empty(0)] + [s.values for s in self.subjects]),
@@ -212,7 +212,7 @@ def pooled_points(sample: SparseFunctionalSample) -> PooledPoints:
     keep their roster slot, so indices stay aligned with the roster. The
     arrays are built once per sample and are read-only.
     """
-    return sample.pooled
+    return sample._pooled
 
 
 def summarize(sample: SparseFunctionalSample) -> SampleSummary:

@@ -193,13 +193,12 @@ class ScoreBatch:
     """``ScorePrediction`` fields of many subjects, stacked; row i is subject i.
 
     ``scores`` is (n, m) and ``omega`` (n, m, m); the flags are (n,) arrays.
-    ``omega`` and ``omega_clipped`` are None when the batch skipped them.
     """
 
     scores: np.ndarray
-    omega: np.ndarray | None
+    omega: np.ndarray
     ridged: np.ndarray
-    omega_clipped: np.ndarray | None
+    omega_clipped: np.ndarray
     no_data: np.ndarray
 
 
@@ -540,7 +539,6 @@ def pace_scores_batch(
     model: FpcaModel,
     subjects: Sequence[SubjectRecord],
     n_components: int | None = None,
-    with_omega: bool = True,
 ) -> ScoreBatch:
     """Conditional-expectation component scores for many subjects at once.
 
@@ -548,15 +546,14 @@ def pace_scores_batch(
     for that subject alone. The mean and the eigenfunctions are interpolated
     once at the pooled times, and subjects sharing an observation count are
     solved stacked, so the cost grows with the number of distinct counts
-    rather than of subjects. With ``with_omega`` False the conditional
-    covariances are skipped (``omega`` and ``omega_clipped`` are None); the
-    scores are the same.
+    rather than of subjects.
     """
     m = _check_ncomp(model, n_components)
     counts = np.array([s.n_obs for s in subjects], dtype=np.intp)
     t_all = np.concatenate([np.empty(0)] + [s.times for s in subjects])
     u_all = np.concatenate([np.empty(0)] + [s.values for s in subjects])
-    return _pooled_scores(model, t_all, u_all, counts, m, with_omega)[0]
+    scores, omega, ridged, clipped, _, _ = _pooled_scores(model, t_all, u_all, counts, m)
+    return ScoreBatch(scores, omega, ridged, clipped, counts == 0)
 
 
 def _pooled_scores(
@@ -565,18 +562,20 @@ def _pooled_scores(
     values: np.ndarray,
     counts: np.ndarray,
     m: int,
-    with_omega: bool,
-) -> tuple[ScoreBatch, np.ndarray, np.ndarray]:
-    """``pace_scores_batch`` on pooled arrays, where subject i owns the next
-    ``counts[i]`` entries. Also returns the residuals from the mean at the
-    pooled times and the (m, N) eigenfunction values there."""
+    with_omega: bool = True,
+) -> tuple:
+    """The grouped solve of ``pace_scores_batch`` on pooled arrays, where
+    subject i owns the next ``counts[i]`` entries. Returns (scores, omega,
+    ridged, omega_clipped, residuals from the mean at the pooled times, the
+    (m, N) eigenfunction values there); with ``with_omega`` False omega and
+    omega_clipped are not computed and are None."""
     n = counts.size
     resid_all = values - model.mean_at(times)
     psi_all = model.eigenfunctions_at(times, m)
     starts = np.cumsum(counts) - counts
     scores = np.zeros((n, m))
     ridged = np.zeros(n, dtype=bool)
-    omegas = np.repeat(np.diag(model.eigenvalues[:m])[None], n, axis=0) if with_omega else None
+    omega = np.repeat(np.diag(model.eigenvalues[:m])[None], n, axis=0) if with_omega else None
     clipped = np.zeros(n, dtype=bool) if with_omega else None
     for n_obs in sorted(set(counts.tolist()) - {0}):
         rows = np.flatnonzero(counts == n_obs)
@@ -586,9 +585,8 @@ def _pooled_scores(
             model, psi, resid_all[idx], with_omega
         )
         if with_omega:
-            omegas[rows], clipped[rows] = group_omega, group_clipped
-    batch = ScoreBatch(scores, omegas, ridged, clipped, counts == 0)
-    return batch, resid_all, psi_all
+            omega[rows], clipped[rows] = group_omega, group_clipped
+    return scores, omega, ridged, clipped, resid_all, psi_all
 
 
 def pace_scores(
@@ -650,11 +648,11 @@ def _aic_curve(
     diag_scale = float(np.mean(np.diag(model.surface)))
     sigma2 = max(model.noise_var, 1e-8 * max(diag_scale, 0.0), 1e-300)
     pooled = pooled_points(sample)
-    batch, resid, psi = _pooled_scores(
+    scores, _, _, _, resid, psi = _pooled_scores(
         model, pooled.times, pooled.values, sample.counts, max_m, with_omega=False
     )
     # row m - 1 holds the residuals of the trajectory truncated to m components
-    r = resid - np.cumsum(batch.scores[pooled.subject_index].T * psi, axis=0)
+    r = resid - np.cumsum(scores[pooled.subject_index].T * psi, axis=0)
     log_term = 0.5 * resid.size * (math.log(2.0 * math.pi) + math.log(sigma2))
     return np.einsum("mn,mn->m", r, r) / (2.0 * sigma2) + log_term + np.arange(1, max_m + 1)
 

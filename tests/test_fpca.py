@@ -591,12 +591,14 @@ class TestSelectNcomp:
             assert np.array_equal(sparseflr.fpca._aic_curve(model, sample, max_m), want)
             assert info["criterion"] == [float(v) for v in want]
             assert n == int(np.argmin(want)) + 1
-            lean = pace_scores_batch(model, sample.subjects, max_m, with_omega=False)
+            pooled = pooled_points(sample)
+            scores, omega, ridged, clipped, _, _ = sparseflr.fpca._pooled_scores(
+                model, pooled.times, pooled.values, sample.counts, max_m, with_omega=False
+            )
             full = pace_scores_batch(model, sample.subjects, max_m)
-            assert lean.omega is None and lean.omega_clipped is None
-            assert np.array_equal(lean.scores, full.scores)
-            assert np.array_equal(lean.ridged, full.ridged)
-            assert np.array_equal(lean.no_data, full.no_data)
+            assert omega is None and clipped is None
+            assert np.array_equal(scores, full.scores)
+            assert np.array_equal(ridged, full.ridged)
 
     def hand_aic(self, model, sample, max_m):
         """Deviance-plus-count criterion, assembled from its definition."""
