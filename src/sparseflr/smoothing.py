@@ -11,8 +11,17 @@ Each fits, at every evaluation point, an exact weighted least-squares
 polynomial against kernel weights with compact support. Only the points
 inside an evaluation point's support window enter its sums: the scatter is
 sorted along an axis once per call and each window is a contiguous run of
-it, so the work grows with the points per window, not with all points times
-all evaluation points. Windows that hold too few points are widened to the
+it. Two cases cost less than the points per window:
+
+* ``local_linear_1d`` on large scatters sums whole blocks of about
+  sqrt(n) sorted points from their power moments (both kernels are
+  polynomials in u^2), so each window costs its blocks plus its two ragged
+  ends, and a call costs about n plus the evaluation points times sqrt(n);
+* ``local_linear_2d`` on a scatter whose points all sit on grid nodes (the
+  output of ``bin_scatter_2d``) pools them per node and smooths the lattice
+  with kernel matrices, at a cost set by the grid alone.
+
+Windows that hold too few points are widened to the
 nearest points (counted in the flags accumulator); the two 2-d smoothers
 share one rule for that, stretching the window over the full scatter to the
 3 nearest points, one nine-moment sum and one written-out 3x3 plane solve.
@@ -29,10 +38,13 @@ the GCV trace formula.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .errors import DataError
 
@@ -58,6 +70,15 @@ __all__ = [
 # normal matrix, so the threshold is dimensionless.
 _DEGENERATE_TOL = 1e-10
 
+# Whole blocks of points enter a 1-d window's sums through their moments
+# only where |u| <= _BLOCK_REACH. Near the edge the kernel polynomial cancels
+# to a small weight, and moment sums would lose digits the direct sums keep.
+_BLOCK_REACH = 0.9
+
+# 1-d scatters with fewer points per block (the square root of their size)
+# than this are summed directly.
+_MIN_BLOCK = 24
+
 # Widened windows overshoot the minimal covering radius by this factor so the
 # outermost point keeps a strictly positive kernel weight.
 _WIDEN_FACTOR = 1.05
@@ -65,32 +86,50 @@ _WIDEN_FACTOR = 1.05
 
 @dataclass(frozen=True)
 class Kernel:
-    """Symmetric density kernel with support [-1, 1].
+    """Symmetric density kernel with support [-1, 1], a polynomial in u^2 on
+    it that vanishes at the edge: K(u) = sum_r coefficients[r] * u^(2r) for
+    |u| <= 1, and 0 outside.
 
     ``at_zero`` is the kernel value at the origin; GCV needs it for the
-    smoother-trace approximation.
+    smoother-trace approximation. The coefficients let ``local_linear_1d``
+    sum whole blocks of points from their power moments.
     """
 
     name: str
-    at_zero: float
-    fn: Callable[[np.ndarray], np.ndarray]
+    coefficients: tuple[float, ...]
 
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        return self.fn(u)
+    def __post_init__(self) -> None:
+        edge = sum(self.coefficients)
+        if abs(edge) > 1e-12 * sum(abs(c) for c in self.coefficients):
+            raise ValueError(f"kernel {self.name!r} does not vanish at |u| = 1")
+
+    @property
+    def at_zero(self) -> float:
+        return self.coefficients[0]
+
+    @cached_property
+    def _edge_terms(self) -> tuple[tuple[int, float], ...]:
+        # The same polynomial in v = 1 - u^2, as its nonzero (power,
+        # coefficient) terms. Summed in powers of u^2 it would cancel near
+        # the edge and could dip below zero; in powers of v it keeps full
+        # relative precision there.
+        edge = Polynomial(self.coefficients)(Polynomial([1.0, -1.0])).coef
+        return tuple((k, float(c)) for k, c in enumerate(edge) if c)
+
+    def fn(self, u: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        v = np.maximum(0.0, 1.0 - u * u)
+        out = None
+        for k, c in self._edge_terms:
+            term = c * (v if k == 1 else v**k)
+            out = term if out is None else out + term
+        return out
+
+    __call__ = fn
 
 
-def _epanechnikov(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    return 0.75 * np.maximum(0.0, 1.0 - u * u)
-
-
-def _quartic(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    return 0.9375 * np.maximum(0.0, 1.0 - u * u) ** 2
-
-
-EPANECHNIKOV = Kernel("epanechnikov", 0.75, _epanechnikov)
-QUARTIC = Kernel("quartic", 0.9375, _quartic)
+EPANECHNIKOV = Kernel("epanechnikov", (0.75, -0.75))
+QUARTIC = Kernel("quartic", (0.9375, -1.875, 0.9375))
 
 _KERNELS = {k.name: k for k in (EPANECHNIKOV, QUARTIC)}
 
@@ -140,6 +179,77 @@ def _support(
     return lo, hi
 
 
+def _block_size(n: int) -> int:
+    """Points per block of ``local_linear_1d``'s whole-block sums on a
+    scatter of ``n`` points, or 0 where blocks would not pay for their
+    bookkeeping."""
+    blk = math.isqrt(n)
+    return blk if blk >= _MIN_BLOCK else 0
+
+
+def _whole_block_sums(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    ws: np.ndarray,
+    blk: int,
+    s: np.ndarray,
+    b: np.ndarray,
+    j0: np.ndarray,
+    j1: np.ndarray,
+    kernel: Kernel,
+) -> tuple[np.ndarray, ...]:
+    """The local-linear window sums (s0, s1, s2, t0, t1) over the whole
+    blocks j0 .. j1-1 of a sorted scatter cut into runs of ``blk`` points,
+    one row per window center ``s`` with half-width ``b``.
+
+    Each block keeps the weighted power moments of its points about its
+    midpoint, plain and times y. Shifted binomially to a center they give
+    the power sums of d = s - x, and the kernel, a polynomial in (d/b)^2
+    across the window, turns those into the window sums. Block-local origins
+    keep every power small, so nothing is lost when x sits far from zero.
+    """
+    nb = xs.size // blk
+    r = len(kernel.coefficients) - 1
+    q = 2 * r + 2  # the highest power of d, in s2
+    xb, yb, wb = (a[: nb * blk].reshape(nb, blk) for a in (xs, ys, ws))
+    mid = 0.5 * (xb[:, 0] + xb[:, -1])
+    e = mid[:, None] - xb
+    pw = np.empty((q + 1, nb, blk))
+    pw[0] = wb
+    for p in range(1, q + 1):
+        pw[p] = pw[p - 1] * e
+    # Per block: sum w e^p for p = 0..q, then sum w y e^p for p = 0..q-1.
+    moments = np.concatenate([pw.sum(axis=2), (pw[:q] * yb).sum(axis=2)]).T
+
+    # G[i, m, p] = sum over window i's blocks of c^m * moments[p], c = s - mid.
+    jj = j0[:, None] + np.arange(int((j1 - j0).max()))
+    inside = jj < j1[:, None]
+    jj = np.minimum(jj, nb - 1)
+    c = s[:, None] - mid[jj]
+    cpow = np.empty((s.size, q + 1, jj.shape[1]))
+    cpow[:, 0] = inside
+    for m in range(1, q + 1):
+        cpow[:, m] = cpow[:, m - 1] * c
+    G = cpow @ moments[jj]
+    # sum w d^t = sum_p C(t, p) G[t - p, p], and likewise times y.
+    shift = np.zeros((q + 1, 2 * q + 1, 2 * q + 1))
+    for t in range(q + 1):
+        for p in range(t + 1):
+            shift[t - p, p, t] = math.comb(t, p)
+            if t < q:
+                shift[t - p, q + 1 + p, q + 1 + t] = math.comb(t, p)
+    power = G.reshape(s.size, -1) @ shift.reshape(-1, 2 * q + 1)
+    S, Y = power[:, : q + 1], power[:, q + 1:]
+
+    # K(d/b) d^k = sum_r a_r d^(2r + k) with a_r = coefficients[r] / b^(2r).
+    a = np.asarray(kernel.coefficients) * b[:, None] ** (-2.0 * np.arange(r + 1))
+
+    def kernel_sum(sums, k):
+        return (a * sums[:, k: k + 2 * r + 1: 2]).sum(axis=1)
+
+    return kernel_sum(S, 0), kernel_sum(S, 1), kernel_sum(S, 2), kernel_sum(Y, 0), kernel_sum(Y, 1)
+
+
 def local_linear_1d(
     x: np.ndarray,
     y: np.ndarray,
@@ -155,7 +265,13 @@ def local_linear_1d(
     the weighted least-squares line fitted to ``(x_i, y_i)`` with weights
     ``w_i * K((x_i - s) / b)``. The solve is the exact 2x2 normal-equation
     solution, so affine data are reproduced to rounding error. Only the
-    points inside each kernel window enter its sums.
+    points inside each kernel window enter its sums. On scatters of at least
+    ``_MIN_BLOCK**2`` points the sorted scatter is cut into blocks of
+    isqrt(n) points; blocks lying within ``_BLOCK_REACH`` of a window's
+    center enter through their moments, and only the window's ragged ends are
+    summed point by point. A call then costs O(n) for the block moments plus
+    about sqrt(n) blocks and the ragged ends per evaluation point, instead of
+    the points of every window.
 
     Parameters
     ----------
@@ -193,9 +309,12 @@ def local_linear_1d(
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     w = _as_weights(weights, x.size)
 
-    ux = np.unique(x[w > 0])
+    order = np.argsort(x, kind="stable")
+    xs, ys, ws = x[order], y[order], w[order]
+    ux = xs[ws > 0]
     if ux.size == 0:
         raise ValueError("all points have zero weight")
+    ux = ux[np.r_[True, ux[1:] != ux[:-1]]]
 
     # Windows with fewer than 2 distinct x cannot support a line; widen them
     # to reach the nearest 2 distinct values. Distances grow monotonically on
@@ -213,13 +332,27 @@ def local_linear_1d(
             second = np.sort(dist[need_widen], axis=1)[:, 1]
             b[need_widen] = np.maximum(bandwidth, second) * _WIDEN_FACTOR
 
-    # Each window covers a contiguous run of the sorted scatter; gather all
-    # runs into one padded block whose padding points at a zero-weight
-    # sentinel, so every sum below spans only the kernel's support.
-    order = np.argsort(x, kind="stable")
-    xs, ys, ws = (np.append(a[order], 0.0) for a in (x, y, w))
-    lo, hi = _support(xs[:-1], s, b)
-    idx = lo[:, None] + np.arange(int((hi - lo).max(initial=1)))
+    # Each window is a contiguous run [lo, hi) of the sorted scatter. On
+    # large scatters the whole blocks of it that lie within _BLOCK_REACH of
+    # the center are summed from their moments; the rest of the run, its two
+    # ragged ends [lo, cut) and [resume, hi), is gathered into one padded
+    # block whose padding points at a zero-weight sentinel. Windows with no
+    # whole block keep their full run there.
+    lo, hi = _support(xs, s, b)
+    blk = _block_size(x.size)
+    whole = np.zeros(s.size, dtype=bool)
+    if blk:
+        j0 = -(-np.searchsorted(xs, s - _BLOCK_REACH * b, side="left") // blk)
+        j1 = np.searchsorted(xs, s + _BLOCK_REACH * b, side="right") // blk
+        whole = j1 > j0
+    blocks = whole.any()
+    cut = np.where(whole, j0 * blk, hi) if blocks else hi
+    resume = np.where(whole, j1 * blk, hi) if blocks else hi
+    xs, ys, ws = (np.append(a, 0.0) for a in (xs, ys, ws))
+    k = np.arange(int((cut - lo + hi - resume).max(initial=1)))
+    idx = lo[:, None] + k
+    if blocks:
+        idx = np.where(k < (cut - lo)[:, None], idx, idx + (resume - cut)[:, None])
     idx[idx >= hi[:, None]] = x.size
     d = s[:, None] - xs[idx]
     kw = kernel(d / b[:, None]) * ws[idx]
@@ -231,6 +364,11 @@ def local_linear_1d(
     s2 = (kd * d).sum(axis=1)
     t0 = (kw * yg).sum(axis=1)
     t1 = (kd * yg).sum(axis=1)
+    if blocks:
+        sums = _whole_block_sums(xs[:-1], ys[:-1], ws[:-1], blk, s[whole], b[whole],
+                                 j0[whole], j1[whole], kernel)
+        for acc, extra in zip((s0, s1, s2, t0, t1), sums):
+            acc[whole] += extra
 
     out = np.empty(s.size)
     det = s0 * s2 - s1 * s1
@@ -249,7 +387,7 @@ def local_linear_1d(
         if (~safe).any():
             # Kernel support missed every point even after widening (single
             # distinct x far away). Use the plain weighted mean of the data.
-            const[~safe] = float(np.average(y, weights=w))
+            const[~safe] = float(np.average(ys[:-1], weights=ws[:-1]))
         out[bad] = const
     return out.reshape(np.shape(eval_points))
 
@@ -351,6 +489,91 @@ def _solve_plane_batch(
     return out.reshape(shape)
 
 
+def _node_index(x: np.ndarray, grid: np.ndarray) -> np.ndarray | None:
+    """Index of each of ``x`` among the sorted ``grid`` nodes, or None unless
+    every one of them is exactly a node."""
+    i = np.minimum(np.searchsorted(grid, x), grid.size - 1)
+    return i if np.array_equal(grid[i], x) else None
+
+
+def _lattice_moments(
+    node: np.ndarray,
+    z: np.ndarray,
+    w: np.ndarray,
+    s1c: np.ndarray,
+    s2c: np.ndarray,
+    h1: float,
+    h2: float,
+    kernel: Kernel,
+) -> tuple[np.ndarray, ...]:
+    """The nine moment surfaces of ``local_linear_2d`` for points that all
+    sit on grid nodes (flat index ``node``): weight and weighted value are
+    pooled per node, and each surface is one product K1 @ N @ K2.T of the
+    (G x G) kernel matrices of the two axes, scaled by the node offsets
+    s - x, around a pooled lattice N."""
+    shape = (s1c.size, s2c.size)
+    F = np.bincount(node, w, s1c.size * s2c.size).reshape(shape)
+    Z = np.bincount(node, w * z, s1c.size * s2c.size).reshape(shape)
+    D1 = s1c[:, None] - s1c[None, :]
+    D2 = s2c[:, None] - s2c[None, :]
+    K1, K2 = kernel(D1 / h1), kernel(D2 / h2)
+    f0, f1, f2 = np.stack([K1, K1 * D1, K1 * D1 * D1]) @ F
+    z0, z1 = np.stack([K1, K1 * D1]) @ Z
+    e0, e1, e2 = K2.T, (K2 * D2).T, (K2 * D2 * D2).T
+    return (f0 @ e0, f1 @ e0, f0 @ e1, f2 @ e0, f1 @ e1, f0 @ e2, z0 @ e0, z1 @ e0, z0 @ e1)
+
+
+def _windowed_moments(
+    x1s: np.ndarray,
+    x2s: np.ndarray,
+    zs: np.ndarray,
+    ws: np.ndarray,
+    s1c: np.ndarray,
+    s2c: np.ndarray,
+    h1: float,
+    h2: float,
+    kernel: Kernel,
+) -> tuple[np.ndarray, ...]:
+    """The nine moment surfaces of ``local_linear_2d`` for a scatter off
+    the lattice (centered coordinates, sorted by x1): each grid node sums
+    only the points in its window."""
+    # Sorted by x1, each grid row's window is one run of the points, and
+    # sorted by x2 each column's. The x2 weights are evaluated on each
+    # column's run only and scattered into an (npts, n2) matrix that is zero
+    # elsewhere; each row then takes one (9 x n_i) @ (n_i x n2) product over
+    # its run. Working per row and column keeps the temporaries window-sized.
+    by_x2 = np.argsort(x2s, kind="stable")
+    lo, hi = _support(x2s[by_x2], s2c, np.full(s2c.size, float(h2)))
+    Bt = np.zeros((x1s.size, s2c.size))
+    for j in range(s2c.size):
+        pts = by_x2[lo[j]:hi[j]]
+        Bt[pts, j] = kernel((x2s[pts] - s2c[j]) / h2)
+    V = np.stack([
+        np.ones_like(x1s), x1s, x2s, x1s * x1s, x1s * x2s, x2s * x2s, zs, zs * x1s, zs * x2s
+    ])
+    lo, hi = _support(x1s, s1c, np.full(s1c.size, float(h1)))
+    P = np.zeros((9, s1c.size, s2c.size))
+    for i in range(s1c.size):
+        win = slice(lo[i], hi[i])
+        kw = kernel((x1s[win] - s1c[i]) / h1) * ws[win]
+        P[:, i, :] = (V[:, win] * kw) @ Bt[win]
+    p00, p10, p01, p20, p11, p02, q0, q1, q2 = P
+
+    S1 = s1c[:, None]
+    S2 = s2c[None, :]
+    return (
+        p00,
+        S1 * p00 - p10,
+        S2 * p00 - p01,
+        S1 * S1 * p00 - 2.0 * S1 * p10 + p20,
+        S1 * S2 * p00 - S1 * p01 - S2 * p10 + p11,
+        S2 * S2 * p00 - 2.0 * S2 * p01 + p02,
+        q0,
+        S1 * q0 - q1,
+        S2 * q0 - q2,
+    )
+
+
 def local_linear_2d(
     x1: np.ndarray,
     x2: np.ndarray,
@@ -366,12 +589,17 @@ def local_linear_2d(
 
     Kernel weights take the product form K(.) * K(.) with per-axis
     bandwidths. The per-node weighted plane fit is assembled from nine
-    moment sums, one (9 x n_i) @ (n_i x len(grid2)) matrix product per grid
+    moment sums. When every point sits exactly on a node of the grid (as
+    ``bin_scatter_2d`` leaves them), weights and weighted values are pooled
+    per node and each moment surface is one product K1 @ N @ K2.T of the
+    per-axis (G x G) kernel matrices, scaled by node offsets, with a pooled
+    lattice N: O(G1 G2 (G1 + G2)) however many points were binned. Any other
+    scatter takes one (9 x n_i) @ (n_i x len(grid2)) matrix product per grid
     row over the n_i points inside that row's x1 window, so the cost grows
     with the points in each window rather than with all points times all
-    nodes. Coordinates are shifted to the grid midpoints first: the moment
-    expansion in raw powers would otherwise lose precision when the domain
-    sits far from zero.
+    nodes; its coordinates are shifted to the grid midpoints first, since the
+    moment expansion in raw powers would otherwise lose precision when the
+    domain sits far from zero.
 
     Empty windows are widened over the full scatter to the nearest 3 points
     (scaled Chebyshev distance) and counted in ``flags``. Rank-deficient
@@ -394,52 +622,24 @@ def local_linear_2d(
     if not (h1 > 0 and h2 > 0):
         raise ValueError(f"bandwidths must be positive, got {bandwidths}")
     w = _as_weights(weights, x1.size)
+    # Sorted by x1 once; from here on the result depends only on the sorted
+    # scatter, so a caller's presorted copy gives the same bits.
+    order = np.argsort(x1, kind="stable")
+    x1, x2, z, w = x1[order], x2[order], z[order], w[order]
 
     c1 = 0.5 * (g1.min() + g1.max())
     c2 = 0.5 * (g2.min() + g2.max())
     x1c, x2c = x1 - c1, x2 - c2
     s1c, s2c = g1 - c1, g2 - c2
 
-    # Sorted by x1, each grid row's window is one run of the points, and
-    # sorted by x2 each column's. The x2 weights are evaluated on each
-    # column's run only and scattered into an (npts, n2) matrix that is zero
-    # elsewhere; each row then takes one (9 x n_i) @ (n_i x n2) product over
-    # its run. Working per row and column keeps the temporaries window-sized.
-    order = np.argsort(x1c, kind="stable")
-    x1s, x2s, ws, zs = x1c[order], x2c[order], w[order], z[order]
-    by_x2 = np.argsort(x2s, kind="stable")
-    lo, hi = _support(x2s[by_x2], s2c, np.full(g2.size, float(h2)))
-    Bt = np.zeros((x1.size, g2.size))
-    for j in range(g2.size):
-        pts = by_x2[lo[j]:hi[j]]
-        Bt[pts, j] = kernel((x2s[pts] - s2c[j]) / h2)
-    V = np.stack([
-        np.ones_like(x1s), x1s, x2s, x1s * x1s, x1s * x2s, x2s * x2s, zs, zs * x1s, zs * x2s
-    ])
-    lo, hi = _support(x1s, s1c, np.full(g1.size, float(h1)))
-    P = np.zeros((9, g1.size, g2.size))
-    for i in range(g1.size):
-        win = slice(lo[i], hi[i])
-        kw = kernel((x1s[win] - s1c[i]) / h1) * ws[win]
-        P[:, i, :] = (V[:, win] * kw) @ Bt[win]
-    p00, p10, p01, p20, p11, p02, q0, q1, q2 = P
-
-    S1 = s1c[:, None]
-    S2 = s2c[None, :]
-    moments = (
-        p00,
-        S1 * p00 - p10,
-        S2 * p00 - p01,
-        S1 * S1 * p00 - 2.0 * S1 * p10 + p20,
-        S1 * S2 * p00 - S1 * p01 - S2 * p10 + p11,
-        S2 * S2 * p00 - 2.0 * S2 * p01 + p02,
-        q0,
-        S1 * q0 - q1,
-        S2 * q0 - q2,
-    )
+    i1, i2 = _node_index(x1, g1), _node_index(x2, g2)
+    if i1 is not None and i2 is not None:
+        moments = _lattice_moments(i1 * g2.size + i2, z, w, s1c, s2c, h1, h2, kernel)
+    else:
+        moments = _windowed_moments(x1c, x2c, z, w, s1c, s2c, h1, h2, kernel)
 
     # Widen empty windows over the full scatter before solving.
-    empty = ~(p00 > 0)
+    empty = ~(moments[0] > 0)
     if empty.any():
         if flags is not None:
             flags.widened_windows += int(empty.sum())
@@ -528,8 +728,10 @@ def bin_scatter_2d(
 
     Returns (x1, x2, z, weights) of the occupied nodes: weight is the total
     point weight in the node, z its weighted mean. Smoothing the aggregate
-    with point weights approximates the unbinned fit at a fraction of the
-    cost; snapping error is at most half a grid step per axis.
+    with point weights approximates the unbinned fit; snapping error is at
+    most half a grid step per axis. The aggregate lies on the grid, so
+    ``local_linear_2d`` smooths it on the same grid at a cost set by the
+    grid size alone, independent of the number of points binned.
     """
     g1 = np.asarray(grid1, dtype=float)
     g2 = np.asarray(grid2, dtype=float)
@@ -693,6 +895,11 @@ def select_bandwidth_1d(
     g = np.asarray(grid, dtype=float).ravel()
     w = _as_weights(weights, x.size)
     rng = float(g.max() - g.min())
+    # Sorted once here, the scatter is cheap to sort again in each fit.
+    order = np.argsort(x, kind="stable")
+    x, y, w = x[order], y[order], w[order]
+    if subject_index is not None:
+        subject_index = np.asarray(subject_index).ravel()[order]
 
     def grid_fit(b):
         fit = local_linear_1d(x, y, g, b, kernel, weights=w, flags=flags)
@@ -734,6 +941,10 @@ def select_bandwidth_2d(
     w = _as_weights(weights, x1.size)
     r1 = float(g1.max() - g1.min())
     r2 = float(g2.max() - g2.min())
+    order = np.argsort(x1, kind="stable")
+    x1, x2, z, w = x1[order], x2[order], z[order], w[order]
+    if subject_index is not None:
+        subject_index = np.asarray(subject_index).ravel()[order]
 
     def grid_fit(h):
         fit = local_linear_2d(x1, x2, z, g1, g2, h, kernel, weights=w, flags=flags)

@@ -5,11 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sparseflr import Interval, RegularGrid, SimConfig, estimate_mean, gen_pair
+from sparseflr.data import pooled_points
+from sparseflr.fpca import raw_covariances
 from sparseflr.smoothing import (
     _DEGENERATE_TOL,
     _WIDEN_FACTOR,
     EPANECHNIKOV,
     QUARTIC,
+    Kernel,
     SmoothFlags,
     bin_scatter_2d,
     get_kernel,
@@ -21,7 +25,13 @@ from sparseflr.smoothing import (
     select_bandwidth_1d,
     select_bandwidth_2d,
 )
-from sparseflr.smoothing import _nine_moments, _solve_plane_batch, _widened_weights
+from sparseflr.smoothing import (
+    _block_size,
+    _nine_moments,
+    _node_index,
+    _solve_plane_batch,
+    _widened_weights,
+)
 
 RNG = np.random.default_rng(42)
 finite_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -94,14 +104,17 @@ def full_scatter_local_linear_1d(x, y, s, bandwidth, kernel=EPANECHNIKOV, weight
 
 def per_point_local_diag_rotated(x1, x2, z, s, bandwidth, kernel=EPANECHNIKOV, weights=None, flags=None):
     """Reference for the banded ``local_diag_rotated``: the per-target body
-    it replaced, which weighs the full scatter at every target."""
+    it replaced, which weighs the full scatter at every target. As in
+    ``full_scatter_local_linear_2d``, the plane solve is the module's own
+    (``TestPlaneSolve`` checks it against LU), so a disagreement points at
+    the moment sums."""
     x1, x2, z, s = (np.asarray(a, dtype=float).ravel() for a in (x1, x2, z, s))
     w = np.ones(x1.size) if weights is None else np.asarray(weights, dtype=float)
     rt2 = np.sqrt(2.0)
     dd = (x1 + x2) / rt2
     oo = (x2 - x1) / rt2
     o2 = oo * oo
-    out = np.empty(s.size)
+    moments = np.empty((9, s.size))
     for i, si in enumerate(s):
         target = rt2 * si
         dc = dd - target
@@ -113,37 +126,10 @@ def per_point_local_diag_rotated(x1, x2, z, s, bandwidth, kernel=EPANECHNIKOV, w
             k = min(2, r.size - 1)
             f = max(float(np.partition(r, k)[k]), 1e-300) * _WIDEN_FACTOR
             kw = kernel(dc / (f * bandwidth)) * kernel(oo / (f * bandwidth)) * w
-        s00 = kw.sum()
-        s10 = kw @ dc
-        s01 = kw @ o2
-        s20 = kw @ (dc * dc)
-        s11 = kw @ (dc * o2)
-        s02 = kw @ (o2 * o2)
-        t0 = kw @ z
-        t1 = kw @ (z * dc)
-        t2 = kw @ (z * o2)
-        d0, d1, d2 = np.sqrt(s00), np.sqrt(max(s20, 0.0)), np.sqrt(max(s02, 0.0))
-        solved = False
-        if d0 > 0 and d1 > 0 and d2 > 0:
-            a = s10 / (d0 * d1)
-            b = s01 / (d0 * d2)
-            c = s11 / (d1 * d2)
-            det = 1.0 + 2.0 * a * b * c - a * a - b * b - c * c
-            if np.isfinite(det) and det > _DEGENERATE_TOL:
-                m = np.array([[1.0, a, b], [a, 1.0, c], [b, c, 1.0]])
-                rhs = np.array([t0 / d0, t1 / d1, t2 / d2])
-                out[i] = np.linalg.solve(m, rhs)[0] / d0
-                solved = True
-        if not solved and d0 > 0 and d1 > 0:
-            det = s00 * s20 - s10 * s10
-            if det > _DEGENERATE_TOL * s00 * s20:
-                out[i] = (s20 * t0 - s10 * t1) / det
-                solved = True
-        if not solved:
-            if flags is not None:
-                flags.constant_fallbacks += 1
-            out[i] = t0 / s00 if s00 > 0 else float(np.average(z, weights=w))
-    return out
+        moments[:, i] = [kw.sum(), kw @ dc, kw @ o2, kw @ (dc * dc), kw @ (dc * o2), kw @ (o2 * o2),
+                         kw @ z, kw @ (z * dc), kw @ (z * o2)]
+    return _solve_plane_batch(tuple(moments), flags, line_fallback=True,
+                              empty=float(np.average(z, weights=w)))
 
 
 def lu_solve_plane_batch(moments, flags, line_fallback=False, empty=0.0):
@@ -309,6 +295,68 @@ def flag_counts(flags):
     return flags.widened_windows, flags.constant_fallbacks
 
 
+def dense_pairs(n=400):
+    """Raw covariance pairs (s1, s2, residual product) of a dense cohort."""
+    sample, _, _ = gen_pair(SimConfig(n_subjects=n, sparsity="dense", seed=0), np.random.default_rng(0))
+    raw = raw_covariances(sample, estimate_mean(sample, RegularGrid(Interval(0.0, 10.0), 51)))
+    return raw.s1, raw.s2, raw.value
+
+
+def lattice_case(x1, x2, z, g1, g2, h, kernel=EPANECHNIKOV, zero_every=0):
+    """A ``scatters_2d`` case made of ``bin_scatter_2d`` output, so every
+    point sits on a grid node; ``zero_every`` zeroes every so many weights."""
+    b1, b2, bz, bw = bin_scatter_2d(x1, x2, z, g1, g2)
+    if zero_every:
+        bw[::zero_every] = 0.0
+    return b1, b2, bz, bw, g1, g2, h, kernel
+
+
+# Binned scatters for ``local_linear_2d``'s lattice path. Occupied nodes fill
+# a rectangle and bandwidths span several grid steps, so no window holds
+# points of the node's own row or column only.
+S1, S2, Z12 = dense_pairs()
+G51 = np.linspace(0.0, 10.0, 51)
+G31 = np.linspace(0.0, 10.0, 31)
+LOW = (S1 < 6.0) & (S2 < 6.0)
+LATTICE_CASES = {
+    "dense n=400": lattice_case(S1, S2, Z12, G51, G51, (0.8, 0.8)),
+    "empty nodes widened": lattice_case(S1[LOW], S2[LOW], Z12[LOW], G51, G51, (1.0, 1.0), QUARTIC),
+    "zero weights": lattice_case(S1, S2, Z12, G51, G51, (1.2, 1.2), QUARTIC, zero_every=5),
+    "cross-covariance": lattice_case(S1, 40.0 + 1.2 * S2, Z12, G51, np.linspace(40.0, 52.0, 31),
+                                     (0.8, 1.2)),
+    "n_grid 31": lattice_case(S1, S2, Z12, G31, G31, (0.8, 0.8)),
+}
+# The same scatter with one point a single ulp off its node, which takes
+# the windowed path.
+OFF_LATTICE = list(LATTICE_CASES["dense n=400"])
+OFF_LATTICE[0] = OFF_LATTICE[0].copy()
+OFF_LATTICE[0][1000] = np.nextafter(OFF_LATTICE[0][1000], np.inf)
+OFF_LATTICE = tuple(OFF_LATTICE)
+
+
+def clustered_scatter():
+    """Clusters of x rounded to 0.01 (duplicates) between gaps, a 400-fold
+    atom alone in a gap, a zero-weight cluster and 10% zero weights: small
+    bandwidths widen many windows, which then hold whole blocks near the
+    kernel edge."""
+    rng = np.random.default_rng(7)
+    parts = [np.round(c + 0.4 * rng.uniform(size=600), 2) for c in (0.0, 3.0, 3.6, 7.0, 8.0, 10.0)]
+    x = np.concatenate(parts + [np.full(400, 5.0)])
+    w = (rng.uniform(size=x.size) > 0.1).astype(float)
+    w[(x >= 8.0) & (x <= 8.4)] = 0.0
+    y = np.sin(x) + 0.3 * rng.normal(size=x.size)
+    return x, y, w, np.linspace(-0.5, 10.5, 111), (0.05, 0.2, 0.6, 1.5)
+
+
+def pooled_cohort(offset=0.0):
+    """The pooled predictor scatter of a sparse n=2000 cohort, shifted by
+    ``offset``, with the mean search's bandwidth range."""
+    sample, _, _ = gen_pair(SimConfig(n_subjects=2000, seed=0), np.random.default_rng(0))
+    p = pooled_points(sample)
+    s = np.linspace(0.0, 10.0, 51) + offset
+    return p.times + offset, p.values, np.ones(p.times.size), s, (0.5, 1.1, 2.4, 3.5)
+
+
 class TestWindowedSmoothersMatchFullScatter:
     """The support-windowed smoothers against the bodies they replaced.
 
@@ -343,6 +391,13 @@ class TestWindowedSmoothersMatchFullScatter:
     @example(case=(np.array([2.0, 4.0, 6.0]), np.array([2.25, 4.25, 6.25]),
                    np.array([1.0, 2.0, 4.0]), np.array([1.0, 0.5, 2.0]),
                    np.array([4.0, 0.0, 9.5]), 2.0 / np.sqrt(2.0), QUARTIC))
+    # a far target widened to three pairs: an extrapolated, ill-conditioned
+    # plane (condition number 2.6e7), where a solver other than the
+    # module's differs by 1.6e-12 of the scale
+    @example(case=(np.where(np.arange(16) == 13, 5.5, 0.0), np.where(np.arange(16) == 5, 0.75, 0.25),
+                   np.where(np.arange(16) == 5, 1.0, 0.0),
+                   np.array([1.0, 0, 0, 0, 0, 0.5, 0, 0, 0, 0, 0, 0, 0, 2.0, 0, 0]),
+                   np.array([6.25]), 0.5 / np.sqrt(2.0), QUARTIC))
     def test_local_diag_rotated(self, case):
         x1, x2, z, w, s, h, kernel = case
         new, old = SmoothFlags(), SmoothFlags()
@@ -365,6 +420,13 @@ class TestWindowedSmoothersMatchFullScatter:
                    np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), np.array([1.0, 1.0, 0.5, 2.0, 1.0, 1.0]),
                    np.array([0.25, 0.75, 1.25, 1.75]), np.array([39.85, 40.15, 40.45, 40.75, 41.05]),
                    (1.0, 0.6), QUARTIC))
+    # binned scatters: the lattice path, and one point off it
+    @example(case=LATTICE_CASES["dense n=400"])
+    @example(case=LATTICE_CASES["empty nodes widened"])
+    @example(case=LATTICE_CASES["zero weights"])
+    @example(case=LATTICE_CASES["cross-covariance"])
+    @example(case=LATTICE_CASES["n_grid 31"])
+    @example(case=OFF_LATTICE)
     def test_local_linear_2d(self, case):
         x1, x2, z, w, g1, g2, h, kernel = case
         new, old = SmoothFlags(), SmoothFlags()
@@ -391,6 +453,46 @@ class TestWindowedSmoothersMatchFullScatter:
         local_diag_rotated([1.0, 3.0], [1.25, 9.25], [2.0, -4.0], [1.125, 5.0],
                            0.5 / np.sqrt(2.0), flags=flags)
         assert flag_counts(flags) == (1, 1)
+
+    def test_lattice_examples_take_their_paths(self):
+        for x1, x2, _, _, g1, g2, _, _ in LATTICE_CASES.values():
+            assert _node_index(x1, g1) is not None and _node_index(x2, g2) is not None
+        assert _node_index(OFF_LATTICE[0], OFF_LATTICE[4]) is None
+        x1, x2, z, w, g1, g2, h, kernel = LATTICE_CASES["empty nodes widened"]
+        flags = SmoothFlags()
+        local_linear_2d(x1, x2, z, g1, g2, h, kernel, weights=w, flags=flags)
+        assert flags.widened_windows > 0
+
+
+class TestWholeBlockSums:
+    """``local_linear_1d`` on scatters large enough for whole-block moment
+    sums, against the full-scatter body. Blocks count only well inside the
+    kernel, but shifting their moments still reorders sums of larger terms,
+    so values agree to 1e-11 of the data scale (on the clustered scatter the
+    previous windowed body was itself 4.8e-12 from this oracle) and every
+    widening and fallback decision is identical."""
+
+    CASES = {
+        "sparse n=2000 cohort": pooled_cohort(),
+        "clusters": clustered_scatter(),
+        "x near 1000": pooled_cohort(1000.0),
+    }
+
+    @pytest.mark.parametrize("kernel", [EPANECHNIKOV, QUARTIC])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_full_scatter(self, case, kernel):
+        x, y, w, s, bandwidths = self.CASES[case]
+        assert _block_size(x.size) > 0
+        widened = 0
+        for b in bandwidths:
+            new, old = SmoothFlags(), SmoothFlags()
+            out = local_linear_1d(x, y, s, b, kernel, weights=w, flags=new)
+            ref = full_scatter_local_linear_1d(x, y, s, b, kernel, weights=w, flags=old)
+            scale = max(np.max(np.abs(y)), np.max(np.abs(ref)))
+            assert np.max(np.abs(out - ref)) <= 1e-11 * scale
+            assert flag_counts(new) == flag_counts(old)
+            widened += new.widened_windows
+        assert (widened > 0) == (case == "clusters")
 
 
 def plane_moments(rng, n_nodes):
@@ -474,6 +576,26 @@ class TestKernels:
     def test_at_zero_matches_fn(self):
         assert EPANECHNIKOV.fn(np.array([0.0]))[0] == EPANECHNIKOV.at_zero
         assert QUARTIC.fn(np.array([0.0]))[0] == QUARTIC.at_zero
+
+    @pytest.mark.parametrize("kernel", [EPANECHNIKOV, QUARTIC])
+    def test_fn_is_its_polynomial_inside_and_zero_outside(self, kernel):
+        u = np.linspace(-1.0, 1.0, 2001)
+        poly = np.polynomial.polynomial.polyval(u * u, kernel.coefficients)
+        assert np.max(np.abs(kernel.fn(u) - poly)) <= 4 * np.finfo(float).eps
+        assert kernel.fn(np.array([-1.0, 1.0])).tolist() == [0.0, 0.0]
+        outside = np.concatenate([np.linspace(-3.0, -1.0, 1000, endpoint=False),
+                                  np.nextafter(1.0, 2.0) + np.linspace(0.0, 2.0, 1000)])
+        assert (kernel.fn(outside) == 0.0).all()
+
+    def test_fn_keeps_the_textbook_forms(self):
+        u = np.linspace(-1.5, 1.5, 3001)
+        v = np.maximum(0.0, 1.0 - u * u)
+        assert np.array_equal(EPANECHNIKOV.fn(u), 0.75 * v)
+        assert np.array_equal(QUARTIC.fn(u), 0.9375 * v**2)
+
+    def test_kernel_must_vanish_at_the_edge(self):
+        with pytest.raises(ValueError, match="vanish"):
+            Kernel("uniform", (0.5,))
 
     def test_get_kernel(self):
         assert get_kernel("quartic") is QUARTIC
