@@ -25,12 +25,12 @@ from scipy.special import ndtri
 from .data import RegularGrid, SparseFunctionalSample, SubjectRecord, pooled_points
 from .errors import DataError, FitError
 from .fpca import (
-    COV_BANDWIDTH_FRACTIONS,
     FpcaConfig,
     FpcaModel,
     MeanEstimate,
     ScorePrediction,
     _pair_indices,
+    _run_stage,
     _smooth_pairs,
     fit_fpca,
     pace_scores,
@@ -66,16 +66,16 @@ class FlrConfig:
     """Controls for the joint fit; ``marginal`` applies to X and Y alike.
 
     Bandwidths left as None are selected per sample. The cross-covariance
-    search ties its two axis bandwidths to equal fractions of each axis
-    range, one free parameter instead of two. Component counts left as None
-    are selected by AIC.
+    surface takes the marginal covariance settings: a fixed
+    ``cov_bandwidth`` b serves both of its axes as (b, b), and otherwise its
+    candidates are ``cov_bandwidth_fractions`` of each axis range, one free
+    parameter instead of two. Component counts left as None are selected by
+    AIC.
     """
 
     marginal: FpcaConfig = FpcaConfig()
     ncomp_x: int | None = None
     ncomp_y: int | None = None
-    cross_bandwidth: tuple[float, float] | None = None
-    cross_bandwidth_fractions: tuple[float, ...] = COV_BANDWIDTH_FRACTIONS
 
     def __post_init__(self):
         for name in ("ncomp_x", "ncomp_y"):
@@ -148,8 +148,11 @@ class FlrModel:
     beta: np.ndarray
     r2: R2Summary
     config: FlrConfig
-    n_shared_subjects: int = 0
     flags: SmoothFlags = field(default_factory=SmoothFlags)
+
+    @property
+    def n_shared_subjects(self) -> int:
+        return self.cross.n_shared_subjects
 
     @property
     def grid_s(self) -> RegularGrid:
@@ -204,7 +207,6 @@ def estimate_cross_covariance(
     kernel: Kernel | str = "epanechnikov",
     candidates: Sequence[tuple[float, float]] | None = None,
     objective: str = "gcv",
-    bin_threshold: int = 20000,
     flags: SmoothFlags | None = None,
 ) -> CrossCovarianceEstimate:
     """Cross-covariance surface from all shared-subject residual products.
@@ -223,7 +225,7 @@ def estimate_cross_covariance(
         )
     surface, bandwidths, binned = _smooth_pairs(
         s, t, v, subj, grid_s, grid_t, bandwidths, get_kernel(kernel), candidates,
-        objective, bin_threshold, flags,
+        objective, flags,
     )
     return CrossCovarianceEstimate(
         grid_s, grid_t, surface, bandwidths,
@@ -403,6 +405,23 @@ def predict_subject(
     return prediction_band(pred, level) if level is not None else pred
 
 
+def _r2_summary(
+    sigma_km: np.ndarray, x_model: FpcaModel, y_model: FpcaModel, flags: SmoothFlags
+) -> R2Summary:
+    """The R-squared family of a fit, noting a raw global value past 1.05."""
+    rho = x_model.eigenvalues[: x_model.n_components]
+    value, raw, by_comp, by_pair = r2_global(
+        sigma_km, rho, y_model.eigenvalues[: y_model.n_components]
+    )
+    pointwise = r2_pointwise(sigma_km, rho, y_model)
+    excess = max(0.0, raw - 1.0)
+    if excess > 0.05:
+        flags.note(f"global R2 exceeded 1 by {excess:.3f} before clipping")
+    return R2Summary(
+        value, raw, pointwise, r2_integrated(pointwise, y_model.grid), by_comp, by_pair, excess
+    )
+
+
 def fit_flr(
     x_sample: SparseFunctionalSample,
     y_sample: SparseFunctionalSample,
@@ -421,49 +440,30 @@ def fit_flr(
     x_mean = MeanEstimate(x_model.grid, x_model.mean, x_model.mean_bandwidth)
     y_mean = MeanEstimate(y_model.grid, y_model.mean, y_model.mean_bandwidth)
 
+    b = marginal.cov_bandwidth
     candidates = [
         (f * x_model.grid.interval.length, f * y_model.grid.interval.length)
-        for f in config.cross_bandwidth_fractions
+        for f in marginal.cov_bandwidth_fractions
     ]
-    try:
-        cross = estimate_cross_covariance(
+    cross = _run_stage(
+        "cross",
+        lambda: estimate_cross_covariance(
             x_sample,
             y_sample,
             x_mean,
             y_mean,
             x_model.grid,
             y_model.grid,
-            bandwidths=config.cross_bandwidth,
+            bandwidths=None if b is None else (b, b),
             kernel=marginal.kernel,
             candidates=candidates,
             objective=marginal.bandwidth_objective,
-            bin_threshold=marginal.bin_threshold,
             flags=flags,
-        )
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise FitError("cross", str(exc)) from exc
-
-    try:
-        sigma_km = estimate_sigma_km(cross, x_model, y_model)
-        beta = estimate_beta(sigma_km, x_model, y_model)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise FitError("sigma_km", str(exc)) from exc
-
-    try:
-        m = x_model.n_components
-        k = y_model.n_components
-        value, raw, by_comp, by_pair = r2_global(
-            sigma_km, x_model.eigenvalues[:m], y_model.eigenvalues[:k]
-        )
-        pointwise = r2_pointwise(sigma_km, x_model.eigenvalues[:m], y_model)
-        integrated = r2_integrated(pointwise, y_model.grid)
-        excess = max(0.0, raw - 1.0)
-        if excess > 0.05:
-            flags.note(f"global R2 exceeded 1 by {excess:.3f} before clipping")
-        r2 = R2Summary(value, raw, pointwise, integrated, by_comp, by_pair, excess)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise FitError("r2", str(exc)) from exc
-
+        ),
+    )
+    sigma_km = _run_stage("sigma_km", lambda: estimate_sigma_km(cross, x_model, y_model))
+    beta = _run_stage("sigma_km", lambda: estimate_beta(sigma_km, x_model, y_model))
+    r2 = _run_stage("r2", lambda: _r2_summary(sigma_km, x_model, y_model, flags))
     return FlrModel(
         x=x_model,
         y=y_model,
@@ -472,6 +472,5 @@ def fit_flr(
         beta=beta,
         r2=r2,
         config=config,
-        n_shared_subjects=cross.n_shared_subjects,
         flags=flags,
     )

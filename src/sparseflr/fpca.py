@@ -69,6 +69,13 @@ __all__ = [
 MEAN_BANDWIDTH_FRACTIONS = (0.05, 0.075, 0.11, 0.16, 0.24, 0.35)
 COV_BANDWIDTH_FRACTIONS = (0.08, 0.12, 0.18, 0.27, 0.40)
 
+# Pair scatters larger than this are pre-aggregated onto the grid nodes
+# before surface smoothing.
+BIN_THRESHOLD = 20000
+
+# Eigenvalues at or below this fraction of the largest are dropped.
+EIGEN_FLOOR = 1e-10
+
 # Sign convention: eigenfunctions integrate to a nonnegative value; when the
 # integral is essentially zero the largest-magnitude grid value is positive.
 _SIGN_INTEGRAL_TOL = 1e-8
@@ -91,8 +98,6 @@ class FpcaConfig:
     cov_bandwidth_fractions: tuple[float, ...] = COV_BANDWIDTH_FRACTIONS
     bandwidth_objective: str = "gcv"
     max_components: int = 10
-    eigen_floor: float = 1e-10
-    bin_threshold: int = 20000
 
     def __post_init__(self):
         if self.n_grid < 2:
@@ -217,7 +222,6 @@ class FpcaModel:
     cov_bandwidth: float
     selection: dict = field(default_factory=dict)
     n_subjects: int = 0
-    flags: SmoothFlags = field(default_factory=SmoothFlags)
 
     def mean_at(self, t: np.ndarray) -> np.ndarray:
         return interp_linear(self.grid.points, self.mean, t)
@@ -337,14 +341,13 @@ def _smooth_pairs(
     kernel: Kernel,
     candidates: Sequence[tuple[float, float]] | None,
     objective: str,
-    bin_threshold: int,
     flags: SmoothFlags | None,
 ) -> tuple[np.ndarray, tuple[float, float], bool]:
     """(surface, bandwidths, binned) of a raw pair scatter on ``grid1 x
     grid2``, binned, searched and fitted as ``estimate_covariance`` says;
     default candidates are fractions of each axis's domain length."""
     x1, x2, z, w = s1, s2, value, None
-    binned = value.size > bin_threshold
+    binned = value.size > BIN_THRESHOLD
     if binned:
         x1, x2, z, w = bin_scatter_2d(s1, s2, value, grid1.points, grid2.points)
     surface = None
@@ -381,7 +384,6 @@ def estimate_covariance(
     kernel: Kernel | str = "epanechnikov",
     candidates: Sequence[float] | None = None,
     objective: str = "gcv",
-    bin_threshold: int = 20000,
     flags: SmoothFlags | None = None,
 ) -> CovarianceEstimate:
     """Covariance surface by local-plane smoothing of off-diagonal pairs.
@@ -391,7 +393,7 @@ def estimate_covariance(
     ``candidates`` (defaults: fractions of the grid's domain length) by the
     requested objective, and a GCV search's winning fit is the estimate.
     The fitted surface is symmetrized. Scatters larger than
-    ``bin_threshold`` are pre-aggregated onto the grid nodes; LOSO-CV
+    ``BIN_THRESHOLD`` are pre-aggregated onto the grid nodes; LOSO-CV
     scores the unbinned pairs, since binning pools subjects.
     """
     if raw.n_pairs == 0:
@@ -401,7 +403,7 @@ def estimate_covariance(
         None if bandwidth is None else (bandwidth, bandwidth),
         get_kernel(kernel),
         None if candidates is None else [(c, c) for c in candidates],
-        objective, bin_threshold, flags,
+        objective, flags,
     )
     surface = 0.5 * (surface + surface.T)
     return CovarianceEstimate(grid, surface, bandwidth, binned=binned)
@@ -447,15 +449,14 @@ def estimate_noise_variance(
 
 def eigendecompose(
     cov: CovarianceEstimate,
-    floor: float = 1e-10,
     flags: SmoothFlags | None = None,
 ) -> EigenSystem:
     """Eigenpairs of the covariance surface under trapezoid quadrature.
 
     The surface matrix is scaled symmetrically by the square-root quadrature
     weights so a standard symmetric eigensolve yields functions orthonormal
-    in the quadrature inner product. Eigenvalues at or below ``floor`` times
-    the largest are dropped (the smoothed surface need not be positive
+    in the quadrature inner product. Eigenvalues at or below ``EIGEN_FLOOR``
+    times the largest are dropped (the smoothed surface need not be positive
     semi-definite; trailing noise components carry no signal).
     """
     w = cov.grid.trapezoid_weights
@@ -467,7 +468,7 @@ def eigendecompose(
     vec = vec[:, ::-1]
     if lam.size == 0 or lam[0] <= 0:
         raise FitError("eigendecompose", "covariance surface has no positive eigenvalue")
-    keep = lam > floor * lam[0]
+    keep = lam > EIGEN_FLOOR * lam[0]
     n_dropped = int((~keep).sum())
     if n_dropped and flags is not None:
         flags.note(f"dropped {n_dropped} eigenvalue(s) at or below the floor")
@@ -675,6 +676,15 @@ def select_ncomp(
     return n, {"method": "aic", "criterion": [float(v) for v in curve], "chosen": n}
 
 
+def _run_stage(stage: str, fn):
+    """``fn()``, with a ValueError or LinAlgError it raises turned into
+    FitError(stage)."""
+    try:
+        return fn()
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise FitError(stage, str(exc)) from exc
+
+
 def fit_fpca(
     sample: SparseFunctionalSample,
     config: FpcaConfig = FpcaConfig(),
@@ -685,13 +695,13 @@ def fit_fpca(
     """Fit the full marginal model: mean, surface, noise, eigenpairs, count.
 
     A fixed ``ncomp`` (at least 1, clamped to the retained eigenpairs)
-    replaces the AIC selection. Raises FitError with a stage name
+    replaces the AIC selection. Fallbacks and notes go to ``flags``, which
+    a joint fit shares across its stages. Raises FitError with a stage name
     (optionally prefixed, so a joint fit can distinguish predictor from
     response stages) when any step cannot proceed.
     """
     if ncomp is not None and ncomp < 1:
         raise DataError(f"ncomp must be >= 1, got {ncomp}")
-    flags = flags if flags is not None else SmoothFlags()
     kern = get_kernel(config.kernel)
     grid = RegularGrid(sample.domain, config.n_grid)
 
@@ -701,16 +711,8 @@ def fit_fpca(
             "need at least one subject with 2 or more observations",
         )
 
-    def run(stage, fn):
-        try:
-            return fn()
-        except FitError:
-            raise
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise FitError(stage_prefix + stage, str(exc)) from exc
-
-    mean = run(
-        "mean",
+    mean = _run_stage(
+        stage_prefix + "mean",
         lambda: estimate_mean(
             sample,
             grid,
@@ -723,9 +725,9 @@ def fit_fpca(
             flags=flags,
         ),
     )
-    raw = run("raw_covariances", lambda: raw_covariances(sample, mean))
-    cov = run(
-        "covariance",
+    raw = _run_stage(stage_prefix + "raw_covariances", lambda: raw_covariances(sample, mean))
+    cov = _run_stage(
+        stage_prefix + "covariance",
         lambda: estimate_covariance(
             raw,
             grid,
@@ -735,15 +737,14 @@ def fit_fpca(
                 config.cov_bandwidth_fractions, sample.domain.length
             ),
             objective=config.bandwidth_objective,
-            bin_threshold=config.bin_threshold,
             flags=flags,
         ),
     )
-    sigma2 = run(
-        "noise_variance",
+    sigma2 = _run_stage(
+        stage_prefix + "noise_variance",
         lambda: estimate_noise_variance(raw, grid, cov.bandwidth, kern, flags=flags),
     )
-    eig = run("eigendecompose", lambda: eigendecompose(cov, floor=config.eigen_floor, flags=flags))
+    eig = _run_stage(stage_prefix + "eigendecompose", lambda: eigendecompose(cov, flags=flags))
 
     model = FpcaModel(
         grid=grid,
@@ -757,15 +758,14 @@ def fit_fpca(
         cov_bandwidth=cov.bandwidth,
         selection={},
         n_subjects=sample.n_subjects,
-        flags=flags,
     )
     if ncomp is not None:
-        if ncomp > eig.n_retained:
+        if ncomp > eig.n_retained and flags is not None:
             flags.note(f"requested {ncomp} components, only {eig.n_retained} retained")
         info = {"method": "fixed", "chosen": model.n_components}
         return replace(model, selection=info)
-    n, info = run(
-        "select_ncomp",
+    n, info = _run_stage(
+        stage_prefix + "select_ncomp",
         lambda: select_ncomp(sample, model, config.max_components),
     )
     return replace(model, n_components=n, selection=info)

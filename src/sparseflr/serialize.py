@@ -3,10 +3,8 @@
 One codec serves every section: a dataclass becomes an object with one key
 per field, in declaration order, with arrays as nested lists and tuples as
 lists; a ``RegularGrid`` is written flat as ``{lo, hi, n_points}``. Reading
-goes by each field's type hint. A missing key takes the field's default, a
-key the dataclass does not declare is rejected, and ``FpcaModel.flags`` is
-not stored (the joint model's flags are), so loaded marginals get fresh
-flags.
+goes by each field's type hint. A missing key takes the field's default,
+and a key the dataclass does not declare is rejected.
 
 Floats serialize through Python's shortest-repr encoding, so a document
 written and re-read reproduces every array bit for bit. Documents carry a
@@ -14,6 +12,12 @@ written and re-read reproduces every array bit for bit. Documents carry a
 Version 2 is written. Version 1 documents still load: their flat ``config``
 is nested into the v2 form (the marginal settings under ``marginal``) and
 its ``ncomp_method``, always AIC or the retired in-sample CV, is dropped.
+Keys of retired settings and fields are dropped from documents of either
+version, whatever their values: ``config.marginal.eigen_floor`` and
+``bin_threshold`` (now module constants of ``fpca``), ``config.cross_bandwidth``
+and ``cross_bandwidth_fractions`` (the cross surface takes the marginal
+covariance settings), and the top-level ``n_shared_subjects`` (a copy of
+``cross.n_shared_subjects``); v1 held the four settings flat in ``config``.
 NaN values (possible in the pointwise R-squared curve) use JSON's
 non-strict NaN literal, which the standard library reads back symmetrically.
 """
@@ -30,26 +34,21 @@ import numpy as np
 from .data import Interval, RegularGrid
 from .errors import DataError
 from .flr import FlrConfig, FlrModel
-from .fpca import FpcaModel
 
 __all__ = ["SCHEMA_VERSION", "save_model", "load_model", "model_document"]
 
 SCHEMA_VERSION = 2
 
-# Fields a document leaves out; decoding gives them their defaults.
-_NOT_STORED = {FpcaModel: ("flags",)}
-
-
-def _stored_fields(cls: type) -> list[str]:
-    skip = _NOT_STORED.get(cls, ())
-    return [f.name for f in fields(cls) if f.name not in skip]
+# Keys of retired settings, by the section that held them in v2.
+_RETIRED_JOINT = ("cross_bandwidth", "cross_bandwidth_fractions")
+_RETIRED_MARGINAL = ("eigen_floor", "bin_threshold")
 
 
 def _encode(obj):
     if isinstance(obj, RegularGrid):
         return {"lo": obj.interval.lo, "hi": obj.interval.hi, "n_points": obj.n_points}
     if is_dataclass(obj):
-        return {name: _encode(getattr(obj, name)) for name in _stored_fields(type(obj))}
+        return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (tuple, list)):
@@ -76,7 +75,7 @@ def _decode(hint, doc):
         return RegularGrid(Interval(float(doc["lo"]), float(doc["hi"])), int(doc["n_points"]))
     if is_dataclass(hint):
         hints = typing.get_type_hints(hint)
-        doc = _section(hint, doc, _stored_fields(hint))
+        doc = _section(hint, doc, [f.name for f in fields(hint)])
         return hint(**{k: _decode(hints[k], v) for k, v in doc.items()})
     if hint is np.ndarray:
         return np.asarray(doc, dtype=float)
@@ -107,6 +106,19 @@ def _check_shapes(model: FlrModel) -> None:
     for name, (array, shape) in expected.items():
         if array.shape != shape:
             raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
+
+
+def _drop_retired(doc: dict, version: int) -> None:
+    """Delete the keys of retired settings and fields, whatever their values."""
+    doc.pop("n_shared_subjects", None)
+    config = doc.get("config")
+    if not isinstance(config, dict):
+        return
+    marginal = config if version == 1 else config.get("marginal")
+    for section, keys in ((config, _RETIRED_JOINT), (marginal, _RETIRED_MARGINAL)):
+        if isinstance(section, dict):
+            for key in keys:
+                section.pop(key, None)
 
 
 def _nest_v1_config(doc: dict) -> None:
@@ -152,6 +164,7 @@ def load_model(path: str) -> FlrModel:
         raise DataError(
             f"unsupported model schema version {version!r} (expected 1 or {SCHEMA_VERSION})"
         )
+    _drop_retired(doc, version)
     if version == 1:
         _nest_v1_config(doc)
     kind = doc.pop("kind", None)

@@ -370,26 +370,37 @@ def local_linear_1d(
         for acc, extra in zip((s0, s1, s2, t0, t1), sums):
             acc[whole] += extra
 
-    out = np.empty(s.size)
-    det = s0 * s2 - s1 * s1
-    scale = s0 * s2
-    ok = (scale > 0) & (det > _DEGENERATE_TOL * scale)
-    out[ok] = (s2[ok] * t0[ok] - s1[ok] * t1[ok]) / det[ok]
+    # Where the kernel support missed every point even after widening (a
+    # single distinct x far away), the fit is the plain weighted mean.
+    empty = float(np.average(ys[:-1], weights=ws[:-1])) if not (s0 > 0).all() else 0.0
+    return _solve_line(s0, s1, s2, t0, t1, flags, empty).reshape(np.shape(eval_points))
 
+
+def _solve_line(
+    s0: np.ndarray, s1: np.ndarray, s2: np.ndarray, t0: np.ndarray, t1: np.ndarray,
+    flags: SmoothFlags | None, empty: float, line: bool = True,
+) -> np.ndarray:
+    """Intercepts of local line fits from their weighted moment sums, by the
+    exact 2x2 solve. A node whose determinant is at most ``_DEGENERATE_TOL *
+    (s0 * s2)`` (or every node, without ``line``) falls back to the local
+    constant, counted in ``flags``, or to ``empty`` where no point carries
+    weight."""
+    out = np.empty(s0.size)
+    ok = np.zeros(s0.size, dtype=bool)
+    if line:
+        det = s0 * s2 - s1 * s1
+        ok = (s0 > 0) & (s2 > 0) & (det > _DEGENERATE_TOL * (s0 * s2))
+        out[ok] = (s2[ok] * t0[ok] - s1[ok] * t1[ok]) / det[ok]
     bad = ~ok
     if bad.any():
         if flags is not None:
             flags.constant_fallbacks += int(bad.sum())
         s0b = s0[bad]
         safe = s0b > 0
-        const = np.empty(s0b.size)
+        const = np.full(s0b.size, empty)
         const[safe] = t0[bad][safe] / s0b[safe]
-        if (~safe).any():
-            # Kernel support missed every point even after widening (single
-            # distinct x far away). Use the plain weighted mean of the data.
-            const[~safe] = float(np.average(ys[:-1], weights=ws[:-1]))
         out[bad] = const
-    return out.reshape(np.shape(eval_points))
+    return out
 
 
 def _widened_weights(
@@ -473,19 +484,10 @@ def _solve_plane_batch(
     )
 
     bad = ~ok
-    if line_fallback and bad.any():
-        det = s00 * s20 - s10 * s10
-        line = bad & (s00 > 0) & (s20 > 0) & (det > _DEGENERATE_TOL * s00 * s20)
-        out[line] = (s20[line] * t0[line] - s10[line] * t1[line]) / det[line]
-        bad &= ~line
     if bad.any():
-        if flags is not None:
-            flags.constant_fallbacks += int(bad.sum())
-        s00b, t0b = s00[bad], t0[bad]
-        safe = s00b > 0
-        const = np.full(s00b.size, empty)
-        const[safe] = t0b[safe] / s00b[safe]
-        out[bad] = const
+        out[bad] = _solve_line(
+            s00[bad], s10[bad], s20[bad], t0[bad], t1[bad], flags, empty, line_fallback
+        )
     return out.reshape(shape)
 
 

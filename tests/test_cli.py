@@ -10,7 +10,7 @@ import pytest
 
 import sparseflr
 from sparseflr import save_sample
-from sparseflr.cli import main
+from sparseflr.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +110,20 @@ class TestFit:
         assert main(base + ["--bandwidth", "-1"]) == 2
         assert main(base + ["--max-components", "0"]) == 2
         assert main(base + ["--bandwidth-grid", "0.1,-0.3"]) == 2
+
+    @pytest.mark.parametrize("flag, value", [("--ncomp", "0"), ("--bandwidth-grid", "abc")])
+    def test_bad_fit_control_is_usage_error(self, data_dir, tmp_path, flag, value):
+        args = ["fit", "--x", str(data_dir / "x.csv"), "--y", str(data_dir / "y.csv")]
+        assert main(args + [flag, value, "--out", str(tmp_path / "o")]) == 2
+
+    def test_malformed_column_spec_is_usage_error(self, data_dir, tmp_path):
+        args = ["fit", "--x", str(data_dir / "x.csv"), "--y", str(data_dir / "y.csv")]
+        assert main(args + ["--x-columns", "a,b", "--out", str(tmp_path / "o")]) == 2
+
+    def test_column_missing_from_header_exits_with_data_code(self, data_dir, tmp_path):
+        args = ["fit", "--x", str(data_dir / "x.csv"), "--y", str(data_dir / "y.csv")]
+        code = main(args + ["--x-columns", "subject_id,time,height", "--out", str(tmp_path / "o")])
+        assert code == 3
 
     def test_removed_ncomp_method_flag_is_usage_error(self, data_dir, tmp_path):
         args = ["fit", "--x", str(data_dir / "x.csv"), "--y", str(data_dir / "y.csv")]
@@ -267,6 +281,13 @@ class TestSimulate:
     def test_zero_runs_is_usage_error(self, tmp_path):
         assert main(["simulate", "--runs", "0", "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--seed", "-1"), ("--n", "1"), ("--new", "0"), ("--max-failure-rate", "1")],
+    )
+    def test_bad_run_setting_is_usage_error(self, tmp_path, flag, value):
+        assert main(["simulate", "--runs", "1", flag, value, "--out", str(tmp_path / "o")]) == 2
+
     def test_bad_sparsity_is_usage_error(self, tmp_path):
         # argparse rejects values outside the declared choices
         assert (
@@ -298,6 +319,30 @@ class TestReport:
 
         for name in ("mean_x.csv", "mean_y.csv", "r2_pointwise.csv"):
             assert (out / name).exists()
+
+
+class TestManifest:
+    """Each command's manifest holds exactly its parsed flags, so a flag added
+    later cannot be left out of it."""
+
+    def test_keys_are_the_command_destinations(self, fit_dir, data_dir, tmp_path):
+        fit_csvs = ["--x", str(data_dir / "x.csv"), "--y", str(data_dir / "y.csv")]
+        model = ["--model", str(fit_dir / "model.json")]
+        commands = {
+            "fit": ["fit", *fit_csvs],
+            "predict": ["predict", *model, "--x", str(data_dir / "x.csv")],
+            "simulate": ["simulate", "--runs", "1", "--n", "20", "--new", "5"],
+            "report": ["report", *model],
+        }
+        for name, argv in commands.items():
+            out = tmp_path / name
+            argv = argv + ["--out", str(out)]
+            assert main(argv) == 0
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            dests = set(vars(build_parser().parse_args(argv)))
+            assert "command" in dests
+            assert set(manifest) == dests | {"package_version"}
+            assert manifest["command"] == name
 
 
 class TestTopLevel:

@@ -300,19 +300,19 @@ class TestCrossCovariance:
         )
         assert np.array_equal(cross.surface, fixed.surface)
 
-    def test_loso_selects_on_unbinned_pairs(self, grid):
+    def test_loso_selects_on_unbinned_pairs(self, grid, monkeypatch):
         ids = [f"s{i}" for i in range(30)]
         x_sample = ragged_sample(ids, [4] * 30, seed=7)
         y_sample = ragged_sample(ids, [3] * 30, seed=8)
         mean = MeanEstimate(grid, np.zeros(grid.n_points), 1.0)
         cands = [(2.0, 2.0), (4.0, 4.0)]
+        monkeypatch.setattr(sparseflr.fpca, "BIN_THRESHOLD", 100)
         cross = estimate_cross_covariance(
-            x_sample, y_sample, mean, mean, grid, grid, candidates=cands,
-            objective="loso-cv", bin_threshold=100,
+            x_sample, y_sample, mean, mean, grid, grid, candidates=cands, objective="loso-cv"
         )
         assert cross.binned and cross.bandwidths in cands
         fixed = estimate_cross_covariance(
-            x_sample, y_sample, mean, mean, grid, grid, cross.bandwidths, bin_threshold=100
+            x_sample, y_sample, mean, mean, grid, grid, cross.bandwidths
         )
         assert np.array_equal(cross.surface, fixed.surface)
 

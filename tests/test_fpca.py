@@ -29,7 +29,7 @@ import sparseflr.fpca
 import sparseflr.smoothing
 from sparseflr.data import pooled_points
 from sparseflr.fpca import MeanEstimate, RawCovariances, raw_covariances, select_ncomp
-from sparseflr.smoothing import local_linear_1d, local_linear_2d
+from sparseflr.smoothing import SmoothFlags, local_linear_1d, local_linear_2d
 
 from conftest import make_truth_model, ragged_sample
 
@@ -230,7 +230,7 @@ class TestEstimateCovariance:
         cov = estimate_covariance(raw, grid, 2.5)
         assert np.array_equal(cov.surface, cov.surface.T)
 
-    def test_binned_path_matches_on_grid_scatter(self, grid):
+    def test_binned_path_matches_on_grid_scatter(self, grid, monkeypatch):
         # points placed exactly on nodes make snapping lossless, so the
         # binned fit must agree with the unbinned one
         nodes = grid.points
@@ -238,8 +238,10 @@ class TestEstimateCovariance:
         idx2 = RNG.integers(0, nodes.size, 800)
         z = RNG.normal(size=800)
         raw = handmade_raw(nodes[idx1], nodes[idx2], z)
-        plain = estimate_covariance(raw, grid, 2.0, bin_threshold=10**9)
-        binned = estimate_covariance(raw, grid, 2.0, bin_threshold=1)
+        monkeypatch.setattr(sparseflr.fpca, "BIN_THRESHOLD", 10**9)
+        plain = estimate_covariance(raw, grid, 2.0)
+        monkeypatch.setattr(sparseflr.fpca, "BIN_THRESHOLD", 1)
+        binned = estimate_covariance(raw, grid, 2.0)
         assert not plain.binned and binned.binned
         assert np.max(np.abs(plain.surface - binned.surface)) < 1e-9
 
@@ -259,26 +261,26 @@ class TestEstimateCovariance:
         monkeypatch.setattr(sparseflr.fpca, "bin_scatter_2d", bin_fn)
         monkeypatch.setattr(sparseflr.fpca, "local_linear_2d", fit_fn)
         monkeypatch.setattr(sparseflr.smoothing, "local_linear_2d", fit_fn)
+        monkeypatch.setattr(sparseflr.fpca, "BIN_THRESHOLD", bin_threshold)
         n = 600
         raw = handmade_raw(
             RNG.uniform(0, 10, n), RNG.uniform(0, 10, n), RNG.normal(size=n)
         )
         cands = [1.5, 2.5, 4.0]
-        cov = estimate_covariance(raw, grid, candidates=cands, bin_threshold=bin_threshold)
+        cov = estimate_covariance(raw, grid, candidates=cands)
         assert counts == {"bin": int(cov.binned), "fit": len(cands)}
         assert cov.binned == (bin_threshold < n)
-        fixed = estimate_covariance(raw, grid, cov.bandwidth, bin_threshold=bin_threshold)
+        fixed = estimate_covariance(raw, grid, cov.bandwidth)
         assert np.array_equal(cov.surface, fixed.surface)
 
-    def test_loso_selects_on_unbinned_pairs(self, grid):
+    def test_loso_selects_on_unbinned_pairs(self, grid, monkeypatch):
         rng = np.random.default_rng(5)
         raw = handmade_raw(rng.uniform(0, 10, 300), rng.uniform(0, 10, 300), rng.normal(size=300))
         raw = RawCovariances(**{**raw.__dict__, "subject": np.repeat(np.arange(30), 10)})
-        cov = estimate_covariance(
-            raw, grid, candidates=[2.0, 4.0], objective="loso-cv", bin_threshold=100
-        )
+        monkeypatch.setattr(sparseflr.fpca, "BIN_THRESHOLD", 100)
+        cov = estimate_covariance(raw, grid, candidates=[2.0, 4.0], objective="loso-cv")
         assert cov.binned and cov.bandwidth in (2.0, 4.0)
-        fixed = estimate_covariance(raw, grid, cov.bandwidth, bin_threshold=100)
+        fixed = estimate_covariance(raw, grid, cov.bandwidth)
         assert np.array_equal(cov.surface, fixed.surface)
 
 
@@ -658,10 +660,11 @@ class TestFitFpca:
 
     def test_fixed_count_clamps_to_retained(self, sparse_pair):
         x_sample, _, _ = sparse_pair
-        model = fit_fpca(x_sample, ncomp=40)
+        flags = SmoothFlags()
+        model = fit_fpca(x_sample, ncomp=40, flags=flags)
         assert model.selection["method"] == "fixed"
         assert model.n_components == model.eigenvalues.size
-        assert any("retained" in note for note in model.flags.notes)
+        assert any("retained" in note for note in flags.notes)
 
     def test_count_below_one_rejected(self, sparse_pair):
         x_sample, _, _ = sparse_pair

@@ -103,7 +103,7 @@ class TestOptionalKeys:
     OPTIONAL = {
         "x": ("selection", "n_subjects"),
         "cross": ("n_pairs", "n_shared_subjects", "binned"),
-        None: ("flags", "n_shared_subjects"),
+        None: ("flags",),
     }
 
     def test_v1_document_without_optional_keys_loads_with_defaults(self, fitted, tmp_path):
@@ -165,7 +165,8 @@ class TestSchemaV1:
         doc = json.loads(json.dumps(model_document(loaded)))
         assert doc.pop("schema_version") == SCHEMA_VERSION
         del doc["config"]
-        assert doc == {k: v for k, v in v1_doc.items() if k not in ("schema_version", "config")}
+        dropped = ("schema_version", "config", "n_shared_subjects")
+        assert doc == {k: v for k, v in v1_doc.items() if k not in dropped}
 
     def test_v1_document_loads_as_the_current_fit(self, sparse_pair):
         """Refitting the saved cohort makes the same choices (bandwidths,
@@ -198,3 +199,77 @@ class TestSchemaV1:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=key):
             load_model(str(path))
+
+
+V2_FIXTURE = Path(__file__).parent / "data" / "model_v2.json"
+
+# Keys of settings and fields that are no longer declared, as (section path, key).
+RETIRED = [
+    (("config", "marginal"), "eigen_floor"),
+    (("config", "marginal"), "bin_threshold"),
+    (("config",), "cross_bandwidth"),
+    (("config",), "cross_bandwidth_fractions"),
+    ((), "n_shared_subjects"),
+]
+
+
+def section_of(doc: dict, path: tuple) -> dict:
+    for name in path:
+        doc = doc[name]
+    return doc
+
+
+class TestRetiredKeys:
+    """A v2 document written before five settings and fields were retired:
+    the v1 fixture's cohort and settings, saved in the v2 nesting."""
+
+    @pytest.fixture(scope="class")
+    def v2_doc(self):
+        return json.loads(V2_FIXTURE.read_text())
+
+    def write(self, tmp_path, doc):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_loads(self, v2_doc):
+        assert v2_doc["schema_version"] == SCHEMA_VERSION
+        loaded = load_model(str(V2_FIXTURE))
+        assert loaded.config == FlrConfig(FpcaConfig(n_grid=11))
+        assert loaded.n_shared_subjects == loaded.cross.n_shared_subjects == 60
+
+    def test_reencodes_as_itself_less_the_retired_keys(self, v2_doc):
+        want = json.loads(json.dumps(v2_doc))
+        for section, key in RETIRED:
+            del section_of(want, section)[key]
+        assert json.loads(json.dumps(model_document(load_model(str(V2_FIXTURE))))) == want
+
+    def test_retired_key_loads_whatever_its_value(self, v2_doc, tmp_path):
+        doc = json.loads(json.dumps(v2_doc))
+        doc["config"]["marginal"]["bin_threshold"] = 5000
+        loaded = load_model(self.write(tmp_path, doc))
+        assert model_document(loaded) == model_document(load_model(str(V2_FIXTURE)))
+
+    @pytest.mark.parametrize("section, key", [
+        ((), "surprise"),
+        (("config",), "surprise"),
+        (("config", "marginal"), "surprise"),
+        # a retired key is dropped only from the section that held it
+        (("config",), "eigen_floor"),
+        (("config", "marginal"), "cross_bandwidth"),
+    ], ids=["top", "config", "marginal", "config.eigen_floor", "marginal.cross_bandwidth"])
+    def test_unknown_key_is_still_rejected(self, v2_doc, tmp_path, section, key):
+        doc = json.loads(json.dumps(v2_doc))
+        section_of(doc, section)[key] = 1
+        with pytest.raises(DataError, match=key):
+            load_model(self.write(tmp_path, doc))
+
+    def test_loaded_model_predicts_as_the_fixture_fit(self, sparse_pair):
+        x_sample, y_sample, _ = sparse_pair
+        current = fit_flr(x_sample, y_sample, FlrConfig(FpcaConfig(n_grid=11)))
+        loaded = load_model(str(V2_FIXTURE))
+        times = np.array([1.0, 5.5, 9.0])
+        values = np.array([0.3, -0.7, 1.1])
+        a = predict_response(current, times, values)
+        b = predict_response(loaded, times, values)
+        assert np.max(np.abs(a.values - b.values)) < 1e-10 * np.max(np.abs(a.values))
