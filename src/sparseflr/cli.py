@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -91,9 +92,10 @@ def _floats(spec: str) -> tuple[float, ...]:
 _columns = _checked(
     _names, lambda c: len(c) == 3 and all(c), "is not three comma-separated column names"
 )
-# Negated so that NaN passes, as it always has; the smoothers reject it.
-_positive = _checked(float, lambda v: not v <= 0, "is not positive")
-_positives = _checked(_floats, lambda vs: not any(v <= 0 for v in vs), "has a nonpositive value")
+_positive = _checked(float, lambda v: 0.0 < v < math.inf, "is not finite and positive")
+_positives = _checked(
+    _floats, lambda vs: all(0.0 < v < math.inf for v in vs), "has a value not finite and positive"
+)
 _probability = _checked(float, lambda v: 0.0 < v < 1.0, "is not in (0, 1)")
 _rate = _checked(float, lambda v: 0.0 <= v < 1.0, "is not in [0, 1)")
 

@@ -16,11 +16,12 @@ target the conditional mean trajectory given the subject's observations.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .data import RegularGrid, SparseFunctionalSample, SubjectRecord, pooled_points
 from .errors import DataError, FitError
@@ -381,13 +382,66 @@ def trajectory_from_scores(
     )
 
 
+# Rational approximations of Cephes ndtri (Moshier 1989), the code behind
+# scipy.special.ndtri, kept in its operation order so the two agree bit for
+# bit. P0/Q0 cover |p - 1/2| <= 3/8; P1/Q1 and P2/Q2 are in z = 1/x with
+# x = sqrt(-2 log(1 - p)) below and above 8. Each Q leads with Cephes's
+# implied 1, which Horner's rule makes exact: 1*x + q == x + q.
+_S2PI = 2.50662827463100050242e0
+_EXP_M2 = 0.13533528323661269189
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _horner(x: float, coef: tuple[float, ...]) -> float:
+    ans = 0.0
+    for c in coef:
+        ans = ans * x + c
+    return ans
+
+
+@functools.lru_cache(maxsize=64)
+def _band_quantile(level: float) -> float:
+    """The standard normal quantile at p = (1 + level) / 2, p in [1/2, 1]."""
+    p = 0.5 * (1.0 + level)
+    if p == 1.0:
+        return math.inf
+    if p <= 1.0 - _EXP_M2:
+        y = p - 0.5
+        y2 = y * y
+        return (y + y * (y2 * _horner(y2, _P0) / _horner(y2, _Q0))) * _S2PI
+    x = math.sqrt(-2.0 * math.log(1.0 - p))
+    z = 1.0 / x
+    num, den = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
+    return (x - math.log(x) / x) - z * _horner(z, num) / _horner(z, den)
+
+
 def prediction_band(
     prediction: TrajectoryPrediction, level: float = 0.95
 ) -> TrajectoryPrediction:
-    """Attach symmetric Gaussian-quantile bands at the given level."""
+    """Attach symmetric Gaussian-quantile bands at the given level.
+
+    The quantile is a port of Cephes ``ndtri`` (Moshier 1989), which
+    ``tests/test_flr.py`` checks against ``scipy.special.ndtri`` bit for bit.
+    """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    z = float(ndtri(0.5 * (1.0 + level)))
+    z = _band_quantile(level)
     half = z * np.sqrt(prediction.variance)
     return replace(
         prediction,

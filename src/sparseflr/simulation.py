@@ -16,6 +16,7 @@ squared error over the true conditional mean's squared norm.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -80,6 +81,15 @@ class SimConfig:
         Interval(*self.domain)
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 200-node Gauss-Legendre rule on [-1, 1], computed once per process."""
+    rule = np.polynomial.legendre.leggauss(200)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 class SimDesign:
     """Closed-form population quantities of the synthetic design.
 
@@ -97,7 +107,7 @@ class SimDesign:
     def __init__(self, domain: Interval = Interval(0.0, 10.0)):
         self.domain = domain
         self._scale = math.sqrt(2.0 / domain.length)
-        nodes, weights = np.polynomial.legendre.leggauss(200)
+        nodes, weights = _gauss_legendre()
         half = 0.5 * domain.length
         s = domain.lo + half * (nodes + 1.0)
         w = half * weights

@@ -1,9 +1,12 @@
 """End-to-end command behavior: exit codes, files, determinism, manifests."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,7 +114,16 @@ class TestFit:
         assert main(base + ["--max-components", "0"]) == 2
         assert main(base + ["--bandwidth-grid", "0.1,-0.3"]) == 2
 
-    @pytest.mark.parametrize("flag, value", [("--ncomp", "0"), ("--bandwidth-grid", "abc")])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--ncomp", "0"),
+            ("--bandwidth-grid", "abc"),
+            ("--bandwidth", "nan"),
+            ("--bandwidth", "inf"),
+            ("--bandwidth-grid", "1,nan"),
+        ],
+    )
     def test_bad_fit_control_is_usage_error(self, data_dir, tmp_path, flag, value):
         args = ["fit", "--x", str(data_dir / "x.csv"), "--y", str(data_dir / "y.csv")]
         assert main(args + [flag, value, "--out", str(tmp_path / "o")]) == 2
@@ -362,6 +374,39 @@ class TestTopLevel:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
         )
         assert out.stdout.strip() == "False"
+
+    def test_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(sparseflr.__file__))
+        code = (
+            "import sys, sparseflr, sparseflr.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_runtime_imports_are_declared_dependencies(self):
+        # A third-party import in the package must be a declared dependency,
+        # so a heavy one cannot return to the start-up path unnoticed.
+        tomllib = pytest.importorskip("tomllib")
+        package = Path(sparseflr.__file__).parent
+        with open(package.parents[1] / "pyproject.toml", "rb") as fh:
+            declared = {
+                re.split(r"[\s<>=!~;\[]", spec, maxsplit=1)[0].lower()
+                for spec in tomllib.load(fh)["project"]["dependencies"]
+            }
+        roots = set()
+        for path in package.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    roots.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    roots.add(node.module.split(".")[0])
+        third_party = roots - set(sys.stdlib_module_names) - {"sparseflr"}
+        assert "numpy" in third_party
+        assert third_party <= declared
 
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert main(["simulate", "--frobnicate", "--out", str(tmp_path / "o")]) == 2

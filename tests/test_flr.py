@@ -33,6 +33,7 @@ from sparseflr import (
 import sparseflr.fpca
 import sparseflr.smoothing
 from sparseflr.flr import (
+    _band_quantile,
     _cross_raw_pairs,
     estimate_beta,
     estimate_cross_covariance,
@@ -397,6 +398,20 @@ class TestPrediction:
             z = norm.ppf(0.5 * (1.0 + level))
             assert np.array_equal(band.upper, pred.values + z * np.sqrt(pred.variance))
             assert np.array_equal(band.lower, pred.values - z * np.sqrt(pred.variance))
+
+    def test_band_quantile_is_ndtri_bit_for_bit(self):
+        from scipy.special import ndtri
+
+        levels = np.concatenate(
+            [
+                np.arange(1, 10_000) / 1e4,
+                np.random.default_rng(10).uniform(size=100_000),
+                1.0 - 10.0 ** -np.arange(1.0, 16.0),  # reaches the x >= 8 tail
+                [np.nextafter(1.0, 0.0)],  # p rounds to 1: infinite, like ndtri
+            ]
+        )
+        ours = np.array([_band_quantile.__wrapped__(level) for level in levels])
+        assert np.array_equal(ours, ndtri(0.5 * (1.0 + levels)))
 
     def test_zero_variance_collapses_band(self, fitted):
         pred = TrajectoryPrediction(

@@ -127,6 +127,21 @@ class TestGenPair:
             assert np.array_equal(a.values, b.values)
         assert np.array_equal(at.zeta, bt.zeta)
 
+    def test_quadrature_rule_computed_once(self, monkeypatch):
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counted(deg):
+            calls.append(deg)
+            return leggauss(deg)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        sim_mod._gauss_legendre.cache_clear()
+        cfg = SimConfig(n_subjects=10, seed=0)
+        gen_pair(cfg, np.random.default_rng(0))
+        gen_pair(cfg, np.random.default_rng(1))
+        assert calls == [200]
+
     def test_empirical_covariance_converges(self, design, grid):
         cfg = SimConfig(n_subjects=10_000, seed=13)
         _, _, truth = gen_pair(cfg, np.random.default_rng(13))
