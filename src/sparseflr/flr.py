@@ -9,6 +9,10 @@ observations suffice), and a functional R-squared family measuring how
 much response variation the predictor explains globally, per component,
 and per time point.
 
+The cross-covariance stage reads its settings from the marginal
+``FpcaConfig``, as the marginal stages do, so the joint fit passes one
+config tree through every stage.
+
 Prediction uncertainty propagates only the score-prediction error of the
 new subject, not the sampling error of the fitted surfaces; bands therefore
 target the conditional mean trajectory given the subject's observations.
@@ -19,7 +23,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +39,7 @@ from .fpca import (
     fit_fpca,
     pace_scores,
 )
-from .smoothing import Kernel, SmoothFlags, get_kernel
+from .smoothing import SmoothFlags
 
 __all__ = [
     "FlrConfig",
@@ -67,11 +70,9 @@ class FlrConfig:
     """Controls for the joint fit; ``marginal`` applies to X and Y alike.
 
     Bandwidths left as None are selected per sample. The cross-covariance
-    surface takes the marginal covariance settings: a fixed
-    ``cov_bandwidth`` b serves both of its axes as (b, b), and otherwise its
-    candidates are ``cov_bandwidth_fractions`` of each axis range, one free
-    parameter instead of two. Component counts left as None are selected by
-    AIC.
+    surface takes the marginal covariance settings (see
+    ``estimate_cross_covariance``), one free parameter instead of two.
+    Component counts left as None are selected by AIC.
     """
 
     marginal: FpcaConfig = FpcaConfig()
@@ -204,30 +205,28 @@ def estimate_cross_covariance(
     y_mean: MeanEstimate,
     grid_s: RegularGrid,
     grid_t: RegularGrid,
-    bandwidths: tuple[float, float] | None = None,
-    kernel: Kernel | str = "epanechnikov",
-    candidates: Sequence[tuple[float, float]] | None = None,
-    objective: str = "gcv",
+    config: FpcaConfig = FpcaConfig(),
     flags: SmoothFlags | None = None,
 ) -> CrossCovarianceEstimate:
-    """Cross-covariance surface from all shared-subject residual products.
+    """Cross-covariance surface on ``grid_s x grid_t`` from all
+    shared-subject residual products.
 
     Unlike the marginal covariance there is no diagonal to exclude: the two
     coordinates come from different processes, so every (predictor time,
     response time) pair is informative. Subjects appearing in only one
-    sample contribute nothing. Binning and the bandwidth search follow
-    ``estimate_covariance``: LOSO-CV scores the unbinned pairs, and a GCV
-    search's winning fit is the estimate.
+    sample contribute nothing. The surface takes the marginal covariance
+    settings of ``config``: a fixed ``cov_bandwidth`` b serves both axes as
+    (b, b), and otherwise each candidate is one of
+    ``cov_bandwidth_fractions`` of each axis's domain length. Binning and
+    the bandwidth search follow ``estimate_covariance``: LOSO-CV scores the
+    unbinned pairs, and a GCV search's winning fit is the estimate.
     """
     s, t, v, subj, n_shared = _cross_raw_pairs(x_sample, y_sample, x_mean, y_mean)
     if v.size == 0:
         raise FitError(
             "cross", "no subject has observations in both samples; cannot couple them"
         )
-    surface, bandwidths, binned = _smooth_pairs(
-        s, t, v, subj, grid_s, grid_t, bandwidths, get_kernel(kernel), candidates,
-        objective, flags,
-    )
+    surface, bandwidths, binned = _smooth_pairs(s, t, v, subj, grid_s, grid_t, config, flags)
     return CrossCovarianceEstimate(
         grid_s, grid_t, surface, bandwidths,
         n_pairs=int(v.size), n_shared_subjects=n_shared, binned=binned,
@@ -238,18 +237,15 @@ def estimate_sigma_km(
     cross: CrossCovarianceEstimate,
     x_model: FpcaModel,
     y_model: FpcaModel,
-    n_x: int | None = None,
-    n_y: int | None = None,
 ) -> np.ndarray:
     """Project the cross-covariance surface onto the two eigenbases.
 
     Entry (k, m) is the double trapezoid integral of
-    psi_m(s) * C(s, t) * phi_k(t); shape (n_y, n_x).
+    psi_m(s) * C(s, t) * phi_k(t) over the retained components; shape
+    (y_model.n_components, x_model.n_components).
     """
-    m = x_model.n_components if n_x is None else n_x
-    k = y_model.n_components if n_y is None else n_y
-    psi = x_model.eigenfunctions[:m]
-    phi = y_model.eigenfunctions[:k]
+    psi = x_model.eigenfunctions[: x_model.n_components]
+    phi = y_model.eigenfunctions[: y_model.n_components]
     ws = cross.grid_s.trapezoid_weights
     wt = cross.grid_t.trapezoid_weights
     proj = (psi * ws[None, :]) @ cross.surface @ (phi * wt[None, :]).T
@@ -493,26 +489,10 @@ def fit_flr(
     y_model = fit_fpca(y_sample, marginal, config.ncomp_y, flags, stage_prefix="y_")
     x_mean = MeanEstimate(x_model.grid, x_model.mean, x_model.mean_bandwidth)
     y_mean = MeanEstimate(y_model.grid, y_model.mean, y_model.mean_bandwidth)
-
-    b = marginal.cov_bandwidth
-    candidates = [
-        (f * x_model.grid.interval.length, f * y_model.grid.interval.length)
-        for f in marginal.cov_bandwidth_fractions
-    ]
     cross = _run_stage(
         "cross",
         lambda: estimate_cross_covariance(
-            x_sample,
-            y_sample,
-            x_mean,
-            y_mean,
-            x_model.grid,
-            y_model.grid,
-            bandwidths=None if b is None else (b, b),
-            kernel=marginal.kernel,
-            candidates=candidates,
-            objective=marginal.bandwidth_objective,
-            flags=flags,
+            x_sample, y_sample, x_mean, y_mean, x_model.grid, y_model.grid, marginal, flags
         ),
     )
     sigma_km = _run_stage("sigma_km", lambda: estimate_sigma_km(cross, x_model, y_model))

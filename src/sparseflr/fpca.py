@@ -12,7 +12,11 @@ stay well defined with as few as one observation per subject. The component
 count is fixed by the caller or chosen by a pseudo-Gaussian AIC.
 
 ``FpcaConfig`` declares every marginal setting once; a joint fit nests one
-in ``FlrConfig`` and applies it to both variables.
+in ``FlrConfig`` and applies it to both variables. Each stage function
+reads its settings from the config it is given and takes only fitted
+values (a grid, a mean, a bandwidth) as arguments. Bandwidth candidates are
+formed in two places: ``estimate_mean`` for the mean curve and
+``_smooth_pairs`` for the covariance and cross-covariance surfaces.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .data import (
 )
 from .errors import DataError, FitError
 from .smoothing import (
-    Kernel,
     SmoothFlags,
     bin_scatter_2d,
     get_kernel,
@@ -85,9 +88,10 @@ _SIGN_INTEGRAL_TOL = 1e-8
 class FpcaConfig:
     """Fitting controls for one functional sample.
 
-    ``mean_bandwidth`` and ``cov_bandwidth`` may be fixed; when None they are
-    selected from candidate fractions of the domain length. Unless
-    ``fit_fpca`` is given a count, AIC selects it up to ``max_components``.
+    ``mean_bandwidth`` and ``cov_bandwidth`` may be fixed (finite and > 0);
+    when None they are selected from candidate fractions of the domain
+    length (non-empty, each finite and > 0). Unless ``fit_fpca`` is given a
+    count, AIC selects it up to ``max_components``.
     """
 
     n_grid: int = 51
@@ -111,6 +115,20 @@ class FpcaConfig:
         if not isinstance(self.kernel, str):
             raise DataError(f"kernel must be a kernel name, got {self.kernel!r}")
         get_kernel(self.kernel)
+        for name in ("mean_bandwidth", "cov_bandwidth"):
+            b = getattr(self, name)
+            if b is not None and not _finite_positive(b):
+                raise DataError(f"{name} must be None or finite and > 0, got {b!r}")
+        for name in ("mean_bandwidth_fractions", "cov_bandwidth_fractions"):
+            fractions = getattr(self, name)
+            if not fractions or not all(_finite_positive(f) for f in fractions):
+                raise DataError(
+                    f"{name} must be non-empty, each value finite and > 0, got {fractions!r}"
+                )
+
+
+def _finite_positive(v: float) -> bool:
+    return math.isfinite(v) and v > 0
 
 
 @dataclass(frozen=True)
@@ -139,7 +157,6 @@ class RawCovariances:
     subject: np.ndarray
     diag_t: np.ndarray
     diag_value: np.ndarray
-    diag_subject: np.ndarray
 
     @property
     def n_pairs(self) -> int:
@@ -236,41 +253,33 @@ class FpcaModel:
         return EigenSystem(self.grid, self.eigenvalues, self.eigenfunctions)
 
 
-def _default_candidates(fractions: Sequence[float], length: float) -> list[float]:
-    return [f * length for f in fractions]
-
-
 def estimate_mean(
     sample: SparseFunctionalSample,
     grid: RegularGrid,
-    bandwidth: float | None = None,
-    kernel: Kernel | str = "epanechnikov",
-    candidates: Sequence[float] | None = None,
-    objective: str = "gcv",
+    config: FpcaConfig = FpcaConfig(),
     flags: SmoothFlags | None = None,
 ) -> MeanEstimate:
-    """Mean curve by local-linear smoothing of the pooled scatter.
+    """Mean curve on ``grid`` by local-linear smoothing of the pooled scatter.
 
-    Every observation enters with equal weight. With ``bandwidth`` None the
-    bandwidth is chosen from ``candidates`` (defaults: fractions of the
-    domain length) by the requested objective; a GCV search's winning fit
-    is the estimate.
+    Every observation enters with equal weight. ``config.mean_bandwidth``
+    fixes the bandwidth; when None, ``config.bandwidth_objective`` chooses
+    it among ``config.mean_bandwidth_fractions`` of the domain length, and
+    a GCV search's winning fit is the estimate. ``config.n_grid`` is read
+    by ``fit_fpca`` alone, which builds ``grid`` from it.
     """
-    kern = get_kernel(kernel)
+    kern = get_kernel(config.kernel)
     pooled = pooled_points(sample)
     if pooled.times.size == 0:
         raise DataError("cannot estimate a mean from a sample with no observations")
-    values = None
+    bandwidth, values = config.mean_bandwidth, None
     if bandwidth is None:
-        if candidates is None:
-            candidates = _default_candidates(MEAN_BANDWIDTH_FRACTIONS, sample.domain.length)
         sel = select_bandwidth_1d(
             pooled.times,
             pooled.values,
-            candidates,
+            [f * sample.domain.length for f in config.mean_bandwidth_fractions],
             grid.points,
             kern,
-            objective=objective,
+            objective=config.bandwidth_objective,
             subject_index=pooled.subject_index,
             flags=flags,
         )
@@ -326,7 +335,6 @@ def raw_covariances(sample: SparseFunctionalSample, mean: MeanEstimate) -> RawCo
         subject=subject,
         diag_t=pooled.times,
         diag_value=resid * resid,
-        diag_subject=pooled.subject_index,
     )
 
 
@@ -337,39 +345,39 @@ def _smooth_pairs(
     subject: np.ndarray,
     grid1: RegularGrid,
     grid2: RegularGrid,
-    bandwidths: tuple[float, float] | None,
-    kernel: Kernel,
-    candidates: Sequence[tuple[float, float]] | None,
-    objective: str,
+    config: FpcaConfig,
     flags: SmoothFlags | None,
 ) -> tuple[np.ndarray, tuple[float, float], bool]:
     """(surface, bandwidths, binned) of a raw pair scatter on ``grid1 x
-    grid2``, binned, searched and fitted as ``estimate_covariance`` says;
-    default candidates are fractions of each axis's domain length."""
+    grid2``, binned, searched and fitted as ``estimate_covariance`` says.
+
+    A fixed ``config.cov_bandwidth`` b serves both axes as (b, b); otherwise
+    each candidate is one of ``config.cov_bandwidth_fractions`` of each
+    axis's domain length."""
+    kernel = get_kernel(config.kernel)
     x1, x2, z, w = s1, s2, value, None
     binned = value.size > BIN_THRESHOLD
     if binned:
         x1, x2, z, w = bin_scatter_2d(s1, s2, value, grid1.points, grid2.points)
-    surface = None
-    if bandwidths is None:
-        if candidates is None:
-            candidates = [
-                (f * grid1.interval.length, f * grid2.interval.length)
-                for f in COV_BANDWIDTH_FRACTIONS
-            ]
-        loso = objective == "loso-cv"
+    if config.cov_bandwidth is None:
+        loso = config.bandwidth_objective == "loso-cv"
         sel = select_bandwidth_2d(
             *((s1, s2, value) if loso else (x1, x2, z)),
-            candidates,
+            [
+                (f * grid1.interval.length, f * grid2.interval.length)
+                for f in config.cov_bandwidth_fractions
+            ],
             grid1.points,
             grid2.points,
             kernel,
             weights=None if loso else w,
-            objective=objective,
-            subject_index=subject,
+            objective=config.bandwidth_objective,
+            subject_index=subject if loso else None,
             flags=flags,
         )
         bandwidths, surface = sel.chosen, sel.fit
+    else:
+        bandwidths, surface = (config.cov_bandwidth, config.cov_bandwidth), None
     if surface is None:
         surface = local_linear_2d(
             x1, x2, z, grid1.points, grid2.points, bandwidths, kernel, weights=w, flags=flags
@@ -380,30 +388,24 @@ def _smooth_pairs(
 def estimate_covariance(
     raw: RawCovariances,
     grid: RegularGrid,
-    bandwidth: float | None = None,
-    kernel: Kernel | str = "epanechnikov",
-    candidates: Sequence[float] | None = None,
-    objective: str = "gcv",
+    config: FpcaConfig = FpcaConfig(),
     flags: SmoothFlags | None = None,
 ) -> CovarianceEstimate:
-    """Covariance surface by local-plane smoothing of off-diagonal pairs.
+    """Covariance surface on ``grid`` from the off-diagonal pairs.
 
     One bandwidth serves both axes (the surface is symmetric, so anisotropic
-    smoothing buys nothing). With ``bandwidth`` None it is chosen from
-    ``candidates`` (defaults: fractions of the grid's domain length) by the
-    requested objective, and a GCV search's winning fit is the estimate.
-    The fitted surface is symmetrized. Scatters larger than
-    ``BIN_THRESHOLD`` are pre-aggregated onto the grid nodes; LOSO-CV
+    smoothing buys nothing). ``config.cov_bandwidth`` fixes it; when None,
+    ``config.bandwidth_objective`` chooses it among
+    ``config.cov_bandwidth_fractions`` of the grid's domain length, and a
+    GCV search's winning fit is the estimate. ``config.n_grid`` is read by
+    ``fit_fpca`` alone. The fitted surface is symmetrized. Scatters larger
+    than ``BIN_THRESHOLD`` are pre-aggregated onto the grid nodes; LOSO-CV
     scores the unbinned pairs, since binning pools subjects.
     """
     if raw.n_pairs == 0:
         raise FitError("covariance", "no subject contributes an off-diagonal pair")
     surface, (bandwidth, _), binned = _smooth_pairs(
-        raw.s1, raw.s2, raw.value, raw.subject, grid, grid,
-        None if bandwidth is None else (bandwidth, bandwidth),
-        get_kernel(kernel),
-        None if candidates is None else [(c, c) for c in candidates],
-        objective, flags,
+        raw.s1, raw.s2, raw.value, raw.subject, grid, grid, config, flags
     )
     surface = 0.5 * (surface + surface.T)
     return CovarianceEstimate(grid, surface, bandwidth, binned=binned)
@@ -413,18 +415,19 @@ def estimate_noise_variance(
     raw: RawCovariances,
     grid: RegularGrid,
     bandwidth: float,
-    kernel: Kernel | str = "epanechnikov",
+    config: FpcaConfig = FpcaConfig(),
     flags: SmoothFlags | None = None,
 ) -> float:
     """Observation-noise variance from the diagonal inflation.
 
     The raw diagonal carries surface-plus-noise; the rotated diagonal fit of
-    off-diagonal pairs carries the surface alone. Their difference is
-    integrated over the middle half of the domain (boundary fits are the
-    least reliable) and scaled back to a per-point variance. Negative
-    estimates truncate to zero.
+    off-diagonal pairs carries the surface alone. Both are smoothed at
+    ``bandwidth``, the fitted covariance bandwidth, with ``config.kernel``.
+    Their difference is integrated over the middle half of the domain
+    (boundary fits are the least reliable) and scaled back to a per-point
+    variance. Negative estimates truncate to zero.
     """
-    kern = get_kernel(kernel)
+    kern = get_kernel(config.kernel)
     if raw.diag_t.size == 0:
         raise FitError("noise_variance", "no observations to fit the raw diagonal")
     if raw.n_pairs == 0:
@@ -661,14 +664,15 @@ def _aic_curve(
 def select_ncomp(
     sample: SparseFunctionalSample,
     model: FpcaModel,
-    max_components: int = 10,
+    config: FpcaConfig = FpcaConfig(),
 ) -> tuple[int, dict]:
-    """Pick the component count by pseudo-Gaussian AIC.
+    """Pick the component count by pseudo-Gaussian AIC, up to
+    ``config.max_components``.
 
     Returns the argmin count and a record of the criterion curve. Ties go to
     the smaller count.
     """
-    max_m = min(max_components, model.eigenvalues.size)
+    max_m = min(config.max_components, model.eigenvalues.size)
     if max_m < 1:
         raise FitError("select_ncomp", "no retained eigenvalues to choose from")
     curve = _aic_curve(model, sample, max_m)
@@ -702,7 +706,6 @@ def fit_fpca(
     """
     if ncomp is not None and ncomp < 1:
         raise DataError(f"ncomp must be >= 1, got {ncomp}")
-    kern = get_kernel(config.kernel)
     grid = RegularGrid(sample.domain, config.n_grid)
 
     if not (sample.counts >= 2).any():
@@ -711,38 +714,14 @@ def fit_fpca(
             "need at least one subject with 2 or more observations",
         )
 
-    mean = _run_stage(
-        stage_prefix + "mean",
-        lambda: estimate_mean(
-            sample,
-            grid,
-            bandwidth=config.mean_bandwidth,
-            kernel=kern,
-            candidates=_default_candidates(
-                config.mean_bandwidth_fractions, sample.domain.length
-            ),
-            objective=config.bandwidth_objective,
-            flags=flags,
-        ),
-    )
+    mean = _run_stage(stage_prefix + "mean", lambda: estimate_mean(sample, grid, config, flags))
     raw = _run_stage(stage_prefix + "raw_covariances", lambda: raw_covariances(sample, mean))
     cov = _run_stage(
-        stage_prefix + "covariance",
-        lambda: estimate_covariance(
-            raw,
-            grid,
-            bandwidth=config.cov_bandwidth,
-            kernel=kern,
-            candidates=_default_candidates(
-                config.cov_bandwidth_fractions, sample.domain.length
-            ),
-            objective=config.bandwidth_objective,
-            flags=flags,
-        ),
+        stage_prefix + "covariance", lambda: estimate_covariance(raw, grid, config, flags)
     )
     sigma2 = _run_stage(
         stage_prefix + "noise_variance",
-        lambda: estimate_noise_variance(raw, grid, cov.bandwidth, kern, flags=flags),
+        lambda: estimate_noise_variance(raw, grid, cov.bandwidth, config, flags),
     )
     eig = _run_stage(stage_prefix + "eigendecompose", lambda: eigendecompose(cov, flags=flags))
 
@@ -766,6 +745,6 @@ def fit_fpca(
         return replace(model, selection=info)
     n, info = _run_stage(
         stage_prefix + "select_ncomp",
-        lambda: select_ncomp(sample, model, config.max_components),
+        lambda: select_ncomp(sample, model, config),
     )
     return replace(model, n_components=n, selection=info)

@@ -72,6 +72,8 @@ class SimConfig:
             )
         if self.n_subjects < 2:
             raise DataError("n_subjects must be at least 2")
+        if self.n_new < 1:
+            raise DataError("n_new must be at least 1")
         if self.n_runs < 1:
             raise DataError("n_runs must be at least 1")
         if not 0.0 <= self.max_failure_rate < 1.0:

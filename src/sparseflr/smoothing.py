@@ -869,6 +869,19 @@ def _search(
     return BandwidthSelection(cands[best], tuple(cands), tuple(scores), objective, fit)
 
 
+def _aligned_subjects(subject_index: np.ndarray | None, order: np.ndarray) -> np.ndarray | None:
+    """``subject_index`` in the sorted scatter's ``order``; it must have one
+    entry per point."""
+    if subject_index is None:
+        return None
+    idx = np.asarray(subject_index).ravel()
+    if idx.size != order.size:
+        raise ValueError(
+            f"subject_index has {idx.size} entries for a scatter of {order.size} points"
+        )
+    return idx[order]
+
+
 def select_bandwidth_1d(
     x: np.ndarray,
     y: np.ndarray,
@@ -891,6 +904,9 @@ def select_bandwidth_1d(
     loso-cv
         Leave-one-subject-out squared prediction error; needs
         ``subject_index`` aligned with the points and at least 2 subjects.
+
+    A ``subject_index`` of another length than the scatter raises
+    ValueError, whatever the objective.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
@@ -900,8 +916,7 @@ def select_bandwidth_1d(
     # Sorted once here, the scatter is cheap to sort again in each fit.
     order = np.argsort(x, kind="stable")
     x, y, w = x[order], y[order], w[order]
-    if subject_index is not None:
-        subject_index = np.asarray(subject_index).ravel()[order]
+    subject_index = _aligned_subjects(subject_index, order)
 
     def grid_fit(b):
         fit = local_linear_1d(x, y, g, b, kernel, weights=w, flags=flags)
@@ -945,8 +960,7 @@ def select_bandwidth_2d(
     r2 = float(g2.max() - g2.min())
     order = np.argsort(x1, kind="stable")
     x1, x2, z, w = x1[order], x2[order], z[order], w[order]
-    if subject_index is not None:
-        subject_index = np.asarray(subject_index).ravel()[order]
+    subject_index = _aligned_subjects(subject_index, order)
 
     def grid_fit(h):
         fit = local_linear_2d(x1, x2, z, g1, g2, h, kernel, weights=w, flags=flags)

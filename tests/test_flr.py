@@ -251,7 +251,7 @@ class TestCrossCovariance:
         y_sample = SparseFunctionalSample(domain, tuple(ys))
         zero_mean = MeanEstimate(grid, np.zeros(grid.n_points), 1.0)
         cross = estimate_cross_covariance(
-            x_sample, y_sample, zero_mean, zero_mean, grid, grid, (2.0, 2.0)
+            x_sample, y_sample, zero_mean, zero_mean, grid, grid, FpcaConfig(cov_bandwidth=2.0)
         )
         assert np.max(np.abs(cross.surface)) < 1e-12
         assert cross.n_shared_subjects == 12
@@ -291,13 +291,17 @@ class TestCrossCovariance:
         x_sample = ragged_sample(ids, [4] * 40, seed=5)
         y_sample = ragged_sample(ids, [3] * 40, seed=6)
         mean = MeanEstimate(grid, np.zeros(grid.n_points), 1.0)
-        cands = [(1.5, 1.5), (3.0, 3.0)]
+        fractions = (0.15, 0.3)
         cross = estimate_cross_covariance(
-            x_sample, y_sample, mean, mean, grid, grid, candidates=cands
+            x_sample, y_sample, mean, mean, grid, grid,
+            FpcaConfig(cov_bandwidth_fractions=fractions),
         )
-        assert calls == cands  # one fit per candidate, no refit
+        length = grid.interval.length
+        # one fit per candidate, no refit
+        assert calls == [(f * length, f * length) for f in fractions]
         fixed = estimate_cross_covariance(
-            x_sample, y_sample, mean, mean, grid, grid, cross.bandwidths
+            x_sample, y_sample, mean, mean, grid, grid,
+            FpcaConfig(cov_bandwidth=cross.bandwidths[0]),
         )
         assert np.array_equal(cross.surface, fixed.surface)
 
@@ -306,29 +310,15 @@ class TestCrossCovariance:
         x_sample = ragged_sample(ids, [4] * 30, seed=7)
         y_sample = ragged_sample(ids, [3] * 30, seed=8)
         mean = MeanEstimate(grid, np.zeros(grid.n_points), 1.0)
-        cands = [(2.0, 2.0), (4.0, 4.0)]
+        config = FpcaConfig(cov_bandwidth_fractions=(0.2, 0.4), bandwidth_objective="loso-cv")
         monkeypatch.setattr(sparseflr.fpca, "BIN_THRESHOLD", 100)
-        cross = estimate_cross_covariance(
-            x_sample, y_sample, mean, mean, grid, grid, candidates=cands, objective="loso-cv"
-        )
-        assert cross.binned and cross.bandwidths in cands
+        cross = estimate_cross_covariance(x_sample, y_sample, mean, mean, grid, grid, config)
+        assert cross.binned and cross.bandwidths in [(2.0, 2.0), (4.0, 4.0)]
         fixed = estimate_cross_covariance(
-            x_sample, y_sample, mean, mean, grid, grid, cross.bandwidths
+            x_sample, y_sample, mean, mean, grid, grid,
+            FpcaConfig(cov_bandwidth=cross.bandwidths[0]),
         )
         assert np.array_equal(cross.surface, fixed.surface)
-
-    def test_accepts_a_kernel_object(self, grid):
-        ids = [f"s{i}" for i in range(20)]
-        x_sample = ragged_sample(ids, [4] * 20, seed=9)
-        y_sample = ragged_sample(ids, [3] * 20, seed=10)
-        mean = MeanEstimate(grid, np.zeros(grid.n_points), 1.0)
-        by_object, by_name = (
-            estimate_cross_covariance(
-                x_sample, y_sample, mean, mean, grid, grid, (2.0, 2.0), kernel=kernel
-            )
-            for kernel in (QUARTIC, "quartic")
-        )
-        assert np.array_equal(by_object.surface, by_name.surface)
 
     def test_disjoint_ids_are_rejected_by_fit(self, domain):
         rng = np.random.default_rng(4)
@@ -562,6 +552,34 @@ class TestInvariance:
         assert np.max(np.abs(model.beta - c * fitted.beta)) <= 1e-10 * scale
         assert model.r2.value_raw == pytest.approx(fitted.r2.value_raw, rel=1e-10)
 
+    @pytest.mark.parametrize("a, b", [(2.0, 0.0), (0.5, 100.0), (3.0, -7.0)])
+    def test_time_axis_affine_map_carries_through(self, fitted, sparse_pair, a, b):
+        # t -> a t + b on the times and the domain: the counts stay, every
+        # bandwidth scales by a, R2 stays, and beta(s, t) = a beta'(a s + b,
+        # a t + b), because ds' = a ds in the regression integral
+        x_sample, y_sample, _ = sparse_pair
+
+        def mapped(sample):
+            lo, hi = sample.domain.lo, sample.domain.hi
+            return SparseFunctionalSample(Interval(a * lo + b, a * hi + b), tuple(
+                SubjectRecord(s.subject_id, a * s.times + b, s.values) for s in sample.subjects
+            ))
+
+        def bandwidths(model):
+            return (
+                model.x.mean_bandwidth, model.x.cov_bandwidth,
+                model.y.mean_bandwidth, model.y.cov_bandwidth, *model.cross.bandwidths,
+            )
+
+        model = fit_flr(mapped(x_sample), mapped(y_sample))
+        assert model.x.n_components == fitted.x.n_components
+        assert model.y.n_components == fitted.y.n_components
+        for got, want in zip(bandwidths(model), bandwidths(fitted)):
+            assert got == pytest.approx(a * want, rel=1e-12, abs=0.0)
+        assert abs(model.r2.value_raw - fitted.r2.value_raw) <= 1e-12
+        scale = np.max(np.abs(fitted.beta))
+        assert np.max(np.abs(a * model.beta - fitted.beta)) <= 1e-9 * scale
+
 
 class TestFlrConfig:
     # An invalid setting anywhere in the tree raises while the tree is built,
@@ -576,6 +594,16 @@ class TestFlrConfig:
         {"marginal": {"n_grid": 11}, "ncomp_x": 2, "ncomp_y": -1},
         {"marginal": {"bandwidth_objective": "aic"}},
         {"marginal": {"kernel": QUARTIC}},  # a config stores kernel names
+        # bandwidths and candidate fractions: finite, > 0, and some candidate
+        {"marginal": {"cov_bandwidth": float("inf")}},
+        {"marginal": {"cov_bandwidth": -1.0}},
+        {"marginal": {"cov_bandwidth": 0.0}},
+        {"marginal": {"mean_bandwidth": float("nan")}},
+        {"marginal": {"cov_bandwidth_fractions": (0.1, float("inf"))}},
+        {"marginal": {"cov_bandwidth_fractions": (0.1, 0.0)}},
+        {"marginal": {"mean_bandwidth_fractions": ()}},
+        {"marginal": {"mean_bandwidth_fractions": (float("nan"),)}},
+        {"marginal": {"mean_bandwidth_fractions": (-0.2, 0.3)}},
     ])
     def test_invalid_settings_raise_on_construction(self, settings):
         settings = dict(settings)

@@ -12,6 +12,7 @@ from sparseflr import (
     CovarianceEstimate,
     DataError,
     FitError,
+    FpcaConfig,
     FpcaModel,
     Interval,
     RegularGrid,
@@ -88,17 +89,18 @@ def handmade_raw(s1, s2, value, diag_t=None, diag_value=None):
         subject=np.zeros(s1.size, dtype=int),
         diag_t=diag_t,
         diag_value=np.asarray([] if diag_value is None else diag_value, float),
-        diag_subject=np.zeros(diag_t.size, dtype=int),
     )
 
 
 class TestEstimateMean:
     def test_affine_truth_recovered_exactly(self, grid):
-        mean = estimate_mean(affine_sample(), grid, bandwidth=2.0)
+        mean = estimate_mean(affine_sample(), grid, FpcaConfig(mean_bandwidth=2.0))
         assert np.max(np.abs(mean.values - (1.0 + 2.0 * grid.points))) < 1e-9
 
     def test_bandwidth_selected_from_candidates(self, grid):
-        mean = estimate_mean(affine_sample(), grid, candidates=[1.0, 2.5])
+        # fractions of the length-10 domain: candidates 1.0 and 2.5
+        config = FpcaConfig(mean_bandwidth_fractions=(0.1, 0.25))
+        mean = estimate_mean(affine_sample(), grid, config)
         assert mean.bandwidth in (1.0, 2.5)
 
     def test_search_fit_is_the_estimate(self, grid, monkeypatch):
@@ -111,22 +113,23 @@ class TestEstimateMean:
         monkeypatch.setattr(sparseflr.smoothing, "local_linear_1d", counting)
         monkeypatch.setattr(sparseflr.fpca, "local_linear_1d", counting)
         sample = affine_sample()
-        cands = [0.8, 1.6, 2.5]
-        mean = estimate_mean(sample, grid, candidates=cands)
-        assert calls == cands  # one fit per candidate, no refit
+        fractions = (0.08, 0.16, 0.25)
+        mean = estimate_mean(sample, grid, FpcaConfig(mean_bandwidth_fractions=fractions))
+        # one fit per candidate, no refit
+        assert calls == [f * sample.domain.length for f in fractions]
         pooled = pooled_points(sample)
         fresh = local_linear_1d(pooled.times, pooled.values, grid.points, mean.bandwidth)
         assert np.array_equal(mean.values, fresh)
 
     def test_interpolation_consistency(self, grid):
-        mean = estimate_mean(affine_sample(), grid, bandwidth=2.0)
+        mean = estimate_mean(affine_sample(), grid, FpcaConfig(mean_bandwidth=2.0))
         assert np.array_equal(mean.at(grid.points), mean.values)
 
 
 def loop_raw_covariances(sample, mean):
     """Reference for ``raw_covariances``: the per-subject loop it replaced."""
     s1_parts, s2_parts, v_parts, idx_parts = [], [], [], []
-    dt_parts, dv_parts, di_parts = [], [], []
+    dt_parts, dv_parts = [], []
     for i, subj in enumerate(sample.subjects):
         L = subj.n_obs
         if L == 0:
@@ -134,7 +137,6 @@ def loop_raw_covariances(sample, mean):
         resid = subj.values - mean.at(subj.times)
         dt_parts.append(subj.times)
         dv_parts.append(resid * resid)
-        di_parts.append(np.full(L, i, dtype=np.intp))
         if L < 2:
             continue
         tt1, tt2 = np.meshgrid(subj.times, subj.times, indexing="ij")
@@ -155,7 +157,6 @@ def loop_raw_covariances(sample, mean):
         subject=cat(idx_parts, np.intp),
         diag_t=cat(dt_parts),
         diag_value=cat(dv_parts),
-        diag_subject=cat(di_parts, np.intp),
     )
 
 
@@ -219,7 +220,7 @@ class TestEstimateCovariance:
         raw = handmade_raw(
             RNG.uniform(0, 10, n), RNG.uniform(0, 10, n), np.zeros(n)
         )
-        cov = estimate_covariance(raw, grid, 2.0)
+        cov = estimate_covariance(raw, grid, FpcaConfig(cov_bandwidth=2.0))
         assert np.max(np.abs(cov.surface)) < 1e-12
 
     def test_surface_is_symmetric(self, grid):
@@ -227,7 +228,7 @@ class TestEstimateCovariance:
         s1 = RNG.uniform(0, 10, n)
         s2 = RNG.uniform(0, 10, n)
         raw = handmade_raw(s1, s2, RNG.normal(size=n))
-        cov = estimate_covariance(raw, grid, 2.5)
+        cov = estimate_covariance(raw, grid, FpcaConfig(cov_bandwidth=2.5))
         assert np.array_equal(cov.surface, cov.surface.T)
 
     def test_binned_path_matches_on_grid_scatter(self, grid, monkeypatch):
@@ -238,10 +239,11 @@ class TestEstimateCovariance:
         idx2 = RNG.integers(0, nodes.size, 800)
         z = RNG.normal(size=800)
         raw = handmade_raw(nodes[idx1], nodes[idx2], z)
+        config = FpcaConfig(cov_bandwidth=2.0)
         monkeypatch.setattr(sparseflr.fpca, "BIN_THRESHOLD", 10**9)
-        plain = estimate_covariance(raw, grid, 2.0)
+        plain = estimate_covariance(raw, grid, config)
         monkeypatch.setattr(sparseflr.fpca, "BIN_THRESHOLD", 1)
-        binned = estimate_covariance(raw, grid, 2.0)
+        binned = estimate_covariance(raw, grid, config)
         assert not plain.binned and binned.binned
         assert np.max(np.abs(plain.surface - binned.surface)) < 1e-9
 
@@ -266,11 +268,11 @@ class TestEstimateCovariance:
         raw = handmade_raw(
             RNG.uniform(0, 10, n), RNG.uniform(0, 10, n), RNG.normal(size=n)
         )
-        cands = [1.5, 2.5, 4.0]
-        cov = estimate_covariance(raw, grid, candidates=cands)
-        assert counts == {"bin": int(cov.binned), "fit": len(cands)}
+        fractions = (0.15, 0.25, 0.4)
+        cov = estimate_covariance(raw, grid, FpcaConfig(cov_bandwidth_fractions=fractions))
+        assert counts == {"bin": int(cov.binned), "fit": len(fractions)}
         assert cov.binned == (bin_threshold < n)
-        fixed = estimate_covariance(raw, grid, cov.bandwidth)
+        fixed = estimate_covariance(raw, grid, FpcaConfig(cov_bandwidth=cov.bandwidth))
         assert np.array_equal(cov.surface, fixed.surface)
 
     def test_loso_selects_on_unbinned_pairs(self, grid, monkeypatch):
@@ -278,9 +280,10 @@ class TestEstimateCovariance:
         raw = handmade_raw(rng.uniform(0, 10, 300), rng.uniform(0, 10, 300), rng.normal(size=300))
         raw = RawCovariances(**{**raw.__dict__, "subject": np.repeat(np.arange(30), 10)})
         monkeypatch.setattr(sparseflr.fpca, "BIN_THRESHOLD", 100)
-        cov = estimate_covariance(raw, grid, candidates=[2.0, 4.0], objective="loso-cv")
+        config = FpcaConfig(cov_bandwidth_fractions=(0.2, 0.4), bandwidth_objective="loso-cv")
+        cov = estimate_covariance(raw, grid, config)
         assert cov.binned and cov.bandwidth in (2.0, 4.0)
-        fixed = estimate_covariance(raw, grid, cov.bandwidth)
+        fixed = estimate_covariance(raw, grid, FpcaConfig(cov_bandwidth=cov.bandwidth))
         assert np.array_equal(cov.surface, fixed.surface)
 
 
@@ -589,7 +592,7 @@ class TestSelectNcomp:
         ):
             max_m = min(10, model.eigenvalues.size)
             want = self.full_batch_aic(model, sample, max_m)
-            n, info = select_ncomp(sample, model, max_components=10)
+            n, info = select_ncomp(sample, model, FpcaConfig(max_components=10))
             assert np.array_equal(sparseflr.fpca._aic_curve(model, sample, max_m), want)
             assert info["criterion"] == [float(v) for v in want]
             assert n == int(np.argmin(want)) + 1
@@ -630,7 +633,7 @@ class TestSelectNcomp:
             v = truth_x_model.mean_at(t) + rng.normal(scale=0.6, size=4)
             subjects.append(SubjectRecord(f"s{i}", t, v))
         sample = SparseFunctionalSample(domain, tuple(subjects))
-        n, info = select_ncomp(sample, truth_x_model, max_components=2)
+        n, info = select_ncomp(sample, truth_x_model, FpcaConfig(max_components=2))
         expected = self.hand_aic(truth_x_model, sample, 2)
         assert np.allclose(info["criterion"], expected, rtol=1e-8)
         assert n == int(np.argmin(expected)) + 1

@@ -34,6 +34,12 @@ class TestSimConfig:
         with pytest.raises(DataError):
             SimConfig(max_failure_rate=1.0)
 
+    @pytest.mark.parametrize("n_new", [0, -1])
+    def test_no_new_subjects_rejected(self, n_new):
+        # 0 once gave a report of NaN medians, -1 a bare numpy ValueError
+        with pytest.raises(DataError, match="n_new"):
+            SimConfig(n_new=n_new)
+
 
 class TestDesign:
     def test_harmonics_orthonormal_under_fine_quadrature(self, design):

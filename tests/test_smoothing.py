@@ -816,6 +816,24 @@ class TestBandwidthSelection:
                 x, np.zeros(12), [2.0], np.linspace(0, 10, 5), objective="loso-cv"
             )
 
+    @pytest.mark.parametrize("objective", ["gcv", "loso-cv"])
+    @pytest.mark.parametrize("n_index", [20, 80])
+    def test_subject_index_must_match_the_scatter(self, objective, n_index):
+        # 40 points: a longer index was once read silently and a shorter one
+        # raised a bare IndexError
+        rng = np.random.default_rng(12)
+        x1, x2 = rng.uniform(0, 10, 40), rng.uniform(0, 10, 40)
+        grid = np.linspace(0, 10, 11)
+        idx = np.arange(n_index) % 10
+        with pytest.raises(ValueError, match="subject_index"):
+            select_bandwidth_1d(
+                x1, x2, [2.0], grid, objective=objective, subject_index=idx
+            )
+        with pytest.raises(ValueError, match="subject_index"):
+            select_bandwidth_2d(
+                x1, x2, x1, [(2.0, 2.0)], grid, grid, objective=objective, subject_index=idx
+            )
+
     def test_loso_runs_with_subjects(self):
         x = np.sort(RNG.uniform(0, 10, 40))
         y = x + RNG.normal(scale=0.1, size=40)
