@@ -7,145 +7,17 @@ predict individual response trajectories with pointwise confidence bands,
 even when each subject contributes only a handful of observations.
 """
 
-from .data import (
-    Interval,
-    PooledPoints,
-    RegularGrid,
-    SampleSummary,
-    SparseFunctionalSample,
-    SubjectRecord,
-    load_sample,
-    pooled_points,
-    save_sample,
-    summarize,
-)
-from .errors import DataError, FitError, ParseError, SchemaError
-from .flr import (
-    CrossCovarianceEstimate,
-    FlrConfig,
-    FlrModel,
-    R2Summary,
-    TrajectoryPrediction,
-    estimate_cross_covariance,
-    fit_flr,
-    predict_from_scores,
-    predict_response,
-    predict_subject,
-    prediction_band,
-    r2_global,
-    r2_integrated,
-    r2_pointwise,
-    trajectory_from_scores,
-)
-from .fpca import (
-    CovarianceEstimate,
-    EigenSystem,
-    FpcaConfig,
-    FpcaModel,
-    MeanEstimate,
-    ScoreBatch,
-    ScorePrediction,
-    eigendecompose,
-    estimate_covariance,
-    estimate_mean,
-    estimate_noise_variance,
-    fit_fpca,
-    pace_scores,
-    pace_scores_batch,
-    raw_covariances,
-)
-from .serialize import load_model, model_document, save_model
-from .simulation import (
-    McReport,
-    RunResult,
-    SimConfig,
-    SimDesign,
-    TruthRecord,
-    gen_pair,
-    in_scores,
-    rmspe,
-    run_monte_carlo,
-    save_run_results,
-)
-from .smoothing import (
-    BandwidthSelection,
-    Kernel,
-    SmoothFlags,
-    get_kernel,
-    local_diag_rotated,
-    local_linear_1d,
-    local_linear_2d,
-    select_bandwidth_1d,
-    select_bandwidth_2d,
-)
+from . import data, errors, flr, fpca, serialize, simulation, smoothing
+from .data import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .flr import *  # noqa: F403
+from .fpca import *  # noqa: F403
+from .serialize import *  # noqa: F403
+from .simulation import *  # noqa: F403
+from .smoothing import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BandwidthSelection",
-    "CovarianceEstimate",
-    "CrossCovarianceEstimate",
-    "DataError",
-    "EigenSystem",
-    "FitError",
-    "FlrConfig",
-    "FlrModel",
-    "FpcaConfig",
-    "FpcaModel",
-    "Interval",
-    "Kernel",
-    "McReport",
-    "MeanEstimate",
-    "ParseError",
-    "PooledPoints",
-    "R2Summary",
-    "RegularGrid",
-    "RunResult",
-    "SampleSummary",
-    "SchemaError",
-    "ScoreBatch",
-    "ScorePrediction",
-    "SimConfig",
-    "SimDesign",
-    "SmoothFlags",
-    "SparseFunctionalSample",
-    "SubjectRecord",
-    "TrajectoryPrediction",
-    "TruthRecord",
-    "eigendecompose",
-    "estimate_covariance",
-    "estimate_cross_covariance",
-    "estimate_mean",
-    "estimate_noise_variance",
-    "fit_flr",
-    "fit_fpca",
-    "gen_pair",
-    "get_kernel",
-    "in_scores",
-    "load_model",
-    "load_sample",
-    "local_diag_rotated",
-    "local_linear_1d",
-    "local_linear_2d",
-    "model_document",
-    "pace_scores",
-    "pace_scores_batch",
-    "pooled_points",
-    "predict_from_scores",
-    "predict_response",
-    "predict_subject",
-    "prediction_band",
-    "r2_global",
-    "r2_integrated",
-    "r2_pointwise",
-    "raw_covariances",
-    "rmspe",
-    "run_monte_carlo",
-    "save_model",
-    "save_run_results",
-    "save_sample",
-    "select_bandwidth_1d",
-    "select_bandwidth_2d",
-    "summarize",
-    "trajectory_from_scores",
-]
+# Each public name is declared once, in its module's __all__.
+_MODULES = (data, errors, flr, fpca, serialize, simulation, smoothing)
+__all__ = sorted(name for module in _MODULES for name in module.__all__)

@@ -1,7 +1,8 @@
 """Command-line interface: fit, predict, simulate, report.
 
-The argparse parser is the one declaration of every flag: each flag's
-``type=`` validates it, and a command reads the parsed namespace. Every
+The argparse parser is the one declaration of every flag, and a command
+reads the parsed namespace. A flag's default, choices and range check are
+those of the library type or constant that owns the setting. Every
 command writes that namespace, its full effective configuration (defaults
 included) keyed by flag destination, with the package version into
 ``run_manifest.json`` in the output directory, so a result can be
@@ -15,9 +16,7 @@ included), 3 unusable input data, 4 numerical failure during fitting.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import math
 import os
 import re
 import sys
@@ -25,12 +24,35 @@ from importlib.metadata import PackageNotFoundError, version as _pkg_version
 
 import numpy as np
 
-from .data import Interval, SubjectRecord, load_sample, save_sample, summarize
+from .data import (
+    DEFAULT_COLUMNS,
+    Interval,
+    SubjectRecord,
+    _write_csv,
+    load_sample,
+    save_sample,
+    summarize,
+)
 from .errors import DataError, FitError
-from .flr import FlrConfig, fit_flr, prediction_band, trajectory_from_scores
+from .flr import (
+    BAND_LEVEL,
+    FlrConfig,
+    _band_quantile,
+    fit_flr,
+    prediction_band,
+    trajectory_from_scores,
+)
 from .fpca import FpcaConfig, pace_scores_batch
 from .serialize import load_model, save_model
-from .simulation import SimConfig, gen_pair, run_monte_carlo, save_run_results
+from .simulation import (
+    SCORE_DISTS,
+    SPARSITIES,
+    SimConfig,
+    gen_pair,
+    run_monte_carlo,
+    save_run_results,
+)
+from .smoothing import BANDWIDTH_OBJECTIVES, KERNEL_NAMES
 
 try:
     _VERSION = _pkg_version("sparseflr")
@@ -42,43 +64,15 @@ DATA_ERROR = 3
 NUMERICAL_ERROR = 4
 
 
-# The fit flags' defaults are the library's.
-_FIT_DEFAULTS = FpcaConfig()
-
-
 def _write_json(path: str, obj) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=1)
         fh.write("\n")
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
-
 def _write_columns(path: str, header: list[str], *columns) -> None:
     """A CSV whose rows run along equal-length columns of floats."""
     _write_csv(path, header, zip(*(map(float, c) for c in columns)))
-
-
-def _checked(convert, ok, requirement: str):
-    """An argparse ``type=``: the flag's text through ``convert``, rejected
-    with the message "<text> ``requirement``" unless ``ok`` holds for it."""
-
-    def parse(text: str):
-        try:
-            value = convert(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from None
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"{text!r} {requirement}")
-        return value
-
-    return parse
 
 
 def _names(spec: str) -> tuple[str, ...]:
@@ -89,19 +83,11 @@ def _floats(spec: str) -> tuple[float, ...]:
     return tuple(float(v) for v in spec.split(","))
 
 
-_columns = _checked(
-    _names, lambda c: len(c) == 3 and all(c), "is not three comma-separated column names"
-)
-_positive = _checked(float, lambda v: 0.0 < v < math.inf, "is not finite and positive")
-_positives = _checked(
-    _floats, lambda vs: all(0.0 < v < math.inf for v in vs), "has a value not finite and positive"
-)
-_probability = _checked(float, lambda v: 0.0 < v < 1.0, "is not in (0, 1)")
-_rate = _checked(float, lambda v: 0.0 <= v < 1.0, "is not in [0, 1)")
-
-
-def _int_at_least(lo: int):
-    return _checked(int, lambda v: v >= lo, f"is less than {lo}")
+def _columns(spec: str) -> tuple[str, ...]:
+    names = _names(spec)
+    if len(names) != 3 or not all(names):
+        raise argparse.ArgumentTypeError(f"{spec!r} is not three comma-separated column names")
+    return names
 
 
 def _flr_config(args: argparse.Namespace, length_x: float) -> FlrConfig:
@@ -231,17 +217,16 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    domain = (0.0, 10.0)
+    lo, hi = SimConfig().domain
     sim = SimConfig(
         n_subjects=args.n_subjects,
         n_new=args.n_new,
         sparsity=args.sparsity,
         score_dist=args.score_dist,
         seed=args.seed,
-        domain=domain,
         n_runs=args.n_runs,
         max_failure_rate=args.max_failure_rate,
-        fit=_flr_config(args, domain[1] - domain[0]),
+        fit=_flr_config(args, hi - lo),
     )
     if args.emit_data:
         rng = np.random.default_rng(args.seed)  # matches run 0's stream
@@ -274,7 +259,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             os.path.join(args.out_dir, f"scree_{name}.csv"),
             ["component", "eigenvalue", "variance_fraction"],
             (
-                [i + 1, float(ev), float(fraction)]
+                [i + 1, ev, fraction]
                 for i, (ev, fraction) in enumerate(zip(marginal.eigenvalues, fractions))
             ),
         )
@@ -298,39 +283,46 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_setting(p: argparse.ArgumentParser, flag: str, owner, name: str, convert=float, **kw):
+    """Add ``flag`` for the argument ``name`` of ``owner``, a config or a
+    function. Its text goes through ``convert``, then ``owner(name=value)``,
+    whose DataError is a usage error. Unless given, the default is the
+    config field's."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            owner(**{name: value})
+        except DataError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from None
+        return value
+
+    if "default" not in kw:
+        kw["default"] = getattr(owner(), name)
+    p.add_argument(flag, type=parse, **kw)
+
+
 def _add_fit_controls(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--grid-points",
-        type=_int_at_least(2),
-        default=_FIT_DEFAULTS.n_grid,
-        help="evaluation grid size",
-    )
-    p.add_argument(
-        "--kernel",
-        choices=["epanechnikov", "quartic"],
-        default=_FIT_DEFAULTS.kernel,
-        help="smoothing kernel",
+    _add_setting(p, "--grid-points", FpcaConfig, "n_grid", int, help="evaluation grid size")
+    _add_setting(
+        p, "--kernel", FpcaConfig, "kernel", str, choices=KERNEL_NAMES, help="smoothing kernel"
     )
     group = p.add_mutually_exclusive_group()
-    group.add_argument(
-        "--bandwidth", type=_positive, default=None, help="fixed bandwidth for all smoothers"
+    _add_setting(
+        group, "--bandwidth", FpcaConfig, "cov_bandwidth", help="fixed bandwidth for all smoothers"
     )
-    group.add_argument(
-        "--bandwidth-grid",
-        type=_positives,
-        default=None,
+    _add_setting(
+        group, "--bandwidth-grid", FpcaConfig, "cov_bandwidth_fractions", _floats, default=None,
         help="comma-separated candidate bandwidths (predictor-axis units)",
     )
-    p.add_argument(
-        "--bandwidth-objective",
-        choices=["gcv", "loso-cv"],
-        default=_FIT_DEFAULTS.bandwidth_objective,
-        help="bandwidth selection objective",
+    _add_setting(
+        p, "--bandwidth-objective", FpcaConfig, "bandwidth_objective", str,
+        choices=BANDWIDTH_OBJECTIVES, help="bandwidth selection objective",
     )
-    p.add_argument("--ncomp", type=_int_at_least(1), default=None, help="fixed component count")
-    p.add_argument(
-        "--max-components", type=_int_at_least(1), default=_FIT_DEFAULTS.max_components
-    )
+    _add_setting(p, "--ncomp", FlrConfig, "ncomp_x", int, help="fixed component count")
+    _add_setting(p, "--max-components", FpcaConfig, "max_components", int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {_VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
-    columns = {"type": _columns, "default": ("subject_id", "time", "value")}
+    columns = {"type": _columns, "default": DEFAULT_COLUMNS}
 
     p_fit = sub.add_parser("fit", help="fit a regression from two long CSVs")
     p_fit.add_argument("--x", dest="x_path", required=True, help="predictor observations CSV")
@@ -365,23 +357,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated subject ids (default: all ids in the CSV); "
         "ids without data get the mean-curve fallback",
     )
-    p_pred.add_argument("--level", type=_probability, default=0.95, help="band level in (0,1)")
+    _add_setting(p_pred, "--level", _band_quantile, "level", default=BAND_LEVEL, help="band level")
     p_pred.add_argument("--out", dest="out_dir", required=True)
 
     p_sim = sub.add_parser("simulate", help="run the seeded Monte Carlo comparison")
-    p_sim.add_argument("--sparsity", choices=["sparse", "dense"], default="sparse")
-    p_sim.add_argument("--score-dist", choices=["normal", "mixture"], default="normal")
-    p_sim.add_argument("--runs", dest="n_runs", type=_int_at_least(1), default=100)
-    p_sim.add_argument(
-        "--n", dest="n_subjects", type=_int_at_least(2), default=100,
+    _add_setting(p_sim, "--sparsity", SimConfig, "sparsity", str, choices=SPARSITIES)
+    _add_setting(p_sim, "--score-dist", SimConfig, "score_dist", str, choices=SCORE_DISTS)
+    _add_setting(p_sim, "--runs", SimConfig, "n_runs", int, dest="n_runs")
+    _add_setting(
+        p_sim, "--n", SimConfig, "n_subjects", int, dest="n_subjects",
         help="training subjects per run",
     )
-    p_sim.add_argument(
-        "--new", dest="n_new", type=_int_at_least(1), default=100,
-        help="evaluation subjects per run",
+    _add_setting(
+        p_sim, "--new", SimConfig, "n_new", int, dest="n_new", help="evaluation subjects per run"
     )
-    p_sim.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_sim.add_argument("--max-failure-rate", type=_rate, default=0.2)
+    _add_setting(p_sim, "--seed", SimConfig, "seed", int)
+    _add_setting(p_sim, "--max-failure-rate", SimConfig, "max_failure_rate")
     p_sim.add_argument(
         "--emit-data",
         action="store_true",

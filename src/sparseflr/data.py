@@ -20,9 +20,10 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataError, ParseError, SchemaError
+from .errors import DataError, ParseError, SchemaError, _require_int
 
 __all__ = [
+    "DEFAULT_COLUMNS",
     "Interval",
     "RegularGrid",
     "SubjectRecord",
@@ -70,8 +71,7 @@ class RegularGrid:
     n_points: int
 
     def __post_init__(self):
-        if self.n_points < 2:
-            raise DataError(f"grid needs at least 2 points, got {self.n_points}")
+        _require_int(self, "n_points", 2)
 
     @property
     def spacing(self) -> float:
@@ -326,9 +326,19 @@ def save_sample(
     times and values bit for bit. Zero-observation subjects leave no rows;
     their ids are not representable in long format.
     """
+    rows = (
+        [s.subject_id, t, v]
+        for s in sample.subjects
+        for t, v in zip(s.times.tolist(), s.values.tolist())
+    )
+    _write_csv(path, list(columns), rows)
+
+
+def _write_csv(path: str, header: list[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows as CSV; a float (NumPy's included) is written
+    as Python's shortest repr, which reads back bit for bit."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(columns))
-        for s in sample.subjects:
-            for t, v in zip(s.times, s.values):
-                writer.writerow([s.subject_id, repr(float(t)), repr(float(v))])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([float.__repr__(v) if isinstance(v, float) else v for v in row])

@@ -7,6 +7,10 @@ stage. The CLI maps them to distinct exit codes.
 
 from __future__ import annotations
 
+import numbers
+
+__all__ = ["DataError", "SchemaError", "ParseError", "FitError"]
+
 
 class DataError(ValueError):
     """Input data is unusable: schema, parsing, or domain problems."""
@@ -34,3 +38,12 @@ class FitError(RuntimeError):
     def __init__(self, stage: str, message: str):
         self.stage = stage
         super().__init__(f"[{stage}] {message}")
+
+
+def _require_int(obj, name: str, lo: int) -> None:
+    """Store ``obj.<name>`` as a Python int, raising DataError unless it is an
+    integer (NumPy's included, bool excluded) of at least ``lo``."""
+    value = getattr(obj, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
+        raise DataError(f"{name} must be an integer >= {lo}, got {value!r}")
+    object.__setattr__(obj, name, int(value))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import RegularGrid, SparseFunctionalSample, SubjectRecord, pooled_points
-from .errors import DataError, FitError
+from .errors import DataError, FitError, _require_int
 from .fpca import (
     FpcaConfig,
     FpcaModel,
@@ -53,12 +53,17 @@ __all__ = [
     "predict_response",
     "predict_from_scores",
     "trajectory_from_scores",
+    "BAND_LEVEL",
     "prediction_band",
+    "predict_subject",
     "r2_global",
     "r2_pointwise",
     "r2_integrated",
     "fit_flr",
 ]
+
+# The default confidence level of prediction bands.
+BAND_LEVEL = 0.95
 
 # Pointwise R^2 is undefined where the response variance expansion is this
 # small or smaller.
@@ -81,9 +86,8 @@ class FlrConfig:
 
     def __post_init__(self):
         for name in ("ncomp_x", "ncomp_y"):
-            ncomp = getattr(self, name)
-            if ncomp is not None and ncomp < 1:
-                raise DataError(f"{name} must be >= 1, got {ncomp}")
+            if getattr(self, name) is not None:
+                _require_int(self, name, 1)
 
 
 @dataclass(frozen=True)
@@ -413,7 +417,10 @@ def _horner(x: float, coef: tuple[float, ...]) -> float:
 
 @functools.lru_cache(maxsize=64)
 def _band_quantile(level: float) -> float:
-    """The standard normal quantile at p = (1 + level) / 2, p in [1/2, 1]."""
+    """The standard normal quantile at p = (1 + level) / 2 of a band at
+    ``level`` in (0, 1); DataError outside that range."""
+    if not 0.0 < level < 1.0:
+        raise DataError(f"level must be in (0, 1), got {level}")
     p = 0.5 * (1.0 + level)
     if p == 1.0:
         return math.inf
@@ -428,15 +435,13 @@ def _band_quantile(level: float) -> float:
 
 
 def prediction_band(
-    prediction: TrajectoryPrediction, level: float = 0.95
+    prediction: TrajectoryPrediction, level: float = BAND_LEVEL
 ) -> TrajectoryPrediction:
     """Attach symmetric Gaussian-quantile bands at the given level.
 
     The quantile is a port of Cephes ``ndtri`` (Moshier 1989), which
     ``tests/test_flr.py`` checks against ``scipy.special.ndtri`` bit for bit.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
     z = _band_quantile(level)
     half = z * np.sqrt(prediction.variance)
     return replace(
@@ -448,7 +453,7 @@ def prediction_band(
 
 
 def predict_subject(
-    model: FlrModel, subject: SubjectRecord, level: float | None = 0.95
+    model: FlrModel, subject: SubjectRecord, level: float | None = BAND_LEVEL
 ) -> TrajectoryPrediction:
     """Convenience wrapper: predict from a SubjectRecord, bands optional."""
     pred = predict_response(model, subject.times, subject.values)

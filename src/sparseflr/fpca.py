@@ -35,8 +35,10 @@ from .data import (
     SubjectRecord,
     pooled_points,
 )
-from .errors import DataError, FitError
+from .errors import DataError, FitError, _require_int
 from .smoothing import (
+    BANDWIDTH_OBJECTIVES,
+    KERNEL_NAMES,
     SmoothFlags,
     bin_scatter_2d,
     get_kernel,
@@ -68,10 +70,6 @@ __all__ = [
     "fit_fpca",
 ]
 
-# Default bandwidth candidates, expressed as fractions of the domain length.
-MEAN_BANDWIDTH_FRACTIONS = (0.05, 0.075, 0.11, 0.16, 0.24, 0.35)
-COV_BANDWIDTH_FRACTIONS = (0.08, 0.12, 0.18, 0.27, 0.40)
-
 # Pair scatters larger than this are pre-aggregated onto the grid nodes
 # before surface smoothing.
 BIN_THRESHOLD = 20000
@@ -98,23 +96,21 @@ class FpcaConfig:
     kernel: str = "epanechnikov"
     mean_bandwidth: float | None = None
     cov_bandwidth: float | None = None
-    mean_bandwidth_fractions: tuple[float, ...] = MEAN_BANDWIDTH_FRACTIONS
-    cov_bandwidth_fractions: tuple[float, ...] = COV_BANDWIDTH_FRACTIONS
+    mean_bandwidth_fractions: tuple[float, ...] = (0.05, 0.075, 0.11, 0.16, 0.24, 0.35)
+    cov_bandwidth_fractions: tuple[float, ...] = (0.08, 0.12, 0.18, 0.27, 0.40)
     bandwidth_objective: str = "gcv"
     max_components: int = 10
 
     def __post_init__(self):
-        if self.n_grid < 2:
-            raise DataError(f"n_grid must be >= 2, got {self.n_grid}")
-        if self.max_components < 1:
-            raise DataError(f"max_components must be >= 1, got {self.max_components}")
-        if self.bandwidth_objective not in ("gcv", "loso-cv"):
+        _require_int(self, "n_grid", 2)
+        _require_int(self, "max_components", 1)
+        if self.bandwidth_objective not in BANDWIDTH_OBJECTIVES:
             raise DataError(
-                f"bandwidth_objective must be 'gcv' or 'loso-cv', got {self.bandwidth_objective!r}"
+                f"bandwidth_objective must be one of {BANDWIDTH_OBJECTIVES}, "
+                f"got {self.bandwidth_objective!r}"
             )
-        if not isinstance(self.kernel, str):
-            raise DataError(f"kernel must be a kernel name, got {self.kernel!r}")
-        get_kernel(self.kernel)
+        if self.kernel not in KERNEL_NAMES:
+            raise DataError(f"kernel must be one of {KERNEL_NAMES}, got {self.kernel!r}")
         for name in ("mean_bandwidth", "cov_bandwidth"):
             b = getattr(self, name)
             if b is not None and not _finite_positive(b):

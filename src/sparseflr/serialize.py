@@ -3,8 +3,11 @@
 One codec serves every section: a dataclass becomes an object with one key
 per field, in declaration order, with arrays as nested lists and tuples as
 lists; a ``RegularGrid`` is written flat as ``{lo, hi, n_points}``. Reading
-goes by each field's type hint. A missing key takes the field's default,
-and a key the dataclass does not declare is rejected.
+goes by each field's type hint and checks each value's JSON type rather than
+converting it: an ``int`` field takes a JSON integer, a ``float`` field any
+JSON number, a ``bool`` field a JSON bool (never a number), a ``str`` field a
+JSON string, and an array only numbers. A missing key takes the field's
+default, and a key the dataclass does not declare is rejected.
 
 Floats serialize through Python's shortest-repr encoding, so a document
 written and re-read reproduces every array bit for bit. Documents carry a
@@ -65,23 +68,34 @@ def _section(cls: type, doc, names) -> dict:
     return doc
 
 
-def _decode(hint, doc):
-    """The value of type ``hint`` that ``_encode`` wrote as ``doc``."""
+def _decode(hint, doc, name: str = "document"):
+    """The value of type ``hint`` that ``_encode`` wrote as ``doc``, the
+    entry ``name``; TypeError when its JSON type is not the one written."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):  # X | None
-        return None if doc is None else _decode(args[0], doc)
+        return None if doc is None else _decode(args[0], doc, name)
     if hint is RegularGrid:
         doc = _section(hint, doc, ("lo", "hi", "n_points"))
-        return RegularGrid(Interval(float(doc["lo"]), float(doc["hi"])), int(doc["n_points"]))
+        lo, hi = (_decode(float, doc[k], k) for k in ("lo", "hi"))
+        return RegularGrid(Interval(lo, hi), _decode(int, doc["n_points"], "n_points"))
     if is_dataclass(hint):
         hints = typing.get_type_hints(hint)
         doc = _section(hint, doc, [f.name for f in fields(hint)])
-        return hint(**{k: _decode(hints[k], v) for k, v in doc.items()})
+        return hint(**{k: _decode(hints[k], v, k) for k, v in doc.items()})
     if hint is np.ndarray:
-        return np.asarray(doc, dtype=float)
+        array = np.asarray(doc)
+        if array.dtype.kind not in "fi":
+            raise TypeError(f"{name} is not an array of numbers")
+        return np.asarray(array, dtype=float)
     if origin in (tuple, list):  # homogeneous: tuple[float, ...], list[str]
-        return origin(_decode(args[0], v) for v in doc)
-    return (origin or hint)(doc)
+        if not isinstance(doc, list):
+            raise TypeError(f"{name} is {doc!r}, not a JSON array")
+        return origin(_decode(args[0], v, name) for v in doc)
+    # A bool is no number, and an integer is also a float.
+    accepted = (int, float) if hint is float else hint
+    if isinstance(doc, bool) != (hint is bool) or not isinstance(doc, accepted):
+        raise TypeError(f"{name} is {doc!r}, not a JSON {hint.__name__}")
+    return float(doc) if hint is float else doc
 
 
 def _check_shapes(model: FlrModel) -> None:
@@ -149,8 +163,9 @@ def load_model(path: str) -> FlrModel:
     """Read a model document back into a fitted-model object.
 
     Raises DataError on a missing/unknown schema version or a structurally
-    broken document: a missing required key, an unknown key, or arrays
-    whose shapes disagree with the grids and component counts.
+    broken document: a missing required key, an unknown key, a value of the
+    wrong JSON type, or arrays whose shapes disagree with the grids and
+    component counts.
     """
     with open(path) as fh:
         try:

@@ -15,19 +15,20 @@ squared error over the true conditional mean's squared norm.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Interval, RegularGrid, SparseFunctionalSample, SubjectRecord
-from .errors import DataError, FitError
+from .data import Interval, RegularGrid, SparseFunctionalSample, SubjectRecord, _write_csv
+from .errors import DataError, FitError, _require_int
 from .flr import FlrConfig, FlrModel, fit_flr, predict_from_scores, predict_response
 from .fpca import FpcaModel
 
 __all__ = [
+    "SPARSITIES",
+    "SCORE_DISTS",
     "SimConfig",
     "SimDesign",
     "TruthRecord",
@@ -39,6 +40,9 @@ __all__ = [
     "run_monte_carlo",
     "save_run_results",
 ]
+
+SPARSITIES = ("sparse", "dense")
+SCORE_DISTS = ("normal", "mixture")
 
 
 @dataclass(frozen=True)
@@ -64,18 +68,14 @@ class SimConfig:
     fit: FlrConfig = field(default_factory=FlrConfig)
 
     def __post_init__(self):
-        if self.sparsity not in ("sparse", "dense"):
-            raise DataError(f"sparsity must be 'sparse' or 'dense', got {self.sparsity!r}")
-        if self.score_dist not in ("normal", "mixture"):
-            raise DataError(
-                f"score_dist must be 'normal' or 'mixture', got {self.score_dist!r}"
-            )
-        if self.n_subjects < 2:
-            raise DataError("n_subjects must be at least 2")
-        if self.n_new < 1:
-            raise DataError("n_new must be at least 1")
-        if self.n_runs < 1:
-            raise DataError("n_runs must be at least 1")
+        if self.sparsity not in SPARSITIES:
+            raise DataError(f"sparsity must be one of {SPARSITIES}, got {self.sparsity!r}")
+        if self.score_dist not in SCORE_DISTS:
+            raise DataError(f"score_dist must be one of {SCORE_DISTS}, got {self.score_dist!r}")
+        _require_int(self, "n_subjects", 2)
+        _require_int(self, "n_new", 1)
+        _require_int(self, "n_runs", 1)
+        _require_int(self, "seed", 0)
         if not 0.0 <= self.max_failure_rate < 1.0:
             raise DataError("max_failure_rate must be in [0, 1)")
         if self.noise_var_x < 0 or self.noise_var_y < 0:
@@ -106,7 +106,7 @@ class SimDesign:
     rho = np.array([2.0, 1.0])
     b_matrix = np.array([[2.0, 2.0], [1.0, 2.0]])
 
-    def __init__(self, domain: Interval = Interval(0.0, 10.0)):
+    def __init__(self, domain: Interval = Interval(*SimConfig.domain)):
         self.domain = domain
         self._scale = math.sqrt(2.0 / domain.length)
         nodes, weights = _gauss_legendre()
@@ -392,9 +392,9 @@ def run_monte_carlo(config: SimConfig, n_runs: int | None = None) -> McReport:
 
 def save_run_results(report: McReport, path: str) -> None:
     """Write one CSV row per (run, method) with the run's relative error."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run", "method", "rmspe", "failed", "error"])
-        for r in report.runs:
-            writer.writerow([r.run, "ce", repr(r.rmspe_ce), int(r.failed), r.error])
-            writer.writerow([r.run, "in", repr(r.rmspe_in), int(r.failed), r.error])
+    rows = (
+        [r.run, method, value, int(r.failed), r.error]
+        for r in report.runs
+        for method, value in (("ce", r.rmspe_ce), ("in", r.rmspe_in))
+    )
+    _write_csv(path, ["run", "method", "rmspe", "failed", "error"], rows)

@@ -52,7 +52,9 @@ __all__ = [
     "Kernel",
     "EPANECHNIKOV",
     "QUARTIC",
+    "KERNEL_NAMES",
     "get_kernel",
+    "BANDWIDTH_OBJECTIVES",
     "SmoothFlags",
     "BandwidthSelection",
     "local_linear_1d",
@@ -132,6 +134,10 @@ EPANECHNIKOV = Kernel("epanechnikov", (0.75, -0.75))
 QUARTIC = Kernel("quartic", (0.9375, -1.875, 0.9375))
 
 _KERNELS = {k.name: k for k in (EPANECHNIKOV, QUARTIC)}
+KERNEL_NAMES = tuple(_KERNELS)
+
+# The bandwidth search objectives ``_search`` implements.
+BANDWIDTH_OBJECTIVES = ("gcv", "loso-cv")
 
 
 def get_kernel(kernel: Kernel | str) -> Kernel:
@@ -141,7 +147,7 @@ def get_kernel(kernel: Kernel | str) -> Kernel:
     try:
         return _KERNELS[kernel]
     except KeyError:
-        raise DataError(f"unknown kernel {kernel!r}; choose from {sorted(_KERNELS)}") from None
+        raise DataError(f"unknown kernel {kernel!r}; choose from {KERNEL_NAMES}") from None
 
 
 @dataclass

@@ -257,6 +257,17 @@ class TestPredict:
         assert "surprise" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["predict", "report"])
+    def test_wrongly_typed_value_is_data_error(self, fit_dir, data_dir, tmp_path, command):
+        doc = json.loads((fit_dir / "model.json").read_text())
+        doc["cross"]["binned"] = "no"
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        extra = ["--x", str(data_dir / "x.csv")] if command == "predict" else []
+        args = [command, "--model", str(bad), *extra, "--out", str(tmp_path / "o")]
+        assert main(args) == 3
+
+
 class TestSimulate:
     def test_reruns_byte_identical(self, tmp_path):
         args = ["simulate", "--runs", "2", "--n", "30", "--new", "10", "--seed", "5"]

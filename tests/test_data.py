@@ -60,6 +60,15 @@ class TestRegularGrid:
         with pytest.raises(DataError):
             RegularGrid(Interval(0.0, 1.0), 1)
 
+    @pytest.mark.parametrize("n_points", [11.0, 11.5, True, "11"])
+    def test_needs_an_integer(self, n_points):
+        with pytest.raises(DataError, match="n_points"):
+            RegularGrid(Interval(0.0, 1.0), n_points)
+
+    def test_numpy_integer_is_stored_as_int(self):
+        g = RegularGrid(Interval(0.0, 1.0), np.int64(11))
+        assert type(g.n_points) is int and g.n_points == 11
+
     def test_trapezoid_weights_sum_to_length(self):
         g = RegularGrid(Interval(2.0, 7.0), 13)
         assert abs(g.trapezoid_weights.sum() - 5.0) < 1e-12

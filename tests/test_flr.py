@@ -604,6 +604,13 @@ class TestFlrConfig:
         {"marginal": {"mean_bandwidth_fractions": ()}},
         {"marginal": {"mean_bandwidth_fractions": (float("nan"),)}},
         {"marginal": {"mean_bandwidth_fractions": (-0.2, 0.3)}},
+        # integer settings take integers, not floats or bools
+        {"marginal": {"n_grid": 51.5}},
+        {"marginal": {"n_grid": 51.0}},
+        {"marginal": {"max_components": 2.5}},
+        {"marginal": {"max_components": True}},
+        {"ncomp_x": 1.5},
+        {"ncomp_y": "2"},
     ])
     def test_invalid_settings_raise_on_construction(self, settings):
         settings = dict(settings)

@@ -92,6 +92,43 @@ class TestLoadErrors:
         with pytest.raises(DataError, match="surprise"):
             load_model(self.write(tmp_path, json.dumps(doc)))
 
+    @pytest.mark.parametrize("entry, value", [
+        ("cross.binned", "no"),
+        ("cross.binned", 0),
+        ("cross.n_pairs", "12"),
+        ("cross.n_pairs", 12.0),
+        ("cross.n_pairs", True),
+        ("cross.bandwidths", "1.2"),
+        ("config.marginal.max_components", "10"),
+        ("config.marginal.n_grid", 51.0),
+        ("config.ncomp_x", 2.0),
+        ("x.noise_var", "0.3"),
+        ("x.noise_var", False),
+        ("x.selection", []),
+        ("x.grid.n_points", 51.0),
+        ("x.grid.lo", "0"),
+        ("flags.notes", [1]),
+    ])
+    def test_value_of_the_wrong_json_type_is_rejected(self, fitted, tmp_path, entry, value):
+        # each once loaded by conversion: "no" as True, "12" as 12, 51.0 as 51
+        *path, key = entry.split(".")
+        doc = model_document(fitted)
+        section_of(doc, path)[key] = value
+        with pytest.raises(DataError, match=key):
+            load_model(self.write(tmp_path, json.dumps(doc)))
+
+    def test_array_of_strings_is_rejected(self, fitted, tmp_path):
+        doc = model_document(fitted)
+        doc["x"]["eigenvalues"] = [repr(v) for v in doc["x"]["eigenvalues"]]
+        with pytest.raises(DataError, match="eigenvalues"):
+            load_model(self.write(tmp_path, json.dumps(doc)))
+
+    def test_integer_in_a_float_field_loads_as_float(self, fitted, tmp_path):
+        doc = model_document(fitted)
+        doc["x"]["noise_var"] = 0
+        noise_var = load_model(self.write(tmp_path, json.dumps(doc))).x.noise_var
+        assert type(noise_var) is float and noise_var == 0.0
+
     def test_unknown_marginal_config_key_is_rejected(self, fitted, tmp_path):
         doc = model_document(fitted)
         doc["config"]["marginal"]["surprise"] = 1

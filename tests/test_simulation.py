@@ -40,6 +40,23 @@ class TestSimConfig:
         with pytest.raises(DataError, match="n_new"):
             SimConfig(n_new=n_new)
 
+    @pytest.mark.parametrize("setting", [
+        {"n_subjects": 20.5},
+        {"n_subjects": 20.0},
+        {"n_new": True},
+        {"n_runs": 1.5},
+        # a negative seed once reached numpy's bare ValueError in run_monte_carlo
+        {"seed": -1},
+        {"seed": 0.5},
+    ])
+    def test_integer_settings_take_integers(self, setting):
+        with pytest.raises(DataError, match=next(iter(setting))):
+            SimConfig(**setting)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        config = SimConfig(n_subjects=np.int64(20), seed=np.int32(3))
+        assert type(config.n_subjects) is int and type(config.seed) is int
+
 
 class TestDesign:
     def test_harmonics_orthonormal_under_fine_quadrature(self, design):
