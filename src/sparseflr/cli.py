@@ -16,11 +16,11 @@ included), 3 unusable input data, 4 numerical failure during fitting.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
 import sys
-from importlib.metadata import PackageNotFoundError, version as _pkg_version
 
 import numpy as np
 
@@ -54,14 +54,35 @@ from .simulation import (
 )
 from .smoothing import BANDWIDTH_OBJECTIVES, KERNEL_NAMES
 
-try:
-    _VERSION = _pkg_version("sparseflr")
-except PackageNotFoundError:  # running from a source tree
-    _VERSION = "0.0.0+src"
-
 USAGE_ERROR = 2
 DATA_ERROR = 3
 NUMERICAL_ERROR = 4
+
+
+@functools.cache
+def _version() -> str:
+    """The installed package version, looked up on first use: importing
+    ``importlib.metadata`` costs more than the rest of ``import
+    sparseflr.cli``."""
+    from importlib.metadata import PackageNotFoundError, version
+
+    try:
+        return version("sparseflr")
+    except PackageNotFoundError:  # running from a source tree
+        return "0.0.0+src"
+
+
+class _VersionAction(argparse.Action):
+    """``--version``, printing the package version, which it looks up only
+    when given."""
+
+    def __init__(self, option_strings, dest=argparse.SUPPRESS,
+                 help="show program's version number and exit"):
+        super().__init__(option_strings, dest, nargs=0, default=argparse.SUPPRESS, help=help)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"{parser.prog} {_version()}")
+        parser.exit()
 
 
 def _write_json(path: str, obj) -> None:
@@ -332,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sparseflr",
         description="Functional linear regression for sparse longitudinal data",
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {_VERSION}")
+    parser.add_argument("--version", action=_VersionAction)
     sub = parser.add_subparsers(dest="command", required=True)
     columns = {"type": _columns, "default": DEFAULT_COLUMNS}
 
@@ -404,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         os.makedirs(args.out_dir, exist_ok=True)
         code = _COMMANDS[args.command](args)
-        manifest = {**vars(args), "package_version": _VERSION}
+        manifest = {**vars(args), "package_version": _version()}
         _write_json(os.path.join(args.out_dir, "run_manifest.json"), manifest)
         return code
     except DataError as exc:

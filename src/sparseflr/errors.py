@@ -47,3 +47,17 @@ def _require_int(obj, name: str, lo: int) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
         raise DataError(f"{name} must be an integer >= {lo}, got {value!r}")
     object.__setattr__(obj, name, int(value))
+
+
+def _require_real(obj, name: str, sequence: bool = False) -> None:
+    """Store ``obj.<name>`` as a Python float, raising DataError unless it is
+    a real number (NumPy's included, bool excluded); with ``sequence``, a
+    tuple or list of them, stored as a tuple of floats."""
+    value = getattr(obj, name)
+    items = value if sequence else (value,)
+    if (sequence and not isinstance(value, (tuple, list))) or any(
+        isinstance(v, bool) or not isinstance(v, numbers.Real) for v in items
+    ):
+        what = "a tuple of real numbers" if sequence else "a real number"
+        raise DataError(f"{name} must be {what}, got {value!r}")
+    object.__setattr__(obj, name, tuple(map(float, items)) if sequence else float(value))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -168,10 +168,13 @@ class FlrModel:
     def grid_t(self) -> RegularGrid:
         return self.y.grid
 
-    @property
+    @functools.cached_property
     def coefficients(self) -> np.ndarray:
-        """Score-to-score regression weights sigma_km / rho_m, shape (K, M)."""
-        return self.sigma_km / self.x.eigenvalues[: self.sigma_km.shape[1]][None, :]
+        """Score-to-score regression weights sigma_km / rho_m, shape (K, M);
+        formed once per model, read-only."""
+        p = self.sigma_km / self.x.eigenvalues[: self.sigma_km.shape[1]][None, :]
+        p.flags.writeable = False
+        return p
 
 
 def _cross_raw_pairs(
@@ -373,7 +376,7 @@ def trajectory_from_scores(
     p = model.coefficients
     values_hat = model.y.mean + (p @ scores) @ phi
     v = p @ omega @ p.T
-    variance = np.maximum(np.einsum("kt,kl,lt->t", phi, v, phi), 0.0)
+    variance = np.maximum(((v @ phi) * phi).sum(0), 0.0)
     return TrajectoryPrediction(
         grid=model.grid_t,
         values=values_hat,
@@ -443,12 +446,16 @@ def prediction_band(
     ``tests/test_flr.py`` checks against ``scipy.special.ndtri`` bit for bit.
     """
     z = _band_quantile(level)
+    values = prediction.values
     half = z * np.sqrt(prediction.variance)
-    return replace(
-        prediction,
+    return TrajectoryPrediction(
+        grid=prediction.grid,
+        values=values,
+        variance=prediction.variance,
+        score_info=prediction.score_info,
         level=level,
-        lower=prediction.values - half,
-        upper=prediction.values + half,
+        lower=values - half,
+        upper=values + half,
     )
 
 

@@ -21,6 +21,7 @@ formed in two places: ``estimate_mean`` for the mean curve and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -35,11 +36,12 @@ from .data import (
     SubjectRecord,
     pooled_points,
 )
-from .errors import DataError, FitError, _require_int
+from .errors import DataError, FitError, _require_int, _require_real
 from .smoothing import (
     BANDWIDTH_OBJECTIVES,
     KERNEL_NAMES,
     SmoothFlags,
+    _interp_slopes,
     bin_scatter_2d,
     get_kernel,
     interp_linear,
@@ -77,6 +79,18 @@ BIN_THRESHOLD = 20000
 # Eigenvalues at or below this fraction of the largest are dropped.
 EIGEN_FLOOR = 1e-10
 
+# Sigma_U is not tested for a ridge, and is solved once for the scores and
+# omega, where the noise variance exceeds this fraction of a bound on its
+# trace and there are at most _RIDGE_FREE_MAX_OBS observations; see
+# ``_score_group`` and ``FpcaModel._ridge_free_obs``.
+_RIDGE_FREE_NOISE = 1e-9
+_RIDGE_FREE_MAX_OBS = 1000
+
+# Omega less this fraction of its trace on the diagonal has a Cholesky factor
+# only where none of its eigenvalues can round below zero; see
+# ``_score_group``.
+_CLIP_MARGIN = 1e-9
+
 # Sign convention: eigenfunctions integrate to a nonnegative value; when the
 # integral is essentially zero the largest-magnitude grid value is positive.
 _SIGN_INTEGRAL_TOL = 1e-8
@@ -112,10 +126,14 @@ class FpcaConfig:
         if self.kernel not in KERNEL_NAMES:
             raise DataError(f"kernel must be one of {KERNEL_NAMES}, got {self.kernel!r}")
         for name in ("mean_bandwidth", "cov_bandwidth"):
-            b = getattr(self, name)
-            if b is not None and not _finite_positive(b):
-                raise DataError(f"{name} must be None or finite and > 0, got {b!r}")
+            if getattr(self, name) is not None:
+                _require_real(self, name)
+                if not _finite_positive(getattr(self, name)):
+                    raise DataError(
+                        f"{name} must be None or finite and > 0, got {getattr(self, name)!r}"
+                    )
         for name in ("mean_bandwidth_fractions", "cov_bandwidth_fractions"):
+            _require_real(self, name, sequence=True)
             fractions = getattr(self, name)
             if not fractions or not all(_finite_positive(f) for f in fractions):
                 raise DataError(
@@ -241,8 +259,46 @@ class FpcaModel:
 
     def eigenfunctions_at(self, t: np.ndarray, n: int | None = None) -> np.ndarray:
         n = self.n_components if n is None else n
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return interp_linear(self.grid.points, self.eigenfunctions[:n], t)
+        return self._curves_at(np.atleast_1d(np.asarray(t, dtype=float)), n)[1:]
+
+    @functools.cached_property
+    def _curve_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The mean and the eigenfunctions stacked in rows, with their
+        slopes between grid nodes; formed once per model, read-only."""
+        curves = np.vstack([self.mean, self.eigenfunctions])
+        slopes = _interp_slopes(self.grid.points, curves)
+        curves.flags.writeable = slopes.flags.writeable = False
+        return curves, slopes
+
+    def _curves_at(self, t: np.ndarray, n: int) -> np.ndarray:
+        """The mean (row 0) and the first ``n`` eigenfunctions (rows 1..n)
+        at the float array ``t``, in one stacked interpolation; for finite
+        times each row equals ``np.interp`` of its curve bit for bit, as
+        ``mean_at`` is."""
+        curves, slopes = self._curve_table
+        return interp_linear(self.grid.points, curves[: n + 1], t, slopes[: n + 1])
+
+    @functools.cached_property
+    def _ridge_free_obs(self) -> int:
+        """The observation count up to which ``_score_group`` skips the
+        ridge test: there the noise variance exceeds ``_RIDGE_FREE_NOISE``
+        of Sigma_U's trace, whatever the times.
+
+        Linear interpolation keeps each |psi_k(t)| within its largest grid
+        magnitude, so with nonnegative eigenvalues a diagonal entry of
+        Sigma_U is at most sum_k rho_k max psi_k^2 + noise, and the trace of
+        L observations at most L times that; the factor 1 + 1e-6 covers the
+        rounding of these sums. At most ``_RIDGE_FREE_MAX_OBS``, which keeps
+        the eigensolver's rounding, of order L * eps, far below 1e-9; 0
+        where an eigenvalue is negative or the noise variance is not
+        positive and finite.
+        """
+        rho, noise = self.eigenvalues, self.noise_var
+        peak = float(rho @ np.square(self.eigenfunctions).max(axis=1))
+        if not (0.0 < noise < math.inf and rho.min() >= 0.0 and math.isfinite(peak)):
+            return 0
+        bound = noise / (_RIDGE_FREE_NOISE * (1.0 + 1e-6) * (peak + noise))
+        return int(min(bound, _RIDGE_FREE_MAX_OBS))
 
     @property
     def eigensystem(self) -> EigenSystem:
@@ -492,6 +548,14 @@ def _check_ncomp(model: FpcaModel, n_components: int | None) -> int:
     return m
 
 
+@functools.lru_cache(maxsize=64)
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, formed once per size, read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _score_group(
     model: FpcaModel, psi: np.ndarray, resid: np.ndarray, with_omega: bool = True
 ) -> tuple:
@@ -499,39 +563,76 @@ def _score_group(
 
     ``psi`` (G, m, L) holds eigenfunction values in C order, which makes
     each stacked product round exactly as it would for one subject alone;
-    ``resid`` (G, L) holds observations minus the mean. Returns (h, sigma_u,
-    scores, omega, ridged, omega_clipped); with ``with_omega`` False the
+    ``resid`` (G, L) holds observations minus the mean. One subject may also
+    come unstacked, as ``psi`` (m, L) and ``resid`` (L,), which spares the
+    stacking: every array returned then drops its leading axis and equals
+    the subject's row of a stack bit for bit. Returns (h, sigma_u, scores,
+    omega, ridged, omega_clipped); with ``with_omega`` False the
     conditional covariance is not computed and its two entries are None.
+
     Sigma_U is ridged only where an LU solve would be unstable, when its
     smallest eigenvalue magnitude falls to 1e-12 of the largest
     (near-duplicate times with a zero noise estimate, for example): 1e-8 *
-    max(trace, largest magnitude) / L is added to its diagonal. Omega's
-    negative eigenvalues, left by rounding, are clipped to zero.
+    max(trace, largest magnitude) / L is added to its diagonal. The test
+    takes an eigensolve, which is skipped for L up to
+    ``FpcaModel._ridge_free_obs``: there the noise variance exceeds 1e-9 of
+    Sigma_U's trace, and the test cannot ridge. With every eigenvalue in D
+    nonnegative, Psi^T D Psi is positive semi-definite, so Sigma_U's
+    computed smallest eigenvalue is at least the noise variance less a
+    rounding error of order L * eps * trace, its largest at most the trace,
+    and their ratio stays far above 1e-12.
+
+    Such a well-conditioned Sigma_U is solved once, against [U - mu | H^T],
+    which serves both the scores H Sigma_U^-1 (U - mu) and omega = D - H
+    Sigma_U^-1 H^T. Every other group (a zero noise estimate, say) is
+    tested and solved as before, U - mu apart from H^T, since a condition
+    number up to 1e12 would magnify the joint solve's different rounding.
+    Either way the AIC path, which skips omega, gets the same scores bit
+    for bit.
+
+    Omega's negative eigenvalues, left by rounding, are clipped to zero.
+    An eigensolve decides the clip only where omega less 1e-9 of its trace
+    on the diagonal has no Cholesky factor. A factor shows omega's smallest
+    eigenvalue to be at least 1e-9 of its trace less a rounding error of
+    order m^2 * eps * trace, and so far above the rounding of ``eigh``,
+    whose smallest eigenvalue would not be negative either.
     """
-    n_obs = psi.shape[2]
-    rho = model.eigenvalues[: psi.shape[1]]
+    *stack, m, n_obs = psi.shape
+    rho = model.eigenvalues[:m]
     h = rho[:, None] * psi
-    eye = np.eye(n_obs)
-    sigma = psi.transpose(0, 2, 1) @ h + model.noise_var * eye
-    sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
-    lam = np.abs(np.linalg.eigvalsh(sigma))
-    amax, amin = lam.max(axis=1), lam.min(axis=1)
-    ridged = ~((amax > 0.0) & (amin > 1e-12 * amax))
-    if ridged.any():
-        trace = np.trace(sigma[ridged], axis1=1, axis2=2)
-        floor = np.maximum(np.maximum(trace, amax[ridged]), np.finfo(float).tiny)
-        sigma[ridged] += (1e-8 * floor / n_obs)[:, None, None] * eye
-    scores = (h @ np.linalg.solve(sigma, resid[:, :, None]))[:, :, 0]
+    eye = _identity(n_obs)
+    sigma = psi.swapaxes(-1, -2) @ h + model.noise_var * eye
+    sigma = 0.5 * (sigma + sigma.swapaxes(-1, -2))
+    if n_obs <= model._ridge_free_obs:
+        ridged = np.zeros(stack, dtype=bool)
+        rhs = np.concatenate((resid[..., None], h.swapaxes(-1, -2)), axis=-1)
+        hs = h @ np.linalg.solve(sigma, rhs)
+        scores, cross = hs[..., 0], hs[..., 1:]
+    else:
+        lam = np.abs(np.linalg.eigvalsh(sigma))
+        amax, amin = lam.max(axis=-1), lam.min(axis=-1)
+        ridged = ~((amax > 0.0) & (amin > 1e-12 * amax))
+        if ridged.any():
+            trace = np.trace(sigma[ridged], axis1=-2, axis2=-1)
+            floor = np.maximum(np.maximum(trace, amax[ridged]), np.finfo(float).tiny)
+            sigma[ridged] += (1e-8 * floor / n_obs)[:, None, None] * eye
+        scores = (h @ np.linalg.solve(sigma, resid[..., None]))[..., 0]
+        cross = h @ np.linalg.solve(sigma, h.swapaxes(-1, -2)) if with_omega else None
     if not with_omega:
         return h, sigma, scores, None, ridged, None
-    omega = np.diag(rho) - h @ np.linalg.solve(sigma, h.transpose(0, 2, 1))
-    omega = 0.5 * (omega + omega.transpose(0, 2, 1))
-    lam, vec = np.linalg.eigh(omega)
-    clipped = ~(lam[:, 0] >= 0)
-    if clipped.any():
-        v = vec[clipped]
-        c = (v * np.maximum(lam[clipped], 0.0)[:, None, :]) @ v.transpose(0, 2, 1)
-        omega[clipped] = 0.5 * (c + c.transpose(0, 2, 1))
+    omega = rho * _identity(m) - cross
+    omega = 0.5 * (omega + omega.swapaxes(-1, -2))
+    clipped = np.zeros(stack, dtype=bool)
+    try:
+        shift = _CLIP_MARGIN * np.trace(omega, axis1=-2, axis2=-1)
+        np.linalg.cholesky(omega - shift[..., None, None] * _identity(m))
+    except np.linalg.LinAlgError:
+        lam, vec = np.linalg.eigh(omega)
+        clipped = ~(lam[..., 0] >= 0)
+        if clipped.any():
+            v = vec[clipped]
+            c = (v * np.maximum(lam[clipped], 0.0)[:, None, :]) @ v.swapaxes(-1, -2)
+            omega[clipped] = 0.5 * (c + c.swapaxes(-1, -2))
     return h, sigma, scores, omega, ridged, clipped
 
 
@@ -570,8 +671,8 @@ def _pooled_scores(
     (m, N) eigenfunction values there); with ``with_omega`` False omega and
     omega_clipped are not computed and are None."""
     n = counts.size
-    resid_all = values - model.mean_at(times)
-    psi_all = model.eigenfunctions_at(times, m)
+    curves = model._curves_at(times, m)
+    resid_all, psi_all = values - curves[0], curves[1:]
     starts = np.cumsum(counts) - counts
     scores = np.zeros((n, m))
     ridged = np.zeros(n, dtype=bool)
@@ -607,7 +708,16 @@ def pace_scores(
     destabilize both the scores and the component-count selection.
     ``omega`` is the matching conditional covariance D - H Sigma_U^-1 H^T,
     projected onto the PSD cone if rounding pushed it off. The subject is
-    scored as a batch of one by the core of ``pace_scores_batch``.
+    scored by the core of ``pace_scores_batch``, unstacked, and equals its
+    row of a batch bit for bit.
+
+    Sigma_U is ridged where it is numerically singular. Where the noise
+    variance exceeds 1e-9 of Sigma_U's trace that test is decided without
+    an eigensolve: with nonnegative eigenvalues Sigma_U's smallest
+    eigenvalue is then at least the noise variance, far above the 1e-12 of
+    the largest that would ridge it, so the decision is the one the
+    eigensolve would make. There one LU solve serves both the scores and
+    omega.
 
     Subjects with zero observations fall back to zero scores with
     omega = diag(eigenvalues).
@@ -625,13 +735,9 @@ def pace_scores(
             omega=np.diag(model.eigenvalues[:m]),
             no_data=True,
         )
-    psi = model.eigenfunctions_at(t, m)[None]
-    h, sigma, scores, omega, ridged, clipped = _score_group(
-        model, psi, (u - model.mean_at(t))[None]
-    )
-    return ScorePrediction(
-        scores[0], sigma[0], h[0], omega[0], bool(ridged[0]), bool(clipped[0])
-    )
+    curves = model._curves_at(t, m)
+    h, sigma, scores, omega, ridged, clipped = _score_group(model, curves[1:], u - curves[0])
+    return ScorePrediction(scores, sigma, h, omega, bool(ridged), bool(clipped))
 
 
 def _aic_curve(

@@ -68,6 +68,21 @@ def _section(cls: type, doc, names) -> dict:
     return doc
 
 
+def _holds_bool(doc, array: np.ndarray) -> bool:
+    """Whether the nested JSON array ``doc`` holds a bool; ``array`` is
+    ``np.asarray(doc)``, where a bool beside numbers became 0 or 1, so only
+    the entries equal to 0 or 1 are looked up."""
+    if array.ndim == 0:
+        return False
+    for index in zip(*np.nonzero((array == 0) | (array == 1))):
+        item = doc
+        for i in index:
+            item = item[i]
+        if type(item) is bool:
+            return True
+    return False
+
+
 def _decode(hint, doc, name: str = "document"):
     """The value of type ``hint`` that ``_encode`` wrote as ``doc``, the
     entry ``name``; TypeError when its JSON type is not the one written."""
@@ -84,7 +99,7 @@ def _decode(hint, doc, name: str = "document"):
         return hint(**{k: _decode(hints[k], v, k) for k, v in doc.items()})
     if hint is np.ndarray:
         array = np.asarray(doc)
-        if array.dtype.kind not in "fi":
+        if array.dtype.kind not in "fi" or _holds_bool(doc, array):
             raise TypeError(f"{name} is not an array of numbers")
         return np.asarray(array, dtype=float)
     if origin in (tuple, list):  # homogeneous: tuple[float, ...], list[str]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Interval, RegularGrid, SparseFunctionalSample, SubjectRecord, _write_csv
-from .errors import DataError, FitError, _require_int
+from .errors import DataError, FitError, _require_int, _require_real
 from .flr import FlrConfig, FlrModel, fit_flr, predict_from_scores, predict_response
 from .fpca import FpcaModel
 
@@ -76,10 +76,15 @@ class SimConfig:
         _require_int(self, "n_new", 1)
         _require_int(self, "n_runs", 1)
         _require_int(self, "seed", 0)
+        for name in ("noise_var_x", "noise_var_y", "max_failure_rate"):
+            _require_real(self, name)
+        _require_real(self, "domain", sequence=True)
         if not 0.0 <= self.max_failure_rate < 1.0:
             raise DataError("max_failure_rate must be in [0, 1)")
         if self.noise_var_x < 0 or self.noise_var_y < 0:
             raise DataError("noise variances must be nonnegative")
+        if len(self.domain) != 2:
+            raise DataError(f"domain must be a pair (lo, hi), got {self.domain!r}")
         Interval(*self.domain)
 
 

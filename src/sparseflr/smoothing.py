@@ -757,14 +757,28 @@ def bin_scatter_2d(
     return g1[ii], g2[jj], wzsum[occ] / wsum[occ], wsum[occ]
 
 
-def interp_linear(grid_points: np.ndarray, values: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _interp_slopes(grid_points: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Node-to-node slopes of curves stacked in rows, as ``interp_linear``
+    forms them."""
+    xp = np.asarray(grid_points, dtype=float)
+    return (values[..., 1:] - values[..., :-1]) / (xp[1:] - xp[:-1])
+
+
+def interp_linear(
+    grid_points: np.ndarray,
+    values: np.ndarray,
+    t: np.ndarray,
+    slopes: np.ndarray | None = None,
+) -> np.ndarray:
     """Piecewise-linear interpolation, clamped at the grid ends.
 
     ``values`` is one curve (G,) or curves stacked in rows (m, G), returning
     (m,) + t.shape in C order. Rows share one interval search and are
     computed as ``np.interp`` computes one curve, so for finite times each
     row equals ``np.interp`` of it bit for bit: the node value on a node and
-    beyond either end, else slope * (t - left node) + left value.
+    beyond either end, else slope * (t - left node) + left value. Stacked
+    curves interpolated often may pass their ``_interp_slopes`` as
+    ``slopes``, which are then not formed again.
     """
     t = np.asarray(t, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -775,7 +789,8 @@ def interp_linear(grid_points: np.ndarray, values: np.ndarray, t: np.ndarray) ->
     k = xp.searchsorted(tc, "right") - 1
     d = tc - xp[k]
     node = values.take(k, axis=-1)
-    slopes = (values[..., 1:] - values[..., :-1]) / (xp[1:] - xp[:-1])
+    if slopes is None:
+        slopes = _interp_slopes(xp, values)
     out = slopes.take(np.minimum(k, xp.size - 2), axis=-1) * d + node
     np.copyto(out, node, where=d == 0)
     return out

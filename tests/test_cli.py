@@ -259,13 +259,17 @@ class TestPredict:
 
     @pytest.mark.parametrize("command", ["predict", "report"])
     def test_wrongly_typed_value_is_data_error(self, fit_dir, data_dir, tmp_path, command):
-        doc = json.loads((fit_dir / "model.json").read_text())
-        doc["cross"]["binned"] = "no"
-        bad = tmp_path / "model.json"
-        bad.write_text(json.dumps(doc))
         extra = ["--x", str(data_dir / "x.csv")] if command == "predict" else []
-        args = [command, "--model", str(bad), *extra, "--out", str(tmp_path / "o")]
-        assert main(args) == 3
+        args = [command, "--model", str(tmp_path / "model.json"), *extra, "--out", str(tmp_path / "o")]
+        for section, key, edit in (
+            ("cross", "binned", lambda value: "no"),
+            # a bool among numbers
+            ("x", "eigenvalues", lambda values: [True] + values[1:]),
+        ):
+            doc = json.loads((fit_dir / "model.json").read_text())
+            doc[section][key] = edit(doc[section][key])
+            (tmp_path / "model.json").write_text(json.dumps(doc))
+            assert main(args) == 3
 
 
 class TestSimulate:
@@ -380,6 +384,17 @@ class TestTopLevel:
         # scipy.stats costs about half a second of start-up on every command
         src = os.path.dirname(os.path.dirname(sparseflr.__file__))
         code = "import sys, sparseflr, sparseflr.cli; print('scipy.stats' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.strip() == "False"
+
+    def test_import_loads_no_package_metadata(self):
+        # importlib.metadata and the version lookup took 23-29 ms of every
+        # CLI start-up; the version is looked up when first needed
+        src = os.path.dirname(os.path.dirname(sparseflr.__file__))
+        code = "import sys, sparseflr.cli; print('importlib.metadata' in sys.modules)"
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True

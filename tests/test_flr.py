@@ -611,8 +611,20 @@ class TestFlrConfig:
         {"marginal": {"max_components": True}},
         {"ncomp_x": 1.5},
         {"ncomp_y": "2"},
+        # float settings take real numbers, not bools or strings
+        {"marginal": {"cov_bandwidth": True}},
+        {"marginal": {"mean_bandwidth": "1"}},
+        {"marginal": {"cov_bandwidth_fractions": (0.1, True)}},
+        {"marginal": {"mean_bandwidth_fractions": ("0.1",)}},
+        {"marginal": {"cov_bandwidth_fractions": 0.1}},
     ])
     def test_invalid_settings_raise_on_construction(self, settings):
         settings = dict(settings)
         with pytest.raises(DataError):
             FlrConfig(FpcaConfig(**settings.pop("marginal", {})), **settings)
+
+    def test_real_settings_are_stored_as_float(self):
+        config = FpcaConfig(cov_bandwidth=np.float32(2.0), mean_bandwidth_fractions=[1, 0.5])
+        assert type(config.cov_bandwidth) is float and config.cov_bandwidth == 2.0
+        assert config.mean_bandwidth_fractions == (1.0, 0.5)
+        assert all(type(f) is float for f in config.mean_bandwidth_fractions)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparseflr import (
@@ -16,13 +16,16 @@ from sparseflr import (
     FpcaModel,
     Interval,
     RegularGrid,
+    SimConfig,
     SparseFunctionalSample,
     SubjectRecord,
     eigendecompose,
     estimate_covariance,
     estimate_mean,
     estimate_noise_variance,
+    fit_flr,
     fit_fpca,
+    gen_pair,
     pace_scores,
     pace_scores_batch,
 )
@@ -531,6 +534,129 @@ class TestPaceScoresBatch:
     def test_component_count_validated(self, truth_x_model):
         with pytest.raises(ValueError):
             pace_scores_batch(truth_x_model, [], 3)
+
+
+def previous_score_group(model, psi, resid):
+    """The scoring kernel as it was before it learned to skip eigensolves
+    and to solve once, kept as the reference: an eigenvalue ridge test,
+    separate solves for the scores and omega, and ``eigh`` on every omega.
+    ``psi`` (G, m, L) and ``resid`` (G, L); returns (scores, omega, ridged,
+    omega_clipped)."""
+    n_obs = psi.shape[2]
+    rho = model.eigenvalues[: psi.shape[1]]
+    h = rho[:, None] * psi
+    eye = np.eye(n_obs)
+    sigma = psi.transpose(0, 2, 1) @ h + model.noise_var * eye
+    sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
+    lam = np.abs(np.linalg.eigvalsh(sigma))
+    amax, amin = lam.max(axis=1), lam.min(axis=1)
+    ridged = ~((amax > 0.0) & (amin > 1e-12 * amax))
+    if ridged.any():
+        trace = np.trace(sigma[ridged], axis1=1, axis2=2)
+        floor = np.maximum(np.maximum(trace, amax[ridged]), np.finfo(float).tiny)
+        sigma[ridged] += (1e-8 * floor / n_obs)[:, None, None] * eye
+    scores = (h @ np.linalg.solve(sigma, resid[:, :, None]))[:, :, 0]
+    omega = np.diag(rho) - h @ np.linalg.solve(sigma, h.transpose(0, 2, 1))
+    omega = 0.5 * (omega + omega.transpose(0, 2, 1))
+    lam, vec = np.linalg.eigh(omega)
+    clipped = ~(lam[:, 0] >= 0)
+    if clipped.any():
+        v = vec[clipped]
+        c = (v * np.maximum(lam[clipped], 0.0)[:, None, :]) @ v.transpose(0, 2, 1)
+        omega[clipped] = 0.5 * (c + c.transpose(0, 2, 1))
+    return scores, omega, ridged, clipped
+
+
+def assert_kernel_matches_previous(model, subjects, m):
+    """Each observation-count group of ``subjects``, stacked as
+    ``pace_scores_batch`` stacks it, scored by ``_score_group`` and by the
+    previous kernel: equal ridge and clip flags, the ridged subjects' scores
+    and omega bit for bit, every other subject's within 1e-12 of its
+    largest magnitude."""
+    for n_obs in sorted({s.n_obs for s in subjects} - {0}):
+        group = [s for s in subjects if s.n_obs == n_obs]
+        times = np.array([s.times for s in group])
+        psi = np.ascontiguousarray(model.eigenfunctions_at(times, m).transpose(1, 0, 2))
+        resid = np.array([s.values for s in group]) - model.mean_at(times)
+        _, _, scores, omega, ridged, clipped = sparseflr.fpca._score_group(model, psi, resid)
+        want_scores, want_omega, want_ridged, want_clipped = previous_score_group(
+            model, psi, resid
+        )
+        assert np.array_equal(ridged, want_ridged)
+        assert np.array_equal(clipped, want_clipped)
+        for got, want in ((scores, want_scores), (omega, want_omega)):
+            assert np.array_equal(got[ridged], want[ridged])
+            err = np.abs(got - want).reshape(len(group), -1).max(axis=1)
+            scale = np.abs(want).reshape(len(group), -1).max(axis=1)
+            assert (err <= 1e-12 * scale).all()
+
+
+class TestScoreKernel:
+    @pytest.mark.parametrize("noise_var", [0.0, 0.25])
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_matches_previous_kernel_on_mixed_cohort(self, grid, noise_var, m):
+        model = six_component_model(grid, noise_var)
+        subjects = mixed_cohort()
+        assert_kernel_matches_previous(model, subjects, m)
+        if noise_var == 0.0 and m == 6:
+            # the cohort has ridged and clipped subjects for both to agree on
+            batch = pace_scores_batch(model, subjects, m)
+            assert batch.ridged.any() and batch.omega_clipped.any()
+
+    # the 15-fit set: sparse n = 100, 400, 2000 and dense n = 100, 400, seeds 0-2
+    @pytest.mark.parametrize("sparsity, n", [
+        ("sparse", 100), ("sparse", 400), ("sparse", 2000), ("dense", 100), ("dense", 400),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_previous_kernel_on_fitted_models(self, sparsity, n, seed):
+        config = SimConfig(n_subjects=n, sparsity=sparsity, seed=seed)
+        x, y, _ = gen_pair(config, np.random.default_rng(seed))
+        fit = fit_flr(x, y)
+        for model, sample in ((fit.x, x), (fit.y, y)):
+            for m in {model.n_components, min(10, model.eigenvalues.size)}:
+                assert_kernel_matches_previous(model, sample.subjects, m)
+
+    @settings(max_examples=200)
+    @given(
+        n_obs=st.integers(1, 30),
+        m=st.integers(1, 10),
+        noise=st.one_of(
+            st.sampled_from([0.0, 1e-14, 1.0]), st.floats(-14.0, 0.0).map(lambda e: 10.0**e)
+        ),
+        duplicates=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ridge_shortcut_never_skips_a_ridge(self, n_obs, m, noise, duplicates, seed):
+        """Where ``_score_group`` skips the eigenvalue test, the test would
+        not ridge; ``noise`` is the noise variance as a fraction of the
+        noise-free trace of Sigma_U."""
+        rng = np.random.default_rng(seed)
+        grid = RegularGrid(Interval(0.0, 10.0), 11)
+        rho = np.sort(rng.uniform(0.0, 2.0, m) * (rng.uniform(size=m) < 0.9))[::-1]
+        funcs = rng.normal(size=(m, grid.n_points))
+        times = rng.uniform(0.0, 10.0, n_obs)
+        if duplicates:
+            times = np.repeat(times[: (n_obs + 1) // 2], 2)[:n_obs]
+        psi = np.array([np.interp(times, grid.points, f) for f in funcs])
+        trace = float(np.einsum("ml,m,ml->", psi, rho, psi))
+        model = FpcaModel(
+            grid=grid, mean=np.zeros(grid.n_points), surface=np.zeros((11, 11)),
+            noise_var=noise * trace, eigenvalues=rho, eigenfunctions=funcs,
+            n_components=m, mean_bandwidth=1.0, cov_bandwidth=1.0,
+        )
+        _, _, want_ridged, _ = previous_score_group(model, psi[None], np.zeros((1, n_obs)))
+        if n_obs <= model._ridge_free_obs:
+            assert not want_ridged[0]
+        got = sparseflr.fpca._score_group(model, psi, np.zeros(n_obs))
+        assert bool(got[4]) == bool(want_ridged[0])
+
+    def test_no_shortcut_past_a_negative_eigenvalue(self, grid):
+        model = dataclasses.replace(
+            six_component_model(grid, 0.25), eigenvalues=np.array([1.0, 0.5, -0.1, 0.1, 0.1, 0.1])
+        )
+        assert model._ridge_free_obs == 0
+        assert six_component_model(grid, 0.25)._ridge_free_obs > 30
+        assert six_component_model(grid, 0.0)._ridge_free_obs == 0
 
 
 class TestEigenfunctionsAt:

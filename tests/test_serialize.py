@@ -108,12 +108,16 @@ class TestLoadErrors:
         ("x.grid.n_points", 51.0),
         ("x.grid.lo", "0"),
         ("flags.notes", [1]),
+        # a bool among numbers, made a number by np.asarray: applied to the
+        # written array so that only its first value changes
+        ("x.eigenvalues", lambda values: [True] + values[1:]),
     ])
     def test_value_of_the_wrong_json_type_is_rejected(self, fitted, tmp_path, entry, value):
         # each once loaded by conversion: "no" as True, "12" as 12, 51.0 as 51
         *path, key = entry.split(".")
         doc = model_document(fitted)
-        section_of(doc, path)[key] = value
+        section = section_of(doc, path)
+        section[key] = value(section[key]) if callable(value) else value
         with pytest.raises(DataError, match=key):
             load_model(self.write(tmp_path, json.dumps(doc)))
 

@@ -57,6 +57,24 @@ class TestSimConfig:
         config = SimConfig(n_subjects=np.int64(20), seed=np.int32(3))
         assert type(config.n_subjects) is int and type(config.seed) is int
 
+    @pytest.mark.parametrize("setting", [
+        {"noise_var_x": True},
+        {"noise_var_y": "0.1"},
+        {"max_failure_rate": "0.1"},
+        {"max_failure_rate": False},
+        {"domain": (0.0, True)},
+        {"domain": ("0", "10")},
+        {"domain": (0.0, 5.0, 10.0)},
+    ])
+    def test_real_settings_take_real_numbers(self, setting):
+        with pytest.raises(DataError, match=next(iter(setting))):
+            SimConfig(**setting)
+
+    def test_real_settings_are_stored_as_float(self):
+        config = SimConfig(noise_var_x=np.float32(0.5), max_failure_rate=0, domain=(0, 10))
+        assert type(config.noise_var_x) is float and type(config.max_failure_rate) is float
+        assert config.domain == (0.0, 10.0) and all(type(v) is float for v in config.domain)
+
 
 class TestDesign:
     def test_harmonics_orthonormal_under_fine_quadrature(self, design):
