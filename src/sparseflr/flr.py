@@ -33,7 +33,9 @@ from .fpca import (
     FpcaModel,
     MeanEstimate,
     ScorePrediction,
+    _PairScatter,
     _pair_indices,
+    _pair_products,
     _run_stage,
     _smooth_pairs,
     fit_fpca,
@@ -182,12 +184,14 @@ def _cross_raw_pairs(
     y_sample: SparseFunctionalSample,
     x_mean: MeanEstimate,
     y_mean: MeanEstimate,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """All (predictor time, response time) residual products over shared ids.
+) -> tuple[_PairScatter, int]:
+    """All (predictor time, response time) residual products over shared
+    ids, with the number of shared ids.
 
     Pairs run subject by subject in predictor roster order, row-major in
     each subject's predictor x response product; the subject index is the
-    predictor roster position.
+    predictor roster position. They are held as indices into the two pooled
+    samples.
     """
     y_index = {s.subject_id: j for j, s in enumerate(y_sample.subjects)}
     match = np.array([y_index.get(s.subject_id, -1) for s in x_sample.subjects], dtype=np.intp)
@@ -202,7 +206,8 @@ def _cross_raw_pairs(
     a, b, subject = _pair_indices(
         np.cumsum(count_x) - count_x, count_x, start_y[match], count_y[match]
     )
-    return px.times[a], py.times[b], rx[a] * ry[b], subject, int(shared.sum())
+    pairs = _PairScatter(px.times, py.times, _pair_products(rx, ry, a, b), subject, a, b)
+    return pairs, int(shared.sum())
 
 
 def estimate_cross_covariance(
@@ -228,15 +233,15 @@ def estimate_cross_covariance(
     the bandwidth search follow ``estimate_covariance``: LOSO-CV scores the
     unbinned pairs, and a GCV search's winning fit is the estimate.
     """
-    s, t, v, subj, n_shared = _cross_raw_pairs(x_sample, y_sample, x_mean, y_mean)
-    if v.size == 0:
+    pairs, n_shared = _cross_raw_pairs(x_sample, y_sample, x_mean, y_mean)
+    if pairs.n_pairs == 0:
         raise FitError(
             "cross", "no subject has observations in both samples; cannot couple them"
         )
-    surface, bandwidths, binned = _smooth_pairs(s, t, v, subj, grid_s, grid_t, config, flags)
+    surface, bandwidths, binned = _smooth_pairs(pairs, grid_s, grid_t, config, flags)
     return CrossCovarianceEstimate(
         grid_s, grid_t, surface, bandwidths,
-        n_pairs=int(v.size), n_shared_subjects=n_shared, binned=binned,
+        n_pairs=pairs.n_pairs, n_shared_subjects=n_shared, binned=binned,
     )
 
 

@@ -11,6 +11,16 @@ are best linear predictors given the subject's noisy observations, which
 stay well defined with as few as one observation per subject. The component
 count is fixed by the caller or chosen by a pseudo-Gaussian AIC.
 
+Raw covariances hold each pair as two indices into the pooled observations,
+built by ``np.repeat`` over the pooled rows. The pair coordinates are formed
+only where a stage reads them: unbinned or LOSO-CV smoothing, and a widened
+window of the diagonal fit. A binned surface gathers each pair's lattice
+index from the nearest nodes of its two observations, and the diagonal fit
+starts from the pairs within reach of the diagonal. Elementwise work over
+the pairs runs in chunks, so a binned fit holds no float array per pair
+beyond the residual products, and every number equals the one the
+materialized pairs give.
+
 ``FpcaConfig`` declares every marginal setting once; a joint fit nests one
 in ``FlrConfig`` and applies it to both variables. Each stage function
 reads its settings from the config it is given and takes only fitted
@@ -40,9 +50,12 @@ from .errors import DataError, FitError, _require_int, _require_real
 from .smoothing import (
     BANDWIDTH_OBJECTIVES,
     KERNEL_NAMES,
+    Kernel,
     SmoothFlags,
+    _bin_lattice,
+    _diag_band_reach,
     _interp_slopes,
-    bin_scatter_2d,
+    _nearest_node,
     get_kernel,
     interp_linear,
     local_diag_rotated,
@@ -155,6 +168,82 @@ class MeanEstimate:
         return interp_linear(self.grid.points, self.values, t)
 
 
+def _chunks(n: int):
+    """Slices of at most ``BIN_THRESHOLD`` covering range(n). Elementwise
+    work over the pairs of a binned scatter runs chunk by chunk, so its
+    temporaries stay the size of an unbinned scatter."""
+    return (slice(k, k + BIN_THRESHOLD) for k in range(0, n, BIN_THRESHOLD))
+
+
+def _pair_products(u: np.ndarray, v: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """u[a] * v[b], formed in chunks."""
+    out = np.empty(a.size)
+    for sl in _chunks(a.size):
+        np.multiply(u.take(a[sl]), v.take(b[sl]), out=out[sl])
+    return out
+
+
+@dataclass(frozen=True)
+class _PairScatter:
+    """A raw pair scatter held as indices: pair k joins observation ``a[k]``
+    at ``times_a`` with observation ``b[k]`` at ``times_b``, carries
+    ``value[k]`` and belongs to subject ``subject[k]``. With ``a`` and ``b``
+    None the times are the pairs' own coordinates.
+
+    The coordinates ``s1`` and ``s2`` are formed on first read; the binned
+    and banded stages read only the indices and the times, chunk by chunk.
+    """
+
+    times_a: np.ndarray
+    times_b: np.ndarray
+    value: np.ndarray
+    subject: np.ndarray
+    a: np.ndarray | None = None
+    b: np.ndarray | None = None
+
+    @property
+    def n_pairs(self) -> int:
+        return int(self.value.size)
+
+    @functools.cached_property
+    def s1(self) -> np.ndarray:
+        return self.times_a if self.a is None else self.times_a[self.a]
+
+    @functools.cached_property
+    def s2(self) -> np.ndarray:
+        return self.times_b if self.b is None else self.times_b[self.b]
+
+    def _ends(self, u: np.ndarray, v: np.ndarray, idx) -> tuple[np.ndarray, np.ndarray]:
+        """``u`` at the first and ``v`` at the second observation of the
+        pairs ``idx``, a slice or an index array."""
+        if self.a is None:
+            return u[idx], v[idx]
+        return u.take(self.a[idx]), v.take(self.b[idx])
+
+    def lattice(self, grid1: np.ndarray, grid2: np.ndarray) -> np.ndarray:
+        """Flat index i * len(grid2) + j of each pair's nearest node, the
+        integers ``bin_scatter_2d`` finds from ``s1`` and ``s2``: the node
+        of each observation is found once and gathered."""
+        i = _nearest_node(self.times_a, grid1) * grid2.size
+        j = _nearest_node(self.times_b, grid2)
+        flat = np.empty(self.n_pairs, dtype=np.intp)
+        for sl in _chunks(self.n_pairs):
+            np.add(*self._ends(i, j, sl), out=flat[sl])
+        return flat
+
+    def near_diagonal(self, reach: float) -> np.ndarray:
+        """Indices, ascending, of the pairs with |s2 - s1| <= ``reach``."""
+        parts = [np.empty(0, dtype=np.intp)]
+        for sl in _chunks(self.n_pairs):
+            t1, t2 = self._ends(self.times_a, self.times_b, sl)
+            parts.append(np.flatnonzero(np.abs(t2 - t1) <= reach) + sl.start)
+        return np.concatenate(parts)
+
+    def take(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(s1, s2, value) of the pairs ``idx``."""
+        return (*self._ends(self.times_a, self.times_b, idx), self.value[idx])
+
+
 @dataclass(frozen=True)
 class RawCovariances:
     """Pairwise residual products, split into off-diagonal and diagonal parts.
@@ -163,6 +252,13 @@ class RawCovariances:
     symmetric in its two coordinates; diagonal entries are squared residuals
     at single observations and carry the noise variance on top of the
     surface.
+
+    ``raw_covariances`` holds the pairs as indices into the pooled
+    observations, and forms ``s1`` and ``s2`` on first read; a binned fit
+    never reads them. The stages below read a hand-built instance the same
+    way, with each pair its own observation: the surface bins each pair at
+    the nearest node of its two observations, and the noise variance fits
+    the diagonal from the pairs near it.
     """
 
     s1: np.ndarray
@@ -175,6 +271,33 @@ class RawCovariances:
     @property
     def n_pairs(self) -> int:
         return int(self.value.size)
+
+    @functools.cached_property
+    def _pairs(self) -> _PairScatter:
+        return _PairScatter(
+            np.asarray(self.s1, dtype=float).ravel(),
+            np.asarray(self.s2, dtype=float).ravel(),
+            np.asarray(self.value, dtype=float).ravel(),
+            np.asarray(self.subject).ravel(),
+        )
+
+    @classmethod
+    def _of_pairs(
+        cls, pairs: _PairScatter, diag_t: np.ndarray, diag_value: np.ndarray
+    ) -> RawCovariances:
+        """Covariances over ``pairs``, with ``s1`` and ``s2`` left unformed."""
+        raw = object.__new__(cls)
+        names = ("_pairs", "value", "subject", "diag_t", "diag_value")
+        for name, v in zip(names, (pairs, pairs.value, pairs.subject, diag_t, diag_value)):
+            object.__setattr__(raw, name, v)
+        return raw
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes never set: ``s1`` and ``s2`` of an
+        # instance built by ``_of_pairs``, formed here on first read.
+        if name in ("s1", "s2") and "_pairs" in self.__dict__:
+            return getattr(self._pairs, name)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -346,25 +469,34 @@ def estimate_mean(
 def _pair_indices(
     starts_a: np.ndarray,
     counts_a: np.ndarray,
-    starts_b: np.ndarray,
-    counts_b: np.ndarray,
-    off_diagonal: bool = False,
+    starts_b: np.ndarray | None = None,
+    counts_b: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pooled indices of every within-subject observation pair.
 
     Subject g pairs the ``counts_a[g]`` points from ``starts_a[g]`` with the
-    ``counts_b[g]`` points from ``starts_b[g]``, row-major, leaving out the
-    diagonal when ``off_diagonal`` (a subject paired with itself). Returns
-    (first indices, second indices, subject of each pair).
+    ``counts_b[g]`` points from ``starts_b[g]``, row-major. With no b side
+    each subject's points pair with each other, leaving out the diagonal.
+    Returns (first indices, second indices, subject of each pair).
+
+    Each row, one first point, is repeated over its columns; the second
+    indices run on from the row's first pair, stepping over the diagonal.
     """
-    cols = counts_b - 1 if off_diagonal else counts_b
-    n_pairs = counts_a * cols
-    subject = np.repeat(np.arange(n_pairs.size, dtype=np.intp), n_pairs)
-    k = np.arange(subject.size) - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
-    row, col = np.divmod(k, cols[subject])
-    if off_diagonal:
-        col += col >= row
-    return starts_a[subject] + row, starts_b[subject] + col, subject
+    self_pairs = starts_b is None
+    if self_pairs:
+        starts_b, counts_b = starts_a, counts_a
+    row_subject = np.repeat(np.arange(counts_a.size, dtype=np.intp), counts_a)
+    row = starts_a[row_subject] + (
+        np.arange(row_subject.size) - np.repeat(np.cumsum(counts_a) - counts_a, counts_a)
+    )
+    cols = counts_b[row_subject] - int(self_pairs)
+    first = np.cumsum(cols) - cols
+    a = np.repeat(row, cols)
+    b = np.arange(a.size)
+    b += np.repeat(starts_b[row_subject] - first, cols)
+    if self_pairs:
+        b += b >= a
+    return a, b, np.repeat(row_subject, cols)
 
 
 def raw_covariances(sample: SparseFunctionalSample, mean: MeanEstimate) -> RawCovariances:
@@ -373,28 +505,22 @@ def raw_covariances(sample: SparseFunctionalSample, mean: MeanEstimate) -> RawCo
     The mean is interpolated to each observation time. Subjects contribute
     L(L-1) ordered off-diagonal pairs (row-major in the subject's L x L
     product matrix, diagonal excluded) and L diagonal entries; subjects with
-    a single observation feed only the diagonal.
+    a single observation feed only the diagonal. The pairs are held as
+    indices into the pooled observations; ``s1`` and ``s2`` are formed on
+    first read.
     """
     pooled = pooled_points(sample)
     resid = pooled.values - mean.at(pooled.times)
     counts = sample.counts
-    starts = np.cumsum(counts) - counts
-    a, b, subject = _pair_indices(starts, counts, starts, counts, off_diagonal=True)
-    return RawCovariances(
-        s1=pooled.times[a],
-        s2=pooled.times[b],
-        value=resid[a] * resid[b],
-        subject=subject,
-        diag_t=pooled.times,
-        diag_value=resid * resid,
+    a, b, subject = _pair_indices(np.cumsum(counts) - counts, counts)
+    pairs = _PairScatter(
+        pooled.times, pooled.times, _pair_products(resid, resid, a, b), subject, a, b
     )
+    return RawCovariances._of_pairs(pairs, pooled.times, resid * resid)
 
 
 def _smooth_pairs(
-    s1: np.ndarray,
-    s2: np.ndarray,
-    value: np.ndarray,
-    subject: np.ndarray,
+    pairs: _PairScatter,
     grid1: RegularGrid,
     grid2: RegularGrid,
     config: FpcaConfig,
@@ -405,35 +531,36 @@ def _smooth_pairs(
 
     A fixed ``config.cov_bandwidth`` b serves both axes as (b, b); otherwise
     each candidate is one of ``config.cov_bandwidth_fractions`` of each
-    axis's domain length."""
+    axis's domain length. The pair coordinates are formed only for an
+    unbinned scatter or a LOSO-CV search."""
     kernel = get_kernel(config.kernel)
-    x1, x2, z, w = s1, s2, value, None
-    binned = value.size > BIN_THRESHOLD
+    g1, g2 = grid1.points, grid2.points
+    binned = pairs.n_pairs > BIN_THRESHOLD
     if binned:
-        x1, x2, z, w = bin_scatter_2d(s1, s2, value, grid1.points, grid2.points)
+        x1, x2, z, w = _bin_lattice(pairs.lattice(g1, g2), pairs.value, g1, g2)
+    else:
+        x1, x2, z, w = pairs.s1, pairs.s2, pairs.value, None
     if config.cov_bandwidth is None:
         loso = config.bandwidth_objective == "loso-cv"
         sel = select_bandwidth_2d(
-            *((s1, s2, value) if loso else (x1, x2, z)),
+            *((pairs.s1, pairs.s2, pairs.value) if loso else (x1, x2, z)),
             [
                 (f * grid1.interval.length, f * grid2.interval.length)
                 for f in config.cov_bandwidth_fractions
             ],
-            grid1.points,
-            grid2.points,
+            g1,
+            g2,
             kernel,
             weights=None if loso else w,
             objective=config.bandwidth_objective,
-            subject_index=subject if loso else None,
+            subject_index=pairs.subject if loso else None,
             flags=flags,
         )
         bandwidths, surface = sel.chosen, sel.fit
     else:
         bandwidths, surface = (config.cov_bandwidth, config.cov_bandwidth), None
     if surface is None:
-        surface = local_linear_2d(
-            x1, x2, z, grid1.points, grid2.points, bandwidths, kernel, weights=w, flags=flags
-        )
+        surface = local_linear_2d(x1, x2, z, g1, g2, bandwidths, kernel, weights=w, flags=flags)
     return surface, (float(bandwidths[0]), float(bandwidths[1])), binned
 
 
@@ -453,12 +580,15 @@ def estimate_covariance(
     ``fit_fpca`` alone. The fitted surface is symmetrized. Scatters larger
     than ``BIN_THRESHOLD`` are pre-aggregated onto the grid nodes; LOSO-CV
     scores the unbinned pairs, since binning pools subjects.
+
+    Each pair's node is gathered from the nearest nodes of its two
+    observations, and nodes are counted and summed by ``bincount`` in pair
+    order: the aggregate is ``bin_scatter_2d``'s of ``s1``, ``s2`` and
+    ``value`` bit for bit, without forming the pair coordinates.
     """
     if raw.n_pairs == 0:
         raise FitError("covariance", "no subject contributes an off-diagonal pair")
-    surface, (bandwidth, _), binned = _smooth_pairs(
-        raw.s1, raw.s2, raw.value, raw.subject, grid, grid, config, flags
-    )
+    surface, (bandwidth, _), binned = _smooth_pairs(raw._pairs, grid, grid, config, flags)
     surface = 0.5 * (surface + surface.T)
     return CovarianceEstimate(grid, surface, bandwidth, binned=binned)
 
@@ -478,6 +608,12 @@ def estimate_noise_variance(
     Their difference is integrated over the middle half of the domain
     (boundary fits are the least reliable) and scaled back to a per-point
     variance. Negative estimates truncate to zero.
+
+    The rotated fit starts from the pairs within ``_diag_band_reach`` of
+    the diagonal in |s2 - s1|, which hold its whole band, kept in pair
+    order; it equals ``local_diag_rotated`` of every pair bit for bit. A
+    target whose window must widen stretches over every pair, and then
+    every pair is fitted.
     """
     kern = get_kernel(config.kernel)
     if raw.diag_t.size == 0:
@@ -493,13 +629,33 @@ def estimate_noise_variance(
     v_hat = local_linear_1d(
         raw.diag_t, raw.diag_value, mid.points, bandwidth, kern, flags=flags
     )
-    g_diag = local_diag_rotated(
-        raw.s1, raw.s2, raw.value, mid.points, bandwidth, kern, flags=flags
-    )
+    g_diag = _rotated_diagonal(raw._pairs, mid.points, bandwidth, kern, flags)
     est = 2.0 / length * mid.integrate(v_hat - g_diag)
     if est < 0 and flags is not None:
         flags.note(f"noise variance truncated to 0 (raw estimate {est:.3e})")
     return max(0.0, float(est))
+
+
+def _rotated_diagonal(
+    pairs: _PairScatter,
+    points: np.ndarray,
+    bandwidth: float,
+    kernel: Kernel,
+    flags: SmoothFlags | None,
+) -> np.ndarray:
+    """``local_diag_rotated`` of every pair, fitted on the pairs near the
+    diagonal unless a window widens."""
+    near = pairs.near_diagonal(_diag_band_reach(bandwidth))
+    if near.size:
+        trial = SmoothFlags()
+        fit = local_diag_rotated(*pairs.take(near), points, bandwidth, kernel, flags=trial)
+        if not trial.widened_windows:
+            if flags is not None:
+                flags.constant_fallbacks += trial.constant_fallbacks
+            return fit
+    return local_diag_rotated(
+        pairs.s1, pairs.s2, pairs.value, points, bandwidth, kernel, flags=flags
+    )
 
 
 def eigendecompose(

@@ -173,16 +173,36 @@ def _as_weights(weights: np.ndarray | None, n: int) -> np.ndarray:
     return w
 
 
+def _pad(centers: np.ndarray | float, half_widths: np.ndarray | float) -> np.ndarray | float:
+    """A few ulps by which the open window (c - h, c + h) is widened so that
+    rounding in ``c - x`` can never leave a point with nonzero kernel weight
+    outside it."""
+    return 4.0 * np.finfo(float).eps * (np.abs(centers) + half_widths)
+
+
 def _support(
     sorted_x: np.ndarray, centers: np.ndarray, half_widths: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bounds [lo, hi) of the points of ``sorted_x`` inside each open window
-    (c - h, c + h), padded by a few ulps so that rounding in ``c - x`` can
-    never leave a point with nonzero kernel weight outside its window."""
-    pad = 4.0 * np.finfo(float).eps * (np.abs(centers) + half_widths)
+    (c - h, c + h), padded by ``_pad``."""
+    pad = _pad(centers, half_widths)
     lo = np.searchsorted(sorted_x, centers - half_widths - pad, side="left")
     hi = np.searchsorted(sorted_x, centers + half_widths + pad, side="right")
     return lo, hi
+
+
+def _stable_argsort(x: np.ndarray) -> np.ndarray:
+    """``np.argsort(x, kind="stable")`` of a finite float array, from the
+    faster unstable sort: the (rank of value, index) keys are all distinct,
+    so one integer sort of them puts each run of equal values back in index
+    order."""
+    order = np.argsort(x)
+    if x.size < 2:
+        return order
+    xs = x[order]
+    order[1:] += np.cumsum(xs[1:] != xs[:-1]) * x.size
+    order.sort()
+    return order % x.size
 
 
 def _block_size(n: int) -> int:
@@ -682,6 +702,12 @@ def local_diag_rotated(
     a local constant.
 
     ``eval_points`` are diagonal locations in original coordinates.
+
+    Only pairs in the band |o| < bandwidth carry weight, and every one of
+    them lies within ``_diag_band_reach(bandwidth)`` of the diagonal in
+    |x2 - x1|. A caller may drop the pairs beyond that reach first, keeping
+    the rest in their order: where no window widens, the fit is the same bit
+    for bit, since the band is then the same pairs in the same order.
     """
     x1 = np.asarray(x1, dtype=float).ravel()
     x2 = np.asarray(x2, dtype=float).ravel()
@@ -702,7 +728,7 @@ def local_diag_rotated(
     # diagonal, each target's window is one contiguous slice of the band.
     ko = kernel(oo / bandwidth)
     band = np.flatnonzero((ko > 0) & (w > 0))
-    band = band[np.argsort(dd[band], kind="stable")]
+    band = band[_stable_argsort(dd[band])]
     bd, bk, bw, bz = dd[band], ko[band], w[band], z[band]
     bo2 = oo[band] * oo[band]
     lo, hi = _support(bd, targets, np.full(s.size, float(bandwidth)))
@@ -724,6 +750,15 @@ def local_diag_rotated(
     return out.reshape(np.shape(eval_points))
 
 
+def _diag_band_reach(bandwidth: float) -> float:
+    """A bound on |x2 - x1| over the pairs in ``local_diag_rotated``'s band
+    at ``bandwidth``: a pair weighs in only where its rotated offset
+    |x2 - x1| / sqrt2 is below the bandwidth, and ``_pad`` covers the
+    rounding of the rotation and of the kernel's argument."""
+    reach = math.sqrt(2.0) * bandwidth
+    return reach + _pad(0.0, reach)
+
+
 def bin_scatter_2d(
     x1: np.ndarray,
     x2: np.ndarray,
@@ -740,21 +775,47 @@ def bin_scatter_2d(
     most half a grid step per axis. The aggregate lies on the grid, so
     ``local_linear_2d`` smooths it on the same grid at a cost set by the
     grid size alone, independent of the number of points binned.
+
+    Each point's node is i * len(grid2) + j, with i and j from
+    ``_nearest_node`` on each axis. That index is elementwise in the
+    coordinates, so a scatter of observation pairs may gather it from the
+    nodes of its observations instead and bin with ``_bin_lattice``: the
+    fit's covariance surfaces do, and get this function's result bit for
+    bit.
     """
     g1 = np.asarray(grid1, dtype=float)
     g2 = np.asarray(grid2, dtype=float)
-    w = _as_weights(weights, np.asarray(x1).size)
-    step1 = (g1[-1] - g1[0]) / (g1.size - 1)
-    step2 = (g2[-1] - g2[0]) / (g2.size - 1)
-    i = np.clip(np.rint((np.asarray(x1, dtype=float) - g1[0]) / step1), 0, g1.size - 1)
-    j = np.clip(np.rint((np.asarray(x2, dtype=float) - g2[0]) / step2), 0, g2.size - 1)
-    flat = (i.astype(np.intp) * g2.size + j.astype(np.intp)).ravel()
-    size = g1.size * g2.size
-    wsum = np.bincount(flat, weights=w, minlength=size)
-    wzsum = np.bincount(flat, weights=w * np.asarray(z, dtype=float), minlength=size)
+    w = None if weights is None else _as_weights(weights, np.asarray(x1).size)
+    flat = _nearest_node(x1, g1) * g2.size + _nearest_node(x2, g2)
+    return _bin_lattice(flat, np.asarray(z, dtype=float).ravel(), g1, g2, w)
+
+
+def _nearest_node(x: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Index of the node of the evenly spaced ``grid`` nearest to each of
+    ``x``, clipped to the grid: rint((x - g0) / step), elementwise."""
+    step = (grid[-1] - grid[0]) / (grid.size - 1)
+    i = np.clip(np.rint((np.asarray(x, dtype=float).ravel() - grid[0]) / step), 0, grid.size - 1)
+    return i.astype(np.intp)
+
+
+def _bin_lattice(
+    flat: np.ndarray,
+    z: np.ndarray,
+    grid1: np.ndarray,
+    grid2: np.ndarray,
+    weights: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``bin_scatter_2d``'s aggregate of points whose nodes have the flat
+    indices ``flat`` (i * len(grid2) + j). Without ``weights`` every point
+    weighs 1: the node weights are exact counts, and the value sums are
+    ``bincount``'s sequential sums of ``z`` in point order, as with unit
+    weights."""
+    size = grid1.size * grid2.size
+    wsum = np.bincount(flat, weights, size).astype(float, copy=False)
+    wzsum = np.bincount(flat, z if weights is None else weights * z, size)
     occ = wsum > 0
-    ii, jj = np.divmod(np.flatnonzero(occ), g2.size)
-    return g1[ii], g2[jj], wzsum[occ] / wsum[occ], wsum[occ]
+    ii, jj = np.divmod(np.flatnonzero(occ), grid2.size)
+    return grid1[ii], grid2[jj], wzsum[occ] / wsum[occ], wsum[occ]
 
 
 def _interp_slopes(grid_points: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -49,6 +49,14 @@ def sparse_pair():
 
 
 @pytest.fixture(scope="session")
+def dense_pair():
+    """A dense cohort of 100 subjects (20-30 observations each), whose
+    about 60k raw pairs per surface lie above ``BIN_THRESHOLD``."""
+    cfg = SimConfig(n_subjects=100, sparsity="dense", seed=0)
+    return gen_pair(cfg, np.random.default_rng(0))
+
+
+@pytest.fixture(scope="session")
 def fitted(sparse_pair):
     x_sample, y_sample, _ = sparse_pair
     return fit_flr(x_sample, y_sample)

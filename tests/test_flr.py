@@ -39,8 +39,14 @@ from sparseflr.flr import (
     estimate_cross_covariance,
     estimate_sigma_km,
 )
-from sparseflr.fpca import MeanEstimate
-from sparseflr.smoothing import QUARTIC, local_linear_2d
+from sparseflr.fpca import BIN_THRESHOLD, MeanEstimate, estimate_mean
+from sparseflr.smoothing import (
+    QUARTIC,
+    bin_scatter_2d,
+    get_kernel,
+    local_linear_2d,
+    select_bandwidth_2d,
+)
 
 from conftest import ragged_sample
 
@@ -272,11 +278,35 @@ class TestCrossCovariance:
         y_sample = ragged_sample(y_ids, y_counts, seed=2)
         x_mean = MeanEstimate(grid, np.sin(grid.points), 1.0)
         y_mean = MeanEstimate(grid, np.cos(grid.points), 1.0)
-        got = _cross_raw_pairs(x_sample, y_sample, x_mean, y_mean)
+        pairs, n_shared = _cross_raw_pairs(x_sample, y_sample, x_mean, y_mean)
         want = loop_cross_raw_pairs(x_sample, y_sample, x_mean, y_mean)
-        for a, b in zip(got[:4], want[:4]):
+        got = (pairs.s1, pairs.s2, pairs.value, pairs.subject)
+        for a, b in zip(got, want[:4]):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert got[4] == want[4]
+        assert n_shared == want[4]
+
+    @pytest.mark.parametrize("config", [FpcaConfig(), FpcaConfig(cov_bandwidth=1.3, kernel="quartic")])
+    def test_binned_surface_is_the_public_composition(self, dense_pair, grid, config):
+        # binned from the pairs' gathered nodes, the surface equals
+        # ``bin_scatter_2d`` of the per-subject loop's pairs plus the public
+        # search or smoother, with no tolerance
+        x_sample, y_sample, _ = dense_pair
+        x_mean, y_mean = estimate_mean(x_sample, grid), estimate_mean(y_sample, grid)
+        cross = estimate_cross_covariance(x_sample, y_sample, x_mean, y_mean, grid, grid, config)
+        s, t, v, _, _ = loop_cross_raw_pairs(x_sample, y_sample, x_mean, y_mean)
+        assert cross.binned and v.size > BIN_THRESHOLD
+        kern, g, length = get_kernel(config.kernel), grid.points, grid.interval.length
+        x1, x2, z, w = bin_scatter_2d(s, t, v, g, g)
+        if config.cov_bandwidth is None:
+            sel = select_bandwidth_2d(
+                x1, x2, z, [(f * length, f * length) for f in config.cov_bandwidth_fractions],
+                g, g, kern, weights=w,
+            )
+            h, surface = sel.chosen, sel.fit
+        else:
+            h = (config.cov_bandwidth, config.cov_bandwidth)
+            surface = local_linear_2d(x1, x2, z, g, g, h, kern, weights=w)
+        assert cross.bandwidths == h and np.array_equal(cross.surface, surface)
 
     def test_search_fit_is_the_estimate(self, grid, monkeypatch):
         calls = []
