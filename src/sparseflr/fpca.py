@@ -15,11 +15,11 @@ Raw covariances hold each pair as two indices into the pooled observations,
 built by ``np.repeat`` over the pooled rows. The pair coordinates are formed
 only where a stage reads them: unbinned or LOSO-CV smoothing, and a widened
 window of the diagonal fit. A binned surface gathers each pair's lattice
-index from the nearest nodes of its two observations, and the diagonal fit
-starts from the pairs within reach of the diagonal. Elementwise work over
-the pairs runs in chunks, so a binned fit holds no float array per pair
-beyond the residual products, and every number equals the one the
-materialized pairs give.
+node from the nearest nodes of its two observations (``bin_scatter_2d``
+with ``pairs``), and the diagonal fit starts from the pairs within reach of
+the diagonal. Elementwise work over the pairs runs in chunks, so a binned
+fit holds no float array per pair beyond the residual products, and every
+number equals the one the materialized pairs give.
 
 ``FpcaConfig`` declares every marginal setting once; a joint fit nests one
 in ``FlrConfig`` and applies it to both variables. Each stage function
@@ -52,10 +52,10 @@ from .smoothing import (
     KERNEL_NAMES,
     Kernel,
     SmoothFlags,
-    _bin_lattice,
+    _chunks,
     _diag_band_reach,
     _interp_slopes,
-    _nearest_node,
+    bin_scatter_2d,
     get_kernel,
     interp_linear,
     local_diag_rotated,
@@ -168,13 +168,6 @@ class MeanEstimate:
         return interp_linear(self.grid.points, self.values, t)
 
 
-def _chunks(n: int):
-    """Slices of at most ``BIN_THRESHOLD`` covering range(n). Elementwise
-    work over the pairs of a binned scatter runs chunk by chunk, so its
-    temporaries stay the size of an unbinned scatter."""
-    return (slice(k, k + BIN_THRESHOLD) for k in range(0, n, BIN_THRESHOLD))
-
-
 def _pair_products(u: np.ndarray, v: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """u[a] * v[b], formed in chunks."""
     out = np.empty(a.size)
@@ -187,61 +180,43 @@ def _pair_products(u: np.ndarray, v: np.ndarray, a: np.ndarray, b: np.ndarray) -
 class _PairScatter:
     """A raw pair scatter held as indices: pair k joins observation ``a[k]``
     at ``times_a`` with observation ``b[k]`` at ``times_b``, carries
-    ``value[k]`` and belongs to subject ``subject[k]``. With ``a`` and ``b``
-    None the times are the pairs' own coordinates.
+    ``value[k]`` and belongs to subject ``subject[k]``.
 
-    The coordinates ``s1`` and ``s2`` are formed on first read; the binned
-    and banded stages read only the indices and the times, chunk by chunk.
+    The coordinates ``s1`` and ``s2`` are gathered on each read, by the
+    stages that need them; binning and the diagonal band read only the
+    indices and the times, chunk by chunk.
     """
 
     times_a: np.ndarray
     times_b: np.ndarray
     value: np.ndarray
     subject: np.ndarray
-    a: np.ndarray | None = None
-    b: np.ndarray | None = None
+    a: np.ndarray
+    b: np.ndarray
 
     @property
     def n_pairs(self) -> int:
         return int(self.value.size)
 
-    @functools.cached_property
+    @property
     def s1(self) -> np.ndarray:
-        return self.times_a if self.a is None else self.times_a[self.a]
+        return self.times_a[self.a]
 
-    @functools.cached_property
+    @property
     def s2(self) -> np.ndarray:
-        return self.times_b if self.b is None else self.times_b[self.b]
+        return self.times_b[self.b]
 
-    def _ends(self, u: np.ndarray, v: np.ndarray, idx) -> tuple[np.ndarray, np.ndarray]:
-        """``u`` at the first and ``v`` at the second observation of the
-        pairs ``idx``, a slice or an index array."""
-        if self.a is None:
-            return u[idx], v[idx]
-        return u.take(self.a[idx]), v.take(self.b[idx])
-
-    def lattice(self, grid1: np.ndarray, grid2: np.ndarray) -> np.ndarray:
-        """Flat index i * len(grid2) + j of each pair's nearest node, the
-        integers ``bin_scatter_2d`` finds from ``s1`` and ``s2``: the node
-        of each observation is found once and gathered."""
-        i = _nearest_node(self.times_a, grid1) * grid2.size
-        j = _nearest_node(self.times_b, grid2)
-        flat = np.empty(self.n_pairs, dtype=np.intp)
-        for sl in _chunks(self.n_pairs):
-            np.add(*self._ends(i, j, sl), out=flat[sl])
-        return flat
+    def take(self, idx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(s1, s2, value) of the pairs ``idx``, a slice or an index array."""
+        return self.times_a.take(self.a[idx]), self.times_b.take(self.b[idx]), self.value[idx]
 
     def near_diagonal(self, reach: float) -> np.ndarray:
         """Indices, ascending, of the pairs with |s2 - s1| <= ``reach``."""
         parts = [np.empty(0, dtype=np.intp)]
         for sl in _chunks(self.n_pairs):
-            t1, t2 = self._ends(self.times_a, self.times_b, sl)
+            t1, t2, _ = self.take(sl)
             parts.append(np.flatnonzero(np.abs(t2 - t1) <= reach) + sl.start)
         return np.concatenate(parts)
-
-    def take(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(s1, s2, value) of the pairs ``idx``."""
-        return (*self._ends(self.times_a, self.times_b, idx), self.value[idx])
 
 
 @dataclass(frozen=True)
@@ -254,11 +229,11 @@ class RawCovariances:
     surface.
 
     ``raw_covariances`` holds the pairs as indices into the pooled
-    observations, and forms ``s1`` and ``s2`` on first read; a binned fit
+    observations, and gathers ``s1`` and ``s2`` on each read; a binned fit
     never reads them. The stages below read a hand-built instance the same
-    way, with each pair its own observation: the surface bins each pair at
-    the nearest node of its two observations, and the noise variance fits
-    the diagonal from the pairs near it.
+    way, with each pair its own observation (identity indices): the surface
+    bins each pair at the nearest nodes of its two observations, and the
+    noise variance fits the diagonal from the pairs near it.
     """
 
     s1: np.ndarray
@@ -274,11 +249,15 @@ class RawCovariances:
 
     @functools.cached_property
     def _pairs(self) -> _PairScatter:
+        value = np.asarray(self.value, dtype=float).ravel()
+        each = np.arange(value.size)
         return _PairScatter(
             np.asarray(self.s1, dtype=float).ravel(),
             np.asarray(self.s2, dtype=float).ravel(),
-            np.asarray(self.value, dtype=float).ravel(),
+            value,
             np.asarray(self.subject).ravel(),
+            each,
+            each,
         )
 
     @classmethod
@@ -294,7 +273,7 @@ class RawCovariances:
 
     def __getattr__(self, name: str):
         # Reached only for attributes never set: ``s1`` and ``s2`` of an
-        # instance built by ``_of_pairs``, formed here on first read.
+        # instance built by ``_of_pairs``, gathered here on each read.
         if name in ("s1", "s2") and "_pairs" in self.__dict__:
             return getattr(self._pairs, name)
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -506,8 +485,8 @@ def raw_covariances(sample: SparseFunctionalSample, mean: MeanEstimate) -> RawCo
     L(L-1) ordered off-diagonal pairs (row-major in the subject's L x L
     product matrix, diagonal excluded) and L diagonal entries; subjects with
     a single observation feed only the diagonal. The pairs are held as
-    indices into the pooled observations; ``s1`` and ``s2`` are formed on
-    first read.
+    indices into the pooled observations; ``s1`` and ``s2`` are gathered on
+    each read.
     """
     pooled = pooled_points(sample)
     resid = pooled.values - mean.at(pooled.times)
@@ -537,13 +516,15 @@ def _smooth_pairs(
     g1, g2 = grid1.points, grid2.points
     binned = pairs.n_pairs > BIN_THRESHOLD
     if binned:
-        x1, x2, z, w = _bin_lattice(pairs.lattice(g1, g2), pairs.value, g1, g2)
+        x1, x2, z, w = bin_scatter_2d(
+            pairs.times_a, pairs.times_b, pairs.value, g1, g2, pairs=(pairs.a, pairs.b)
+        )
     else:
         x1, x2, z, w = pairs.s1, pairs.s2, pairs.value, None
     if config.cov_bandwidth is None:
         loso = config.bandwidth_objective == "loso-cv"
         sel = select_bandwidth_2d(
-            *((pairs.s1, pairs.s2, pairs.value) if loso else (x1, x2, z)),
+            *((pairs.s1, pairs.s2, pairs.value) if loso and binned else (x1, x2, z)),
             [
                 (f * grid1.interval.length, f * grid2.interval.length)
                 for f in config.cov_bandwidth_fractions
@@ -581,10 +562,10 @@ def estimate_covariance(
     than ``BIN_THRESHOLD`` are pre-aggregated onto the grid nodes; LOSO-CV
     scores the unbinned pairs, since binning pools subjects.
 
-    Each pair's node is gathered from the nearest nodes of its two
-    observations, and nodes are counted and summed by ``bincount`` in pair
-    order: the aggregate is ``bin_scatter_2d``'s of ``s1``, ``s2`` and
-    ``value`` bit for bit, without forming the pair coordinates.
+    Binning passes the pairs to ``bin_scatter_2d`` as indices into the
+    observation times: each pair's node is gathered from the nearest nodes
+    of its two observations, and the aggregate is that of ``s1``, ``s2``
+    and ``value`` bit for bit, without forming the pair coordinates.
     """
     if raw.n_pairs == 0:
         raise FitError("covariance", "no subject contributes an off-diagonal pair")

@@ -85,6 +85,11 @@ _MIN_BLOCK = 24
 # outermost point keeps a strictly positive kernel weight.
 _WIDEN_FACTOR = 1.05
 
+# Points per chunk of elementwise work over a scatter held as pair indices:
+# the size of the largest scatter the fit smooths unbinned, so a chunk's
+# temporaries never outgrow an unbinned fit's.
+_PAIR_CHUNK = 20000
+
 
 @dataclass(frozen=True)
 class Kernel:
@@ -191,18 +196,9 @@ def _support(
     return lo, hi
 
 
-def _stable_argsort(x: np.ndarray) -> np.ndarray:
-    """``np.argsort(x, kind="stable")`` of a finite float array, from the
-    faster unstable sort: the (rank of value, index) keys are all distinct,
-    so one integer sort of them puts each run of equal values back in index
-    order."""
-    order = np.argsort(x)
-    if x.size < 2:
-        return order
-    xs = x[order]
-    order[1:] += np.cumsum(xs[1:] != xs[:-1]) * x.size
-    order.sort()
-    return order % x.size
+def _chunks(n: int):
+    """Slices of at most ``_PAIR_CHUNK`` covering range(n)."""
+    return (slice(k, k + _PAIR_CHUNK) for k in range(0, n, _PAIR_CHUNK))
 
 
 def _block_size(n: int) -> int:
@@ -728,7 +724,7 @@ def local_diag_rotated(
     # diagonal, each target's window is one contiguous slice of the band.
     ko = kernel(oo / bandwidth)
     band = np.flatnonzero((ko > 0) & (w > 0))
-    band = band[_stable_argsort(dd[band])]
+    band = band[np.argsort(dd[band], kind="stable")]
     bd, bk, bw, bz = dd[band], ko[band], w[band], z[band]
     bo2 = oo[band] * oo[band]
     lo, hi = _support(bd, targets, np.full(s.size, float(bandwidth)))
@@ -766,6 +762,8 @@ def bin_scatter_2d(
     grid1: np.ndarray,
     grid2: np.ndarray,
     weights: np.ndarray | None = None,
+    *,
+    pairs: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Aggregate a large 2-d scatter onto grid nodes by nearest-node snapping.
 
@@ -776,18 +774,36 @@ def bin_scatter_2d(
     ``local_linear_2d`` smooths it on the same grid at a cost set by the
     grid size alone, independent of the number of points binned.
 
-    Each point's node is i * len(grid2) + j, with i and j from
-    ``_nearest_node`` on each axis. That index is elementwise in the
-    coordinates, so a scatter of observation pairs may gather it from the
-    nodes of its observations instead and bin with ``_bin_lattice``: the
-    fit's covariance surfaces do, and get this function's result bit for
-    bit.
+    With ``pairs`` = (a, b), two index arrays, point k lies at
+    (x1[a[k]], x2[b[k]]): x1 and x2 are then the coordinates of the
+    observations the points pair up, while z and weights run over the
+    points. Each point's node is i * len(grid2) + j, with i and j the
+    nearest nodes on each axis; that index is elementwise in the
+    coordinates, so each observation's node is found once and gathered,
+    chunk by chunk, without forming a coordinate array per point. The
+    aggregate is that of x1[a] and x2[b] bit for bit.
     """
     g1 = np.asarray(grid1, dtype=float)
     g2 = np.asarray(grid2, dtype=float)
-    w = None if weights is None else _as_weights(weights, np.asarray(x1).size)
-    flat = _nearest_node(x1, g1) * g2.size + _nearest_node(x2, g2)
-    return _bin_lattice(flat, np.asarray(z, dtype=float).ravel(), g1, g2, w)
+    z = np.asarray(z, dtype=float).ravel()
+    i = _nearest_node(x1, g1) * g2.size
+    j = _nearest_node(x2, g2)
+    if pairs is None:
+        flat = i + j
+    else:
+        a, b = pairs
+        flat = np.empty(z.size, dtype=np.intp)
+        for sl in _chunks(z.size):
+            np.add(i.take(a[sl]), j.take(b[sl]), out=flat[sl])
+    # Without weights every point weighs 1: the node weights are exact
+    # counts and the value sums are bincount's sums of z in point order.
+    w = None if weights is None else _as_weights(weights, z.size)
+    size = g1.size * g2.size
+    wsum = np.bincount(flat, w, size).astype(float, copy=False)
+    wzsum = np.bincount(flat, z if w is None else w * z, size)
+    occ = wsum > 0
+    ii, jj = np.divmod(np.flatnonzero(occ), g2.size)
+    return g1[ii], g2[jj], wzsum[occ] / wsum[occ], wsum[occ]
 
 
 def _nearest_node(x: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -796,26 +812,6 @@ def _nearest_node(x: np.ndarray, grid: np.ndarray) -> np.ndarray:
     step = (grid[-1] - grid[0]) / (grid.size - 1)
     i = np.clip(np.rint((np.asarray(x, dtype=float).ravel() - grid[0]) / step), 0, grid.size - 1)
     return i.astype(np.intp)
-
-
-def _bin_lattice(
-    flat: np.ndarray,
-    z: np.ndarray,
-    grid1: np.ndarray,
-    grid2: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``bin_scatter_2d``'s aggregate of points whose nodes have the flat
-    indices ``flat`` (i * len(grid2) + j). Without ``weights`` every point
-    weighs 1: the node weights are exact counts, and the value sums are
-    ``bincount``'s sequential sums of ``z`` in point order, as with unit
-    weights."""
-    size = grid1.size * grid2.size
-    wsum = np.bincount(flat, weights, size).astype(float, copy=False)
-    wzsum = np.bincount(flat, z if weights is None else weights * z, size)
-    occ = wsum > 0
-    ii, jj = np.divmod(np.flatnonzero(occ), grid2.size)
-    return grid1[ii], grid2[jj], wzsum[occ] / wsum[occ], wsum[occ]
 
 
 def _interp_slopes(grid_points: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -279,10 +279,9 @@ class TestEstimateCovariance:
                 return fn(*args, **kwargs)
             return wrapper
 
-        # the fit bins through the lattice core that ``bin_scatter_2d`` shares
-        bin_fn = counted("bin", sparseflr.smoothing._bin_lattice)
+        bin_fn = counted("bin", sparseflr.smoothing.bin_scatter_2d)
         fit_fn = counted("fit", local_linear_2d)
-        monkeypatch.setattr(sparseflr.fpca, "_bin_lattice", bin_fn)
+        monkeypatch.setattr(sparseflr.fpca, "bin_scatter_2d", bin_fn)
         monkeypatch.setattr(sparseflr.fpca, "local_linear_2d", fit_fn)
         monkeypatch.setattr(sparseflr.smoothing, "local_linear_2d", fit_fn)
         monkeypatch.setattr(sparseflr.fpca, "BIN_THRESHOLD", bin_threshold)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sparseflr import Interval, RegularGrid, SimConfig, estimate_mean, gen_pair
 from sparseflr.data import pooled_points
+import sparseflr.smoothing as smoothing
 from sparseflr.fpca import raw_covariances
 from sparseflr.smoothing import (
     _DEGENERATE_TOL,
@@ -30,7 +31,6 @@ from sparseflr.smoothing import (
     _nine_moments,
     _node_index,
     _solve_plane_batch,
-    _stable_argsort,
     _widened_weights,
 )
 
@@ -748,17 +748,6 @@ class TestLocalDiagRotated:
             pytest.xfail(f"local_diag_rotated returns {float(out[0])!r} at 6.25 from z in [0, 1]")
 
 
-def test_stable_argsort_is_numpys_stable_argsort():
-    rng = np.random.default_rng(19)
-    for n in [0, 1, 2, 3, 5, 8, 100, 5000]:
-        for _ in range(10):
-            x = np.round(rng.normal(size=n), 1)  # many ties
-            x[rng.random(n) < 0.2] *= -0.0  # zeros of both signs tie
-            y = rng.normal(size=n)
-            for v in (x, y, np.sort(x), np.sort(x)[::-1]):
-                assert np.array_equal(_stable_argsort(v), np.argsort(v, kind="stable"))
-
-
 class TestBinScatter2d:
     def test_weighted_mean_per_node(self):
         g = np.array([0.0, 1.0])
@@ -779,6 +768,23 @@ class TestBinScatter2d:
         w = np.abs(RNG.normal(size=500)) + 0.5
         _, _, _, bw = bin_scatter_2d(x1, x2, z, g, g, weights=w)
         assert abs(bw.sum() - w.sum()) < 1e-9
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_pair_indices_bin_as_the_gathered_points(self, monkeypatch, weighted):
+        # chunks of 7 points, so the gather crosses chunk boundaries; some
+        # observations lie off the grid or on a midpoint between nodes
+        monkeypatch.setattr(smoothing, "_PAIR_CHUNK", 7)
+        rng = np.random.default_rng(23)
+        g1, g2 = np.linspace(0, 10, 11), np.linspace(-1, 3, 9)
+        t1 = np.concatenate([rng.uniform(-1, 11, 37), [0.5, 4.5, 9.5]])
+        t2 = np.concatenate([rng.uniform(-2, 4, 28), [-0.75, 2.25]])
+        a, b = rng.integers(0, t1.size, 100), rng.integers(0, t2.size, 100)
+        z = rng.normal(size=100)
+        w = rng.uniform(0, 2, 100) if weighted else None
+        got = bin_scatter_2d(t1, t2, z, g1, g2, w, pairs=(a, b))
+        want = bin_scatter_2d(t1[a], t2[b], z, g1, g2, w)
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
 
 
 class TestInterp:
