@@ -32,8 +32,8 @@ from .fpca import (
     FpcaConfig,
     FpcaModel,
     MeanEstimate,
+    RawCovariances,
     ScorePrediction,
-    _PairScatter,
     _pair_indices,
     _pair_products,
     _run_stage,
@@ -184,14 +184,14 @@ def _cross_raw_pairs(
     y_sample: SparseFunctionalSample,
     x_mean: MeanEstimate,
     y_mean: MeanEstimate,
-) -> tuple[_PairScatter, int]:
+) -> tuple[RawCovariances, int]:
     """All (predictor time, response time) residual products over shared
     ids, with the number of shared ids.
 
     Pairs run subject by subject in predictor roster order, row-major in
     each subject's predictor x response product; the subject index is the
     predictor roster position. They are held as indices into the two pooled
-    samples.
+    samples, and the diagonal arrays are empty.
     """
     y_index = {s.subject_id: j for j, s in enumerate(y_sample.subjects)}
     match = np.array([y_index.get(s.subject_id, -1) for s in x_sample.subjects], dtype=np.intp)
@@ -206,7 +206,8 @@ def _cross_raw_pairs(
     a, b, subject = _pair_indices(
         np.cumsum(count_x) - count_x, count_x, start_y[match], count_y[match]
     )
-    pairs = _PairScatter(px.times, py.times, _pair_products(rx, ry, a, b), subject, a, b)
+    value = _pair_products(rx, ry, a, b)
+    pairs = RawCovariances(px.times, py.times, a, b, value, subject, np.empty(0), np.empty(0))
     return pairs, int(shared.sum())
 
 

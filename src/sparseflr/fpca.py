@@ -11,15 +11,17 @@ are best linear predictors given the subject's noisy observations, which
 stay well defined with as few as one observation per subject. The component
 count is fixed by the caller or chosen by a pseudo-Gaussian AIC.
 
-Raw covariances hold each pair as two indices into the pooled observations,
-built by ``np.repeat`` over the pooled rows. The pair coordinates are formed
-only where a stage reads them: unbinned or LOSO-CV smoothing, and a widened
-window of the diagonal fit. A binned surface gathers each pair's lattice
-node from the nearest nodes of its two observations (``bin_scatter_2d``
-with ``pairs``), and the diagonal fit starts from the pairs within reach of
-the diagonal. Elementwise work over the pairs runs in chunks, so a binned
-fit holds no float array per pair beyond the residual products, and every
-number equals the one the materialized pairs give.
+``RawCovariances`` holds the pairs of the covariance and cross-covariance
+surfaces alike, as two indices into observation times built by
+``np.repeat`` over the pooled rows; a scatter given by its coordinates has
+identity indices. The coordinates are gathered only where a stage reads
+them: unbinned or LOSO-CV smoothing, and a widened window of the diagonal
+fit. A binned surface gathers each pair's lattice node from the nearest
+nodes of its two observations (``bin_scatter_2d`` with ``pairs``), and the
+diagonal fit starts from the pairs within reach of the diagonal. Elementwise
+work over the pairs runs in chunks, so a binned fit holds no float array per
+pair beyond the residual products, and every number equals the one the
+materialized pairs give.
 
 ``FpcaConfig`` declares every marginal setting once; a joint fit nests one
 in ``FlrConfig`` and applies it to both variables. Each stage function
@@ -177,22 +179,30 @@ def _pair_products(u: np.ndarray, v: np.ndarray, a: np.ndarray, b: np.ndarray) -
 
 
 @dataclass(frozen=True)
-class _PairScatter:
-    """A raw pair scatter held as indices: pair k joins observation ``a[k]``
-    at ``times_a`` with observation ``b[k]`` at ``times_b``, carries
-    ``value[k]`` and belongs to subject ``subject[k]``.
+class RawCovariances:
+    """Pairwise residual products, split into off-diagonal and diagonal parts.
 
-    The coordinates ``s1`` and ``s2`` are gathered on each read, by the
-    stages that need them; binning and the diagonal band read only the
-    indices and the times, chunk by chunk.
+    Off-diagonal entries are ordered pairs (l1 != l2) so the scatter is
+    symmetric in its two coordinates; diagonal entries are squared residuals
+    at single observations and carry the noise variance on top of the
+    surface.
+
+    Pair k joins the observation at ``times_a[a[k]]`` with the one at
+    ``times_b[b[k]]``, carries ``value[k]`` and belongs to subject
+    ``subject[k]``; ``s1`` and ``s2`` are gathered on each read. A scatter
+    given by its coordinates is its own observations, ``RawCovariances(s1,
+    s2, np.arange(n), np.arange(n), value, subject, diag_t, diag_value)``;
+    the cross-covariance scatter has empty diagonal arrays.
     """
 
     times_a: np.ndarray
     times_b: np.ndarray
-    value: np.ndarray
-    subject: np.ndarray
     a: np.ndarray
     b: np.ndarray
+    value: np.ndarray
+    subject: np.ndarray
+    diag_t: np.ndarray
+    diag_value: np.ndarray
 
     @property
     def n_pairs(self) -> int:
@@ -217,66 +227,6 @@ class _PairScatter:
             t1, t2, _ = self.take(sl)
             parts.append(np.flatnonzero(np.abs(t2 - t1) <= reach) + sl.start)
         return np.concatenate(parts)
-
-
-@dataclass(frozen=True)
-class RawCovariances:
-    """Pairwise residual products, split into off-diagonal and diagonal parts.
-
-    Off-diagonal entries are ordered pairs (l1 != l2) so the scatter is
-    symmetric in its two coordinates; diagonal entries are squared residuals
-    at single observations and carry the noise variance on top of the
-    surface.
-
-    ``raw_covariances`` holds the pairs as indices into the pooled
-    observations, and gathers ``s1`` and ``s2`` on each read; a binned fit
-    never reads them. The stages below read a hand-built instance the same
-    way, with each pair its own observation (identity indices): the surface
-    bins each pair at the nearest nodes of its two observations, and the
-    noise variance fits the diagonal from the pairs near it.
-    """
-
-    s1: np.ndarray
-    s2: np.ndarray
-    value: np.ndarray
-    subject: np.ndarray
-    diag_t: np.ndarray
-    diag_value: np.ndarray
-
-    @property
-    def n_pairs(self) -> int:
-        return int(self.value.size)
-
-    @functools.cached_property
-    def _pairs(self) -> _PairScatter:
-        value = np.asarray(self.value, dtype=float).ravel()
-        each = np.arange(value.size)
-        return _PairScatter(
-            np.asarray(self.s1, dtype=float).ravel(),
-            np.asarray(self.s2, dtype=float).ravel(),
-            value,
-            np.asarray(self.subject).ravel(),
-            each,
-            each,
-        )
-
-    @classmethod
-    def _of_pairs(
-        cls, pairs: _PairScatter, diag_t: np.ndarray, diag_value: np.ndarray
-    ) -> RawCovariances:
-        """Covariances over ``pairs``, with ``s1`` and ``s2`` left unformed."""
-        raw = object.__new__(cls)
-        names = ("_pairs", "value", "subject", "diag_t", "diag_value")
-        for name, v in zip(names, (pairs, pairs.value, pairs.subject, diag_t, diag_value)):
-            object.__setattr__(raw, name, v)
-        return raw
-
-    def __getattr__(self, name: str):
-        # Reached only for attributes never set: ``s1`` and ``s2`` of an
-        # instance built by ``_of_pairs``, gathered here on each read.
-        if name in ("s1", "s2") and "_pairs" in self.__dict__:
-            return getattr(self._pairs, name)
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -492,14 +442,14 @@ def raw_covariances(sample: SparseFunctionalSample, mean: MeanEstimate) -> RawCo
     resid = pooled.values - mean.at(pooled.times)
     counts = sample.counts
     a, b, subject = _pair_indices(np.cumsum(counts) - counts, counts)
-    pairs = _PairScatter(
-        pooled.times, pooled.times, _pair_products(resid, resid, a, b), subject, a, b
+    value = _pair_products(resid, resid, a, b)
+    return RawCovariances(
+        pooled.times, pooled.times, a, b, value, subject, pooled.times, resid * resid
     )
-    return RawCovariances._of_pairs(pairs, pooled.times, resid * resid)
 
 
 def _smooth_pairs(
-    pairs: _PairScatter,
+    pairs: RawCovariances,
     grid1: RegularGrid,
     grid2: RegularGrid,
     config: FpcaConfig,
@@ -562,14 +512,14 @@ def estimate_covariance(
     than ``BIN_THRESHOLD`` are pre-aggregated onto the grid nodes; LOSO-CV
     scores the unbinned pairs, since binning pools subjects.
 
-    Binning passes the pairs to ``bin_scatter_2d`` as indices into the
-    observation times: each pair's node is gathered from the nearest nodes
-    of its two observations, and the aggregate is that of ``s1``, ``s2``
-    and ``value`` bit for bit, without forming the pair coordinates.
+    Binning passes the pair indices to ``bin_scatter_2d``: each pair's node
+    is gathered from the nearest nodes of its two observations, and the
+    aggregate is that of ``s1``, ``s2`` and ``value`` bit for bit, without
+    forming the pair coordinates.
     """
     if raw.n_pairs == 0:
         raise FitError("covariance", "no subject contributes an off-diagonal pair")
-    surface, (bandwidth, _), binned = _smooth_pairs(raw._pairs, grid, grid, config, flags)
+    surface, (bandwidth, _), binned = _smooth_pairs(raw, grid, grid, config, flags)
     surface = 0.5 * (surface + surface.T)
     return CovarianceEstimate(grid, surface, bandwidth, binned=binned)
 
@@ -590,9 +540,9 @@ def estimate_noise_variance(
     (boundary fits are the least reliable) and scaled back to a per-point
     variance. Negative estimates truncate to zero.
 
-    The rotated fit starts from the pairs within ``_diag_band_reach`` of
-    the diagonal in |s2 - s1|, which hold its whole band, kept in pair
-    order; it equals ``local_diag_rotated`` of every pair bit for bit. A
+    The rotated fit starts from ``raw.near_diagonal``, the pairs within
+    ``_diag_band_reach`` of the diagonal in |s2 - s1|, which hold its whole
+    band; it equals ``local_diag_rotated`` of every pair bit for bit. A
     target whose window must widen stretches over every pair, and then
     every pair is fitted.
     """
@@ -610,7 +560,7 @@ def estimate_noise_variance(
     v_hat = local_linear_1d(
         raw.diag_t, raw.diag_value, mid.points, bandwidth, kern, flags=flags
     )
-    g_diag = _rotated_diagonal(raw._pairs, mid.points, bandwidth, kern, flags)
+    g_diag = _rotated_diagonal(raw, mid.points, bandwidth, kern, flags)
     est = 2.0 / length * mid.integrate(v_hat - g_diag)
     if est < 0 and flags is not None:
         flags.note(f"noise variance truncated to 0 (raw estimate {est:.3e})")
@@ -618,7 +568,7 @@ def estimate_noise_variance(
 
 
 def _rotated_diagonal(
-    pairs: _PairScatter,
+    pairs: RawCovariances,
     points: np.ndarray,
     bandwidth: float,
     kernel: Kernel,

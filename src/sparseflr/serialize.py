@@ -6,8 +6,9 @@ lists; a ``RegularGrid`` is written flat as ``{lo, hi, n_points}``. Reading
 goes by each field's type hint and checks each value's JSON type rather than
 converting it: an ``int`` field takes a JSON integer, a ``float`` field any
 JSON number, a ``bool`` field a JSON bool (never a number), a ``str`` field a
-JSON string, and an array only numbers. A missing key takes the field's
-default, and a key the dataclass does not declare is rejected.
+JSON string, a fixed-length tuple a JSON array of that length, and an array
+only numbers. A missing key takes the field's default, and a key the
+dataclass does not declare is rejected.
 
 Floats serialize through Python's shortest-repr encoding, so a document
 written and re-read reproduces every array bit for bit. Documents carry a
@@ -102,9 +103,13 @@ def _decode(hint, doc, name: str = "document"):
         if array.dtype.kind not in "fi" or _holds_bool(doc, array):
             raise TypeError(f"{name} is not an array of numbers")
         return np.asarray(array, dtype=float)
-    if origin in (tuple, list):  # homogeneous: tuple[float, ...], list[str]
+    if origin in (tuple, list):  # tuple[float, ...], tuple[float, float], list[str]
         if not isinstance(doc, list):
             raise TypeError(f"{name} is {doc!r}, not a JSON array")
+        if origin is tuple and args[-1] is not Ellipsis:
+            if len(doc) != len(args):
+                raise TypeError(f"{name} has {len(doc)} entries, not {len(args)}")
+            return tuple(_decode(a, v, name) for a, v in zip(args, doc))
         return origin(_decode(args[0], v, name) for v in doc)
     # A bool is no number, and an integer is also a float.
     accepted = (int, float) if hint is float else hint

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -375,9 +375,10 @@ def run_monte_carlo(config: SimConfig, n_runs: int | None = None) -> McReport:
     Run r seeds its own generator with seed + r, so any subset of runs
     reproduces bit-identically regardless of execution order. Runs whose
     fit fails are recorded and skipped in the medians; if more than
-    ``max_failure_rate`` of runs fail the whole study aborts.
+    ``max_failure_rate`` of runs fail the whole study aborts. ``n_runs``
+    overrides ``config.n_runs`` and is checked as that setting is.
     """
-    n_runs = config.n_runs if n_runs is None else int(n_runs)
+    n_runs = config.n_runs if n_runs is None else replace(config, n_runs=n_runs).n_runs
     results = []
     for r in range(n_runs):
         try:

@@ -263,6 +263,8 @@ class TestPredict:
         args = [command, "--model", str(tmp_path / "model.json"), *extra, "--out", str(tmp_path / "o")]
         for section, key, edit in (
             ("cross", "binned", lambda value: "no"),
+            # a bandwidth pair of the wrong length
+            ("cross", "bandwidths", lambda value: value[:1]),
             # a bool among numbers
             ("x", "eigenvalues", lambda values: [True] + values[1:]),
         ):

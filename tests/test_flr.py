@@ -610,6 +610,35 @@ class TestInvariance:
         scale = np.max(np.abs(fitted.beta))
         assert np.max(np.abs(a * model.beta - fitted.beta)) <= 1e-9 * scale
 
+    # v -> c v + d on the values of one variable: the mean shifts, every
+    # covariance involving that variable scales by c (its own surface by
+    # c^2), so the picks, bandwidths and R2 stay, and beta scales by 1/c for
+    # X and by c for Y; with c a power of two and d = 0 every step scales
+    # exactly
+    @pytest.mark.parametrize("variable", ["x", "y"])
+    @pytest.mark.parametrize("c, d", [(3.0, 0.0), (4.0, 0.0), (1.0, 5.0), (3.0, -7.0), (1.0, 100.0)])
+    def test_value_axis_affine_map_carries_through(self, fitted, sparse_pair, variable, c, d):
+        x_sample, y_sample, _ = sparse_pair
+
+        def mapped(sample):
+            return SparseFunctionalSample(sample.domain, tuple(
+                SubjectRecord(s.subject_id, s.times, c * s.values + d) for s in sample.subjects
+            ))
+
+        if variable == "x":
+            model = fit_flr(mapped(x_sample), y_sample)
+            got, want = c * model.beta, fitted.beta
+        else:
+            model = fit_flr(x_sample, mapped(y_sample))
+            got, want = model.beta, c * fitted.beta
+        assert selections(model) == selections(fitted)
+        assert abs(model.r2.value_raw - fitted.r2.value_raw) <= 1e-12
+        deviation = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        print(f"largest beta deviation {deviation:.2e} of max|beta|")
+        assert deviation <= 1e-10
+        if (c, d) == (4.0, 0.0):
+            assert np.array_equal(got, want)
+
 
 class TestFlrConfig:
     # An invalid setting anywhere in the tree raises while the tree is built,

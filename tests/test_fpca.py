@@ -101,11 +101,16 @@ def affine_sample(n_subjects=30, slope=2.0, intercept=1.0, seed=11):
 
 
 def handmade_raw(s1, s2, value, diag_t=None, diag_value=None):
+    """Raw covariances given by pair coordinates: each pair is its own
+    observation (identity indices)."""
     s1 = np.asarray(s1, float)
     diag_t = np.asarray([] if diag_t is None else diag_t, float)
+    each = np.arange(s1.size)
     return RawCovariances(
-        s1=s1,
-        s2=np.asarray(s2, float),
+        times_a=s1,
+        times_b=np.asarray(s2, float),
+        a=each,
+        b=each,
         value=np.asarray(value, float),
         subject=np.zeros(s1.size, dtype=int),
         diag_t=diag_t,
@@ -171,10 +176,14 @@ def loop_raw_covariances(sample, mean):
     def cat(parts, dtype=float):
         return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
+    value = cat(v_parts)
+    each = np.arange(value.size)
     return RawCovariances(
-        s1=cat(s1_parts),
-        s2=cat(s2_parts),
-        value=cat(v_parts),
+        times_a=cat(s1_parts),
+        times_b=cat(s2_parts),
+        a=each,
+        b=each,
+        value=value,
         subject=cat(idx_parts, np.intp),
         diag_t=cat(dt_parts),
         diag_value=cat(dv_parts),
@@ -195,7 +204,7 @@ class TestRawCovariances:
         mean = MeanEstimate(grid, np.sin(grid.points), 1.0)
         raw = raw_covariances(sample, mean)
         ref = loop_raw_covariances(sample, mean)
-        for name in RawCovariances.__dataclass_fields__:
+        for name in ("s1", "s2", "value", "subject", "diag_t", "diag_value"):
             got, want = getattr(raw, name), getattr(ref, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
 
@@ -299,7 +308,7 @@ class TestEstimateCovariance:
     def test_loso_selects_on_unbinned_pairs(self, grid, monkeypatch):
         rng = np.random.default_rng(5)
         raw = handmade_raw(rng.uniform(0, 10, 300), rng.uniform(0, 10, 300), rng.normal(size=300))
-        raw = RawCovariances(**{**raw.__dict__, "subject": np.repeat(np.arange(30), 10)})
+        raw = dataclasses.replace(raw, subject=np.repeat(np.arange(30), 10))
         monkeypatch.setattr(sparseflr.fpca, "BIN_THRESHOLD", 100)
         config = FpcaConfig(cov_bandwidth_fractions=(0.2, 0.4), bandwidth_objective="loso-cv")
         cov = estimate_covariance(raw, grid, config)
@@ -462,12 +471,12 @@ class TestPairScatterMatchesPublicComposition:
         # pairs at unit weight: one pair lies near the diagonal, and the
         # far target widens over all three
         s1, s2, z = np.array([0.0, 0.0, 5.5]), np.array([0.25, 0.75, 0.25]), np.array([0.0, 1.0, 0.0])
-        raw = RawCovariances(s1, s2, z, np.zeros(3, dtype=np.intp), np.empty(0), np.empty(0))
+        raw = handmade_raw(s1, s2, z)
         h, target = 0.5 / np.sqrt(2.0), np.array([6.25])
         new, old = SmoothFlags(), SmoothFlags()
-        out = _rotated_diagonal(raw._pairs, target, h, QUARTIC, new)
+        out = _rotated_diagonal(raw, target, h, QUARTIC, new)
         ref = local_diag_rotated(s1, s2, z, target, h, QUARTIC, flags=old)
-        assert raw._pairs.near_diagonal(h * np.sqrt(2.0)).size == 1
+        assert raw.near_diagonal(h * np.sqrt(2.0)).size == 1
         assert np.array_equal(out, ref)
         assert (new.widened_windows, new.constant_fallbacks) == (1, 0) == (
             old.widened_windows, old.constant_fallbacks

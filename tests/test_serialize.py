@@ -99,6 +99,9 @@ class TestLoadErrors:
         ("cross.n_pairs", 12.0),
         ("cross.n_pairs", True),
         ("cross.bandwidths", "1.2"),
+        # a (float, float) pair takes two numbers, not one or three
+        ("cross.bandwidths", [0.5]),
+        ("cross.bandwidths", [0.5, 0.6, 0.7]),
         ("config.marginal.max_components", "10"),
         ("config.marginal.n_grid", 51.0),
         ("config.ncomp_x", 2.0),

@@ -316,6 +316,17 @@ class TestMonteCarlo:
             run_monte_carlo(self.small_config(max_failure_rate=0.2))
         assert "monte_carlo" in info.value.stage
 
+    # 0 once returned a report of NaN medians, -2 a bare StopIteration from
+    # the failure message, and 1.7 and True each ran one run
+    @pytest.mark.parametrize("n_runs", [0, -2, 1.7, True, "2"])
+    def test_n_runs_override_is_checked_as_the_setting(self, n_runs):
+        with pytest.raises(DataError, match="n_runs"):
+            run_monte_carlo(self.small_config(), n_runs=n_runs)
+
+    def test_n_runs_override_sets_the_run_count(self):
+        report = run_monte_carlo(self.small_config(), n_runs=np.int64(1))
+        assert len(report.runs) == 1 and report.config == self.small_config()
+
     def test_save_run_results_round_trips(self, tmp_path):
         report = run_monte_carlo(self.small_config())
         path = str(tmp_path / "runs.csv")
