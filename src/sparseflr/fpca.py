@@ -15,10 +15,10 @@ count is fixed by the caller or chosen by a pseudo-Gaussian AIC.
 surfaces alike, as two indices into observation times built by
 ``np.repeat`` over the pooled rows; a scatter given by its coordinates has
 identity indices. The coordinates are gathered only where a stage reads
-them: unbinned or LOSO-CV smoothing, and a widened window of the diagonal
-fit. A binned surface gathers each pair's lattice node from the nearest
-nodes of its two observations (``bin_scatter_2d`` with ``pairs``), and the
-diagonal fit starts from the pairs within reach of the diagonal. Elementwise
+them: unbinned or LOSO-CV smoothing. A binned surface gathers each pair's
+lattice node from the nearest nodes of its two observations
+(``bin_scatter_2d`` with ``pairs``), and the diagonal fit takes only the
+pairs within reach of the diagonal. Elementwise
 work over the pairs runs in chunks, so a binned fit holds no float array per
 pair beyond the residual products, and every number equals the one the
 materialized pairs give.
@@ -540,11 +540,11 @@ def estimate_noise_variance(
     (boundary fits are the least reliable) and scaled back to a per-point
     variance. Negative estimates truncate to zero.
 
-    The rotated fit starts from ``raw.near_diagonal``, the pairs within
+    The rotated fit takes ``raw.near_diagonal``, the pairs within
     ``_diag_band_reach`` of the diagonal in |s2 - s1|, which hold its whole
-    band; it equals ``local_diag_rotated`` of every pair bit for bit. A
-    target whose window must widen stretches over every pair, and then
-    every pair is fitted.
+    band, or every pair where none lies that near. Wherever the band is not
+    empty it equals ``local_diag_rotated`` of every pair bit for bit, empty
+    windows included, since they take the band's mean.
     """
     kern = get_kernel(config.kernel)
     if raw.diag_t.size == 0:
@@ -574,18 +574,11 @@ def _rotated_diagonal(
     kernel: Kernel,
     flags: SmoothFlags | None,
 ) -> np.ndarray:
-    """``local_diag_rotated`` of every pair, fitted on the pairs near the
-    diagonal unless a window widens."""
+    """``local_diag_rotated`` of the pairs near the diagonal, or of every
+    pair where none lies that near."""
     near = pairs.near_diagonal(_diag_band_reach(bandwidth))
-    if near.size:
-        trial = SmoothFlags()
-        fit = local_diag_rotated(*pairs.take(near), points, bandwidth, kernel, flags=trial)
-        if not trial.widened_windows:
-            if flags is not None:
-                flags.constant_fallbacks += trial.constant_fallbacks
-            return fit
     return local_diag_rotated(
-        pairs.s1, pairs.s2, pairs.value, points, bandwidth, kernel, flags=flags
+        *pairs.take(near if near.size else slice(None)), points, bandwidth, kernel, flags=flags
     )
 
 

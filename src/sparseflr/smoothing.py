@@ -21,13 +21,12 @@ it. Two cases cost less than the points per window:
   output of ``bin_scatter_2d``) pools them per node and smooths the lattice
   with kernel matrices, at a cost set by the grid alone.
 
-Windows that hold too few points are widened to the
-nearest points (counted in the flags accumulator); the two 2-d smoothers
-share one rule for that, stretching the window over the full scatter to the
-3 nearest points, one nine-moment sum and one written-out 3x3 plane solve.
 Windows whose normal equations are numerically rank-deficient fall back to
-a local constant fit. Output is therefore finite whenever at least one data
-point exists.
+a local constant fit, and a window holding no weighted point takes the
+weighted mean of the data; ``_solve_line`` makes both calls, for all three
+smoothers, and counts them in the flags accumulator. Windows are never
+stretched beyond the bandwidth. Output is therefore finite whenever at
+least one point carries weight.
 
 Bandwidth selection offers pooled GCV (default, cheap) and
 leave-one-subject-out CV (honest but n times the work). One search runs
@@ -80,10 +79,6 @@ _BLOCK_REACH = 0.9
 # 1-d scatters with fewer points per block (the square root of their size)
 # than this are summed directly.
 _MIN_BLOCK = 24
-
-# Widened windows overshoot the minimal covering radius by this factor so the
-# outermost point keeps a strictly positive kernel weight.
-_WIDEN_FACTOR = 1.05
 
 # Points per chunk of elementwise work over a scatter held as pair indices:
 # the size of the largest scatter the fit smooths unbinned, so a chunk's
@@ -157,7 +152,13 @@ def get_kernel(kernel: Kernel | str) -> Kernel:
 
 @dataclass
 class SmoothFlags:
-    """Accumulator for smoothing fallbacks, shared across pipeline stages."""
+    """Accumulator for smoothing fallbacks, shared across pipeline stages.
+
+    ``widened_windows`` counts the windows that held no weighted point and
+    took the data mean (the name is kept for the documents that read it);
+    ``constant_fallbacks`` the rank-deficient windows that took the local
+    constant.
+    """
 
     widened_windows: int = 0
     constant_fallbacks: int = 0
@@ -186,13 +187,13 @@ def _pad(centers: np.ndarray | float, half_widths: np.ndarray | float) -> np.nda
 
 
 def _support(
-    sorted_x: np.ndarray, centers: np.ndarray, half_widths: np.ndarray
+    sorted_x: np.ndarray, centers: np.ndarray, half_width: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bounds [lo, hi) of the points of ``sorted_x`` inside each open window
     (c - h, c + h), padded by ``_pad``."""
-    pad = _pad(centers, half_widths)
-    lo = np.searchsorted(sorted_x, centers - half_widths - pad, side="left")
-    hi = np.searchsorted(sorted_x, centers + half_widths + pad, side="right")
+    pad = _pad(centers, half_width)
+    lo = np.searchsorted(sorted_x, centers - half_width - pad, side="left")
+    hi = np.searchsorted(sorted_x, centers + half_width + pad, side="right")
     return lo, hi
 
 
@@ -215,7 +216,7 @@ def _whole_block_sums(
     ws: np.ndarray,
     blk: int,
     s: np.ndarray,
-    b: np.ndarray,
+    b: float,
     j0: np.ndarray,
     j1: np.ndarray,
     kernel: Kernel,
@@ -264,7 +265,7 @@ def _whole_block_sums(
     S, Y = power[:, : q + 1], power[:, q + 1:]
 
     # K(d/b) d^k = sum_r a_r d^(2r + k) with a_r = coefficients[r] / b^(2r).
-    a = np.asarray(kernel.coefficients) * b[:, None] ** (-2.0 * np.arange(r + 1))
+    a = np.asarray(kernel.coefficients) * b ** (-2.0 * np.arange(r + 1))
 
     def kernel_sum(sums, k):
         return (a * sums[:, k: k + 2 * r + 1: 2]).sum(axis=1)
@@ -295,6 +296,9 @@ def local_linear_1d(
     about sqrt(n) blocks and the ragged ends per evaluation point, instead of
     the points of every window.
 
+    A window holding a single distinct x takes the local constant, and one
+    holding no weighted point the weighted mean of the scatter.
+
     Parameters
     ----------
     x, y : ndarray
@@ -308,7 +312,8 @@ def local_linear_1d(
     weights : ndarray, optional
         Nonnegative per-point multipliers (e.g. bin counts).
     flags : SmoothFlags, optional
-        Accumulates widened-window and constant-fallback counts.
+        Accumulates the empty-window (``widened_windows``) and
+        constant-fallback counts.
 
     Returns
     -------
@@ -318,7 +323,8 @@ def local_linear_1d(
     Raises
     ------
     ValueError
-        No data points, or a non-positive bandwidth.
+        No data points, no point with positive weight, or a non-positive
+        bandwidth.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
@@ -333,26 +339,7 @@ def local_linear_1d(
 
     order = np.argsort(x, kind="stable")
     xs, ys, ws = x[order], y[order], w[order]
-    ux = xs[ws > 0]
-    if ux.size == 0:
-        raise ValueError("all points have zero weight")
-    ux = ux[np.r_[True, ux[1:] != ux[:-1]]]
-
-    # Windows with fewer than 2 distinct x cannot support a line; widen them
-    # to reach the nearest 2 distinct values. Distances grow monotonically on
-    # each side of s, so the two values on either side decide both the count
-    # and the second-nearest distance.
-    b = np.full(s.size, float(bandwidth))
-    if ux.size >= 2:
-        near = np.searchsorted(ux, s)[:, None] + np.arange(-2, 2)
-        valid = (near >= 0) & (near < ux.size)
-        dist = np.where(valid, np.abs(ux[np.clip(near, 0, ux.size - 1)] - s[:, None]), np.inf)
-        need_widen = (dist < bandwidth).sum(axis=1) < 2
-        if need_widen.any():
-            if flags is not None:
-                flags.widened_windows += int(need_widen.sum())
-            second = np.sort(dist[need_widen], axis=1)[:, 1]
-            b[need_widen] = np.maximum(bandwidth, second) * _WIDEN_FACTOR
+    b = float(bandwidth)
 
     # Each window is a contiguous run [lo, hi) of the sorted scatter. On
     # large scatters the whole blocks of it that lie within _BLOCK_REACH of
@@ -377,7 +364,7 @@ def local_linear_1d(
         idx = np.where(k < (cut - lo)[:, None], idx, idx + (resume - cut)[:, None])
     idx[idx >= hi[:, None]] = x.size
     d = s[:, None] - xs[idx]
-    kw = kernel(d / b[:, None]) * ws[idx]
+    kw = kernel(d / b) * ws[idx]
     kd = kw * d
     yg = ys[idx]
 
@@ -387,15 +374,23 @@ def local_linear_1d(
     t0 = (kw * yg).sum(axis=1)
     t1 = (kd * yg).sum(axis=1)
     if blocks:
-        sums = _whole_block_sums(xs[:-1], ys[:-1], ws[:-1], blk, s[whole], b[whole],
+        sums = _whole_block_sums(xs[:-1], ys[:-1], ws[:-1], blk, s[whole], b,
                                  j0[whole], j1[whole], kernel)
         for acc, extra in zip((s0, s1, s2, t0, t1), sums):
             acc[whole] += extra
 
-    # Where the kernel support missed every point even after widening (a
-    # single distinct x far away), the fit is the plain weighted mean.
-    empty = float(np.average(ys[:-1], weights=ws[:-1])) if not (s0 > 0).all() else 0.0
+    empty = _empty_fill(s0, ys[:-1], ws[:-1])
     return _solve_line(s0, s1, s2, t0, t1, flags, empty).reshape(np.shape(eval_points))
+
+
+def _empty_fill(s0: np.ndarray, z: np.ndarray, w: np.ndarray) -> float:
+    """The weighted mean of ``z``, which windows without weight (``s0``
+    not positive) take; 0.0, and no average formed, where none is empty."""
+    if (s0 > 0).all():
+        return 0.0
+    if not (w > 0).any():
+        raise ValueError("all points have zero weight")
+    return float(np.average(z, weights=w))
 
 
 def _solve_line(
@@ -405,59 +400,22 @@ def _solve_line(
     """Intercepts of local line fits from their weighted moment sums, by the
     exact 2x2 solve. A node whose determinant is at most ``_DEGENERATE_TOL *
     (s0 * s2)`` (or every node, without ``line``) falls back to the local
-    constant, counted in ``flags``, or to ``empty`` where no point carries
-    weight."""
+    constant, or to ``empty`` where no point carries weight; ``flags``
+    counts the two as constant fallbacks and widened windows."""
     out = np.empty(s0.size)
     ok = np.zeros(s0.size, dtype=bool)
     if line:
         det = s0 * s2 - s1 * s1
         ok = (s0 > 0) & (s2 > 0) & (det > _DEGENERATE_TOL * (s0 * s2))
         out[ok] = (s2[ok] * t0[ok] - s1[ok] * t1[ok]) / det[ok]
-    bad = ~ok
-    if bad.any():
-        if flags is not None:
-            flags.constant_fallbacks += int(bad.sum())
-        s0b = s0[bad]
-        safe = s0b > 0
-        const = np.full(s0b.size, empty)
-        const[safe] = t0[bad][safe] / s0b[safe]
-        out[bad] = const
+    const = ~ok & (s0 > 0)
+    out[const] = t0[const] / s0[const]
+    none = ~ok & ~const
+    out[none] = empty
+    if flags is not None:
+        flags.constant_fallbacks += int(const.sum())
+        flags.widened_windows += int(none.sum())
     return out
-
-
-def _widened_weights(
-    u1: np.ndarray,
-    u2: np.ndarray,
-    h1: float,
-    h2: float,
-    w: np.ndarray,
-    kernel: Kernel,
-) -> np.ndarray:
-    """Product-kernel weights of a window stretched to reach the 3 nearest
-    points, at offsets (u1, u2) from its center, in scaled Chebyshev
-    distance (so the support stays square in bandwidth units)."""
-    r = np.maximum(np.abs(u1) / h1, np.abs(u2) / h2)
-    k = min(2, r.size - 1)
-    f = max(float(np.partition(r, k)[k]), 1e-300) * _WIDEN_FACTOR
-    return kernel(u1 / (f * h1)) * kernel(u2 / (f * h2)) * w
-
-
-def _nine_moments(
-    kw: np.ndarray, d1: np.ndarray, d2: np.ndarray, z: np.ndarray
-) -> tuple[float, ...]:
-    """Weighted moment sums of one 3-term local fit in regressors d1, d2,
-    in the order ``_solve_plane_batch`` takes them."""
-    return (
-        kw.sum(),
-        kw @ d1,
-        kw @ d2,
-        kw @ (d1 * d1),
-        kw @ (d1 * d2),
-        kw @ (d2 * d2),
-        kw @ z,
-        kw @ (z * d1),
-        kw @ (z * d2),
-    )
 
 
 def _solve_plane_batch(
@@ -567,7 +525,7 @@ def _windowed_moments(
     # elsewhere; each row then takes one (9 x n_i) @ (n_i x n2) product over
     # its run. Working per row and column keeps the temporaries window-sized.
     by_x2 = np.argsort(x2s, kind="stable")
-    lo, hi = _support(x2s[by_x2], s2c, np.full(s2c.size, float(h2)))
+    lo, hi = _support(x2s[by_x2], s2c, float(h2))
     Bt = np.zeros((x1s.size, s2c.size))
     for j in range(s2c.size):
         pts = by_x2[lo[j]:hi[j]]
@@ -575,7 +533,7 @@ def _windowed_moments(
     V = np.stack([
         np.ones_like(x1s), x1s, x2s, x1s * x1s, x1s * x2s, x2s * x2s, zs, zs * x1s, zs * x2s
     ])
-    lo, hi = _support(x1s, s1c, np.full(s1c.size, float(h1)))
+    lo, hi = _support(x1s, s1c, float(h1))
     P = np.zeros((9, s1c.size, s2c.size))
     for i in range(s1c.size):
         win = slice(lo[i], hi[i])
@@ -625,9 +583,9 @@ def local_linear_2d(
     moment expansion in raw powers would otherwise lose precision when the
     domain sits far from zero.
 
-    Empty windows are widened over the full scatter to the nearest 3 points
-    (scaled Chebyshev distance) and counted in ``flags``. Rank-deficient
-    nodes drop to a local constant.
+    Rank-deficient nodes drop to a local constant, and nodes whose window
+    holds no weighted point take the weighted mean of the scatter; ``flags``
+    counts both. A scatter with no positive weight raises ValueError.
 
     Returns
     -------
@@ -662,18 +620,7 @@ def local_linear_2d(
     else:
         moments = _windowed_moments(x1c, x2c, z, w, s1c, s2c, h1, h2, kernel)
 
-    # Widen empty windows over the full scatter before solving.
-    empty = ~(moments[0] > 0)
-    if empty.any():
-        if flags is not None:
-            flags.widened_windows += int(empty.sum())
-        for i, j in zip(*np.nonzero(empty)):
-            d1, d2 = s1c[i] - x1c, s2c[j] - x2c
-            kw = _widened_weights(d1, d2, h1, h2, w, kernel)
-            for m, v in zip(moments, _nine_moments(kw, d1, d2, z)):
-                m[i, j] = v
-
-    return _solve_plane_batch(moments, flags)
+    return _solve_plane_batch(moments, flags, empty=_empty_fill(moments[0], z, w))
 
 
 def local_diag_rotated(
@@ -699,11 +646,14 @@ def local_diag_rotated(
 
     ``eval_points`` are diagonal locations in original coordinates.
 
-    Only pairs in the band |o| < bandwidth carry weight, and every one of
-    them lies within ``_diag_band_reach(bandwidth)`` of the diagonal in
-    |x2 - x1|. A caller may drop the pairs beyond that reach first, keeping
-    the rest in their order: where no window widens, the fit is the same bit
-    for bit, since the band is then the same pairs in the same order.
+    Only pairs in the band |o| < bandwidth with positive weight carry
+    weight, and every one of them lies within ``_diag_band_reach(bandwidth)``
+    of the diagonal in |x2 - x1|. A target whose window holds none of them
+    takes the weighted mean of the band, or, where the band is empty, that
+    of every pair given. A caller may drop the pairs beyond the reach first,
+    keeping the rest in their order: wherever the band is not empty, the fit
+    is the same bit for bit, since the band is then the same pairs in the
+    same order.
     """
     x1 = np.asarray(x1, dtype=float).ravel()
     x2 = np.asarray(x2, dtype=float).ravel()
@@ -727,21 +677,17 @@ def local_diag_rotated(
     band = band[np.argsort(dd[band], kind="stable")]
     bd, bk, bw, bz = dd[band], ko[band], w[band], z[band]
     bo2 = oo[band] * oo[band]
-    lo, hi = _support(bd, targets, np.full(s.size, float(bandwidth)))
+    lo, hi = _support(bd, targets, float(bandwidth))
 
     moments = np.empty((9, s.size))
     for i, target in enumerate(targets):
         win = slice(lo[i], hi[i])
         dc, o2, zz = bd[win] - target, bo2[win], bz[win]
         kw = kernel(dc / bandwidth) * bk[win] * bw[win]
-        if not kw.sum() > 0:
-            # Nothing in the window: widen over the full scatter.
-            if flags is not None:
-                flags.widened_windows += 1
-            dc, o2, zz = dd - target, oo * oo, z
-            kw = _widened_weights(dc, oo, bandwidth, bandwidth, w, kernel)
-        moments[:, i] = _nine_moments(kw, dc, o2, zz)
-    empty = float(np.average(z, weights=w)) if not (moments[0] > 0).all() else 0.0
+        # in the order _solve_plane_batch takes them
+        moments[:, i] = (kw.sum(), kw @ dc, kw @ o2, kw @ (dc * dc), kw @ (dc * o2),
+                         kw @ (o2 * o2), kw @ zz, kw @ (zz * dc), kw @ (zz * o2))
+    empty = _empty_fill(moments[0], *((bz, bw) if band.size else (z, w)))
     out = _solve_plane_batch(tuple(moments), flags, line_fallback=True, empty=empty)
     return out.reshape(np.shape(eval_points))
 
@@ -750,7 +696,9 @@ def _diag_band_reach(bandwidth: float) -> float:
     """A bound on |x2 - x1| over the pairs in ``local_diag_rotated``'s band
     at ``bandwidth``: a pair weighs in only where its rotated offset
     |x2 - x1| / sqrt2 is below the bandwidth, and ``_pad`` covers the
-    rounding of the rotation and of the kernel's argument."""
+    rounding of the rotation and of the kernel's argument. Every fitted
+    value, empty windows' band mean included, depends on the pairs within
+    it alone while the band is not empty."""
     reach = math.sqrt(2.0) * bandwidth
     return reach + _pad(0.0, reach)
 

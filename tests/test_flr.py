@@ -582,16 +582,21 @@ class TestInvariance:
         assert np.max(np.abs(model.beta - c * fitted.beta)) <= 1e-10 * scale
         assert model.r2.value_raw == pytest.approx(fitted.r2.value_raw, rel=1e-10)
 
-    @pytest.mark.parametrize("a, b", [(2.0, 0.0), (0.5, 100.0), (3.0, -7.0)])
+    @pytest.mark.parametrize("a, b", [
+        (2.0, 0.0), (0.5, 100.0), (3.0, -7.0), (-1.0, 10.0), (-2.0, 0.0), (-0.5, 3.0),
+    ])
     def test_time_axis_affine_map_carries_through(self, fitted, sparse_pair, a, b):
         # t -> a t + b on the times and the domain: the counts stay, every
-        # bandwidth scales by a, R2 stays, and beta(s, t) = a beta'(a s + b,
-        # a t + b), because ds' = a ds in the regression integral
+        # bandwidth scales by |a|, R2 stays, and beta(s, t) = |a| beta'(a s +
+        # b, a t + b), because |ds'| = |a| ds in the regression integral. For
+        # a < 0 time runs backwards: the domain is [a hi + b, a lo + b], and
+        # beta' on its grid is beta reversed on both axes
         x_sample, y_sample, _ = sparse_pair
 
         def mapped(sample):
             lo, hi = sample.domain.lo, sample.domain.hi
-            return SparseFunctionalSample(Interval(a * lo + b, a * hi + b), tuple(
+            ends = (a * lo + b, a * hi + b) if a > 0 else (a * hi + b, a * lo + b)
+            return SparseFunctionalSample(Interval(*ends), tuple(
                 SubjectRecord(s.subject_id, a * s.times + b, s.values) for s in sample.subjects
             ))
 
@@ -605,18 +610,22 @@ class TestInvariance:
         assert model.x.n_components == fitted.x.n_components
         assert model.y.n_components == fitted.y.n_components
         for got, want in zip(bandwidths(model), bandwidths(fitted)):
-            assert got == pytest.approx(a * want, rel=1e-12, abs=0.0)
+            assert got == pytest.approx(abs(a) * want, rel=1e-12, abs=0.0)
         assert abs(model.r2.value_raw - fitted.r2.value_raw) <= 1e-12
+        beta = model.beta if a > 0 else model.beta[::-1, ::-1]
         scale = np.max(np.abs(fitted.beta))
-        assert np.max(np.abs(a * model.beta - fitted.beta)) <= 1e-9 * scale
+        assert np.max(np.abs(abs(a) * beta - fitted.beta)) <= 1e-9 * scale
 
     # v -> c v + d on the values of one variable: the mean shifts, every
     # covariance involving that variable scales by c (its own surface by
     # c^2), so the picks, bandwidths and R2 stay, and beta scales by 1/c for
-    # X and by c for Y; with c a power of two and d = 0 every step scales
-    # exactly
+    # X and by c for Y; with c a power of two, of either sign, and d = 0
+    # every step scales exactly
     @pytest.mark.parametrize("variable", ["x", "y"])
-    @pytest.mark.parametrize("c, d", [(3.0, 0.0), (4.0, 0.0), (1.0, 5.0), (3.0, -7.0), (1.0, 100.0)])
+    @pytest.mark.parametrize("c, d", [
+        (3.0, 0.0), (4.0, 0.0), (1.0, 5.0), (3.0, -7.0), (1.0, 100.0),
+        (-1.0, 0.0), (-4.0, 0.0), (-3.0, 0.0),
+    ])
     def test_value_axis_affine_map_carries_through(self, fitted, sparse_pair, variable, c, d):
         x_sample, y_sample, _ = sparse_pair
 
@@ -636,7 +645,7 @@ class TestInvariance:
         deviation = np.max(np.abs(got - want)) / np.max(np.abs(want))
         print(f"largest beta deviation {deviation:.2e} of max|beta|")
         assert deviation <= 1e-10
-        if (c, d) == (4.0, 0.0):
+        if c in (4.0, -1.0, -4.0) and d == 0.0:
             assert np.array_equal(got, want)
 
 

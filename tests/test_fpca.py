@@ -316,6 +316,22 @@ class TestEstimateCovariance:
         fixed = estimate_covariance(raw, grid, FpcaConfig(cov_bandwidth=cov.bandwidth))
         assert np.array_equal(cov.surface, fixed.surface)
 
+    # Known failure, kept visible: near-singular local planes pass the
+    # degeneracy tolerance on small cohorts and leave the data. On this one
+    # (sparse n=10, seed 6, both counts fixed at 2) the X surface peaks at
+    # node (0.0, 3.8), bandwidth 1.8, far above every raw product; the gate
+    # is 3 times their largest magnitude. The xfail reason reports the
+    # ratio; any other failure, or a ratio within the gate, fails the test.
+    @pytest.mark.xfail(strict=True, raises=pytest.xfail.Exception,
+                       reason="near-singular local planes extrapolate the surface")
+    def test_small_cohort_surface_stays_near_the_raw_products(self):
+        sample, _, _ = gen_pair(SimConfig(n_subjects=10, seed=6), np.random.default_rng(6))
+        model = fit_fpca(sample, FpcaConfig(), 2)
+        raw = raw_covariances(sample, MeanEstimate(model.grid, model.mean, model.mean_bandwidth))
+        ratio = float(np.abs(model.surface).max() / np.abs(raw.value).max())
+        if not ratio <= 3.0:
+            pytest.xfail(f"max|surface| is {ratio:.1f} times max|raw product|")
+
 
 class TestNoiseVariance:
     def test_constant_inflation_recovered(self, grid):
@@ -415,7 +431,7 @@ def public_covariance(raw, grid, config):
 def public_noise_variance(raw, grid, bandwidth, config, flags):
     """``estimate_noise_variance`` as the public functions compose it, with
     the rotated diagonal fitted on every pair. Returns (estimate, the
-    rotated fit's widened-window count)."""
+    rotated fit's empty-window count)."""
     kern, lo, length = get_kernel(config.kernel), grid.interval.lo, grid.interval.length
     mid = RegularGrid(
         Interval(lo + 0.25 * length, grid.interval.hi - 0.25 * length),
@@ -453,7 +469,8 @@ class TestPairScatterMatchesPublicComposition:
             assert np.array_equal(cov.surface, surface)
 
     # 0.8 is the covariance bandwidth the fit picks; at 0.03 some targets of
-    # the rotated fit widen, which then runs on every pair
+    # the rotated fit have empty windows and take the band's mean, which the
+    # pairs near the diagonal give as every pair does
     @pytest.mark.parametrize("bandwidth, widens", [(0.8, False), (0.03, True)])
     def test_noise_variance(self, raws, grid, bandwidth, widens):
         for raw, loop in raws:
@@ -467,9 +484,9 @@ class TestPairScatterMatchesPublicComposition:
             assert (rotated_widened > 0) == widens
 
     def test_pinned_widened_target_falls_back_unchanged(self):
-        # the known failure pinned in test_smoothing.py, its three weighted
-        # pairs at unit weight: one pair lies near the diagonal, and the
-        # far target widens over all three
+        # the empty-window case pinned in test_smoothing.py, its three
+        # weighted pairs at unit weight: one pair lies near the diagonal,
+        # and the far target takes its value, the band's mean
         s1, s2, z = np.array([0.0, 0.0, 5.5]), np.array([0.25, 0.75, 0.25]), np.array([0.0, 1.0, 0.0])
         raw = handmade_raw(s1, s2, z)
         h, target = 0.5 / np.sqrt(2.0), np.array([6.25])

@@ -11,7 +11,6 @@ import sparseflr.smoothing as smoothing
 from sparseflr.fpca import raw_covariances
 from sparseflr.smoothing import (
     _DEGENERATE_TOL,
-    _WIDEN_FACTOR,
     EPANECHNIKOV,
     QUARTIC,
     Kernel,
@@ -26,13 +25,7 @@ from sparseflr.smoothing import (
     select_bandwidth_1d,
     select_bandwidth_2d,
 )
-from sparseflr.smoothing import (
-    _block_size,
-    _nine_moments,
-    _node_index,
-    _solve_plane_batch,
-    _widened_weights,
-)
+from sparseflr.smoothing import _block_size, _node_index, _solve_plane_batch
 
 RNG = np.random.default_rng(42)
 finite_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -67,19 +60,9 @@ def full_scatter_local_linear_1d(x, y, s, bandwidth, kernel=EPANECHNIKOV, weight
     it replaced, which weighs every point at every evaluation point."""
     x, y, s = (np.asarray(a, dtype=float).ravel() for a in (x, y, s))
     w = np.ones(x.size) if weights is None else np.asarray(weights, dtype=float)
-    ux = np.unique(x[w > 0])
     out = np.empty(s.size)
     d = s[:, None] - x[None, :]
     kw = kernel(d / bandwidth) * w[None, :]
-    inside = np.abs(ux[None, :] - s[:, None]) < bandwidth
-    need_widen = inside.sum(axis=1) < 2
-    if need_widen.any() and ux.size >= 2:
-        if flags is not None:
-            flags.widened_windows += int(need_widen.sum())
-        for i in np.flatnonzero(need_widen):
-            dist = np.sort(np.abs(ux - s[i]))
-            b_i = max(bandwidth, dist[1]) * _WIDEN_FACTOR
-            kw[i] = kernel(d[i] / b_i) * w
     s0 = kw.sum(axis=1)
     s1 = (kw * d).sum(axis=1)
     s2 = (kw * d * d).sum(axis=1)
@@ -91,10 +74,11 @@ def full_scatter_local_linear_1d(x, y, s, bandwidth, kernel=EPANECHNIKOV, weight
     out[ok] = (s2[ok] * t0[ok] - s1[ok] * t1[ok]) / det[ok]
     bad = ~ok
     if bad.any():
-        if flags is not None:
-            flags.constant_fallbacks += int(bad.sum())
         s0b = s0[bad]
         safe = s0b > 0
+        if flags is not None:
+            flags.constant_fallbacks += int(safe.sum())
+            flags.widened_windows += int((~safe).sum())
         const = np.empty(s0b.size)
         const[safe] = t0[bad][safe] / s0b[safe]
         if (~safe).any():
@@ -120,17 +104,14 @@ def per_point_local_diag_rotated(x1, x2, z, s, bandwidth, kernel=EPANECHNIKOV, w
         target = rt2 * si
         dc = dd - target
         kw = kernel(dc / bandwidth) * kernel(oo / bandwidth) * w
-        if not kw.sum() > 0:
-            if flags is not None:
-                flags.widened_windows += 1
-            r = np.maximum(np.abs(dc), np.abs(oo)) / bandwidth
-            k = min(2, r.size - 1)
-            f = max(float(np.partition(r, k)[k]), 1e-300) * _WIDEN_FACTOR
-            kw = kernel(dc / (f * bandwidth)) * kernel(oo / (f * bandwidth)) * w
         moments[:, i] = [kw.sum(), kw @ dc, kw @ o2, kw @ (dc * dc), kw @ (dc * o2), kw @ (o2 * o2),
                          kw @ z, kw @ (z * dc), kw @ (z * o2)]
+    # empty windows take the mean of the band, else of every pair
+    band = (kernel(oo / bandwidth) > 0) & (w > 0)
+    if not band.any():
+        band = np.ones(z.size, dtype=bool)
     return _solve_plane_batch(tuple(moments), flags, line_fallback=True,
-                              empty=float(np.average(z, weights=w)))
+                              empty=float(np.average(z[band], weights=w[band])))
 
 
 def lu_solve_plane_batch(moments, flags, line_fallback=False, empty=0.0):
@@ -171,10 +152,11 @@ def lu_solve_plane_batch(moments, flags, line_fallback=False, empty=0.0):
         out[line] = (s20f[line] * t0.ravel()[line] - s10f[line] * t1.ravel()[line]) / det[line]
         badf &= ~line
     if badf.any():
-        if flags is not None:
-            flags.constant_fallbacks += int(badf.sum())
         s00f, t0f = s00.ravel()[badf], t0.ravel()[badf]
         safe = s00f > 0
+        if flags is not None:
+            flags.constant_fallbacks += int(safe.sum())
+            flags.widened_windows += int((~safe).sum())
         const = np.full(s00f.size, empty)
         const[safe] = t0f[safe] / s00f[safe]
         out[badf] = const
@@ -214,16 +196,7 @@ def full_scatter_local_linear_2d(x1, x2, z, g1, g2, bandwidths, kernel=EPANECHNI
         S1 * q0 - q1,
         S2 * q0 - q2,
     )
-    empty = ~(p00 > 0)
-    if empty.any():
-        if flags is not None:
-            flags.widened_windows += int(empty.sum())
-        for i, j in zip(*np.nonzero(empty)):
-            d1, d2 = s1c[i] - x1c, s2c[j] - x2c
-            kw = _widened_weights(d1, d2, h1, h2, w, kernel)
-            for m, v in zip(moments, _nine_moments(kw, d1, d2, z)):
-                m[i, j] = v
-    return _solve_plane_batch(moments, flags)
+    return _solve_plane_batch(moments, flags, empty=float(np.average(z, weights=w)))
 
 
 # Scatters for the oracle comparisons. Coordinates sit on lattices offset
@@ -231,7 +204,7 @@ def full_scatter_local_linear_2d(x1, x2, z, g1, g2, bandwidths, kernel=EPANECHNI
 # so no point lands on a kernel edge: near an edge a weight of 1e-16 relative
 # can decide a line, and any change of summation order then moves the fit by
 # far more than rounding. Evaluation points reach past the data by up to 1.75
-# (widened windows, extrapolation); duplicate x and zero weights are common.
+# (empty windows, extrapolation); duplicate x and zero weights are common.
 LATTICE = np.arange(0.0, 10.01, 0.5)
 WEIGHTS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
 KERNELS = st.sampled_from([EPANECHNIKOV, QUARTIC])
@@ -321,7 +294,7 @@ G31 = np.linspace(0.0, 10.0, 31)
 LOW = (S1 < 6.0) & (S2 < 6.0)
 LATTICE_CASES = {
     "dense n=400": lattice_case(S1, S2, Z12, G51, G51, (0.8, 0.8)),
-    "empty nodes widened": lattice_case(S1[LOW], S2[LOW], Z12[LOW], G51, G51, (1.0, 1.0), QUARTIC),
+    "empty nodes": lattice_case(S1[LOW], S2[LOW], Z12[LOW], G51, G51, (1.0, 1.0), QUARTIC),
     "zero weights": lattice_case(S1, S2, Z12, G51, G51, (1.2, 1.2), QUARTIC, zero_every=5),
     "cross-covariance": lattice_case(S1, 40.0 + 1.2 * S2, Z12, G51, np.linspace(40.0, 52.0, 31),
                                      (0.8, 1.2)),
@@ -338,8 +311,8 @@ OFF_LATTICE = tuple(OFF_LATTICE)
 def clustered_scatter():
     """Clusters of x rounded to 0.01 (duplicates) between gaps, a 400-fold
     atom alone in a gap, a zero-weight cluster and 10% zero weights: small
-    bandwidths widen many windows, which then hold whole blocks near the
-    kernel edge."""
+    bandwidths leave windows empty or holding a single distinct x, and
+    larger ones take whole blocks of clusters into their moment sums."""
     rng = np.random.default_rng(7)
     parts = [np.round(c + 0.4 * rng.uniform(size=600), 2) for c in (0.0, 3.0, 3.6, 7.0, 8.0, 10.0)]
     x = np.concatenate(parts + [np.full(400, 5.0)])
@@ -363,12 +336,12 @@ class TestWindowedSmoothersMatchFullScatter:
 
     Sums run over the same terms in another order, so values agree to
     rounding (1e-12 of the larger of the data and fit magnitudes) and every
-    widening and fallback decision, hence every flag count, is identical.
+    fallback decision, hence every flag count, is identical.
     """
 
     @settings(derandomize=True, max_examples=60)
     @given(case=scatters_1d())
-    # widened window far left of the data
+    # an empty window far left of the data
     @example(case=(np.array([8.0, 8.5, 9.0]), np.array([1.0, 2.0, 3.0]), np.ones(3),
                    np.array([-1.25, 8.25]), 0.5, EPANECHNIKOV))
     # one distinct weighted x: constant fallback inside, weighted mean outside
@@ -385,20 +358,22 @@ class TestWindowedSmoothersMatchFullScatter:
 
     @settings(derandomize=True, max_examples=60)
     @given(case=scatters_diag())
-    # a band holding a single pair; the far target widens over the scatter
+    # a band holding a single pair; the far target's window is empty
     @example(case=(np.array([1.0, 3.0]), np.array([1.25, 9.25]), np.array([2.0, -4.0]), np.ones(2),
                    np.array([1.125, 5.0]), 0.5 / np.sqrt(2.0), EPANECHNIKOV))
     # three pairs along the diagonal: the line fallback, then targets beyond
     @example(case=(np.array([2.0, 4.0, 6.0]), np.array([2.25, 4.25, 6.25]),
                    np.array([1.0, 2.0, 4.0]), np.array([1.0, 0.5, 2.0]),
                    np.array([4.0, 0.0, 9.5]), 2.0 / np.sqrt(2.0), QUARTIC))
-    # a far target widened to three pairs: an extrapolated, ill-conditioned
-    # plane (condition number 2.6e7), where a solver other than the
-    # module's differs by 1.6e-12 of the scale
+    # a far target with an empty window: the mean of the band's one pair,
+    # not of the three weighted pairs
     @example(case=(np.where(np.arange(16) == 13, 5.5, 0.0), np.where(np.arange(16) == 5, 0.75, 0.25),
                    np.where(np.arange(16) == 5, 1.0, 0.0),
                    np.array([1.0, 0, 0, 0, 0, 0.5, 0, 0, 0, 0, 0, 0, 0, 2.0, 0, 0]),
                    np.array([6.25]), 0.5 / np.sqrt(2.0), QUARTIC))
+    # an empty band: the mean of every pair given
+    @example(case=(np.array([0.0]), np.array([0.75]), np.array([1.0]), np.ones(1),
+                   np.array([-1.0]), 0.5 / np.sqrt(2.0), EPANECHNIKOV))
     def test_local_diag_rotated(self, case):
         x1, x2, z, w, s, h, kernel = case
         new, old = SmoothFlags(), SmoothFlags()
@@ -410,7 +385,7 @@ class TestWindowedSmoothersMatchFullScatter:
 
     @settings(derandomize=True, max_examples=80)
     @given(case=scatters_2d())
-    # grid reaching past the data: every node but one widened, h1 != h2
+    # grid reaching past the data: every node but one empty, h1 != h2
     @example(case=(np.array([1.0, 1.5, 2.0, 1.0]), np.array([1.0, 2.0, 1.5, 1.5]),
                    np.array([3.0, -1.0, 2.0, 0.5]), np.array([1.0, 0.0, 2.0, 0.5]),
                    np.array([-0.25, 1.25, 4.75]), np.array([0.75, 1.75, 6.25]), (0.5, 1.0),
@@ -423,7 +398,7 @@ class TestWindowedSmoothersMatchFullScatter:
                    (1.0, 0.6), QUARTIC))
     # binned scatters: the lattice path, and one point off it
     @example(case=LATTICE_CASES["dense n=400"])
-    @example(case=LATTICE_CASES["empty nodes widened"])
+    @example(case=LATTICE_CASES["empty nodes"])
     @example(case=LATTICE_CASES["zero weights"])
     @example(case=LATTICE_CASES["cross-covariance"])
     @example(case=LATTICE_CASES["n_grid 31"])
@@ -443,23 +418,43 @@ class TestWindowedSmoothersMatchFullScatter:
         flags = SmoothFlags()
         local_linear_1d([8.0, 8.5, 9.0], [1.0, 2.0, 3.0], [-1.25], 0.5, flags=flags)
         assert flag_counts(flags) == (1, 0)
+        # a single distinct weighted x: the local constant at 3.25 and the
+        # weighted mean in the empty window at 7.75
         flags = SmoothFlags()
         out = local_linear_1d([3.0, 3.0, 6.0], [1.0, 5.0, 9.0], [3.25, 7.75], 0.5,
                               QUARTIC, weights=[1.0, 2.0, 0.0], flags=flags)
-        assert flag_counts(flags) == (0, 2)
-        assert np.allclose(out, 11.0 / 3.0, rtol=1e-15)
-        # one pair in the band: a constant; the widened target holds two
-        # pairs, enough for the line along the diagonal
-        flags = SmoothFlags()
-        local_diag_rotated([1.0, 3.0], [1.25, 9.25], [2.0, -4.0], [1.125, 5.0],
-                           0.5 / np.sqrt(2.0), flags=flags)
         assert flag_counts(flags) == (1, 1)
+        assert np.allclose(out, 11.0 / 3.0, rtol=1e-15)
+        # one pair in the band: a constant; the empty window at 5.0 takes
+        # the band's mean, not the mean -1.0 of both pairs
+        flags = SmoothFlags()
+        out = local_diag_rotated([1.0, 3.0], [1.25, 9.25], [2.0, -4.0], [1.125, 5.0],
+                                 0.5 / np.sqrt(2.0), flags=flags)
+        assert flag_counts(flags) == (1, 1)
+        assert out.tolist() == [2.0, 2.0]
+        # an empty band: the mean of every pair given
+        flags = SmoothFlags()
+        out = local_diag_rotated([0.0], [0.75], [1.0], [-1.0], 0.5 / np.sqrt(2.0), flags=flags)
+        assert flag_counts(flags) == (1, 0)
+        assert out.tolist() == [1.0]
+
+    def test_no_positive_weight_raises(self):
+        # no weighted point leaves no mean for the empty windows to take
+        x, w = np.array([1.0, 2.0, 3.0]), np.zeros(3)
+        fits = [
+            lambda: local_linear_1d(x, x, [2.0], 1.0, weights=w),
+            lambda: local_linear_2d(x, x, x, x, x, (1.0, 1.0), weights=w),
+            lambda: local_diag_rotated(x, x, x, [2.0], 1.0, weights=w),
+        ]
+        for fit in fits:
+            with pytest.raises(ValueError, match="all points have zero weight"):
+                fit()
 
     def test_lattice_examples_take_their_paths(self):
         for x1, x2, _, _, g1, g2, _, _ in LATTICE_CASES.values():
             assert _node_index(x1, g1) is not None and _node_index(x2, g2) is not None
         assert _node_index(OFF_LATTICE[0], OFF_LATTICE[4]) is None
-        x1, x2, z, w, g1, g2, h, kernel = LATTICE_CASES["empty nodes widened"]
+        x1, x2, z, w, g1, g2, h, kernel = LATTICE_CASES["empty nodes"]
         flags = SmoothFlags()
         local_linear_2d(x1, x2, z, g1, g2, h, kernel, weights=w, flags=flags)
         assert flags.widened_windows > 0
@@ -471,7 +466,7 @@ class TestWholeBlockSums:
     kernel, but shifting their moments still reorders sums of larger terms,
     so values agree to 1e-11 of the data scale (on the clustered scatter the
     previous windowed body was itself 4.8e-12 from this oracle) and every
-    widening and fallback decision is identical."""
+    fallback decision, empty windows included, is identical."""
 
     CASES = {
         "sparse n=2000 cohort": pooled_cohort(),
@@ -484,7 +479,7 @@ class TestWholeBlockSums:
     def test_matches_full_scatter(self, case, kernel):
         x, y, w, s, bandwidths = self.CASES[case]
         assert _block_size(x.size) > 0
-        widened = 0
+        empty = 0
         for b in bandwidths:
             new, old = SmoothFlags(), SmoothFlags()
             out = local_linear_1d(x, y, s, b, kernel, weights=w, flags=new)
@@ -492,8 +487,8 @@ class TestWholeBlockSums:
             scale = max(np.max(np.abs(y)), np.max(np.abs(ref)))
             assert np.max(np.abs(out - ref)) <= 1e-11 * scale
             assert flag_counts(new) == flag_counts(old)
-            widened += new.widened_windows
-        assert (widened > 0) == (case == "clusters")
+            empty += new.widened_windows
+        assert (empty > 0) == (case == "clusters")
 
 
 def plane_moments(rng, n_nodes):
@@ -545,8 +540,13 @@ class TestPlaneSolve:
         near = det[ok] / _DEGENERATE_TOL
         assert ((near < 10.0).sum() >= 10) and (((det > 0) & (det <= _DEGENERATE_TOL)).sum() >= 10)
         assert np.array_equal(out[~ok], ref[~ok])
+        # the one node without weight takes ``empty``; the rest of the
+        # fallbacks, with line_fallback those that fail the line too, take
+        # the local constant
+        assert new.widened_windows == (s00 <= 0).sum() == 1
+        assert out[s00 <= 0].tolist() == [-7.0]
         if not line_fallback:
-            assert new.constant_fallbacks == (~ok).sum()
+            assert new.constant_fallbacks == (~ok).sum() - 1
 
         m = np.zeros((ok.sum(), 3, 3))
         m[:, 0, 0] = m[:, 1, 1] = m[:, 2, 2] = 1.0
@@ -645,10 +645,12 @@ class TestLocalLinear1d:
     def test_widens_empty_windows(self):
         x = np.array([8.0, 8.5, 9.0])
         y = np.array([1.0, 2.0, 3.0])
+        w = np.array([1.0, 1.0, 2.0])
         flags = SmoothFlags()
-        out = local_linear_1d(x, y, np.array([0.0]), 0.5, flags=flags)
+        out = local_linear_1d(x, y, np.array([0.0, 8.5]), 0.5, weights=w, flags=flags)
         assert np.isfinite(out).all()
-        assert flags.widened_windows > 0
+        assert flags.widened_windows == 1
+        assert out[0] == np.average(y, weights=w)
 
     def test_constant_fallback_on_degenerate_window(self):
         x = np.full(5, 3.0)
@@ -699,7 +701,11 @@ class TestLocalLinear2d:
         flags = SmoothFlags()
         surf = local_linear_2d(x1, x2, z, g, g, (0.5, 0.5), flags=flags)
         assert np.isfinite(surf).all()
-        assert flags.widened_windows > 0
+        # only the node (10, 10) holds a point
+        empty = np.ones((3, 3), dtype=bool)
+        empty[2, 2] = False
+        assert flags.widened_windows == empty.sum()
+        assert (surf[empty] == np.mean(z)).all() and surf[2, 2] == 3.0
 
 
 class TestLocalDiagRotated:
@@ -727,15 +733,11 @@ class TestLocalDiagRotated:
         out = local_diag_rotated(x1, x2, z, np.array([9.0]), 0.3, flags=flags)
         assert np.isfinite(out).all()
 
-    # Known failure, kept visible: stretching an empty window to the 3
-    # nearest pairs leaves an exactly determined fit, evaluated however far
-    # the target lies from them. The case is the third explicit example of
-    # ``test_local_diag_rotated``: a target 13 bandwidths along the diagonal
-    # from the nearest weighted pair. The xfail reason reports the value;
-    # any other failure, or a value within the data, fails the test.
-    @pytest.mark.xfail(strict=True, raises=pytest.xfail.Exception,
-                       reason="widened diagonal window extrapolates its 3-pair fit")
-    def test_widened_window_stays_within_the_data(self):
+    # The third explicit example of ``test_local_diag_rotated``: a target
+    # 13 bandwidths along the diagonal from the nearest weighted pair. Its
+    # empty window takes the mean of the band, whose one pair (0, 0.25)
+    # has z = 0.
+    def test_empty_window_stays_within_the_data(self):
         i = np.arange(16)
         x1, x2 = np.where(i == 13, 5.5, 0.0), np.where(i == 5, 0.75, 0.25)
         z = np.where(i == 5, 1.0, 0.0)
@@ -744,8 +746,8 @@ class TestLocalDiagRotated:
         out = local_diag_rotated(x1, x2, z, np.array([6.25]), 0.5 / np.sqrt(2.0), QUARTIC,
                                  weights=w, flags=flags)
         assert flags.widened_windows == 1
-        if not 0.0 <= out[0] <= 1.0:
-            pytest.xfail(f"local_diag_rotated returns {float(out[0])!r} at 6.25 from z in [0, 1]")
+        assert 0.0 <= out[0] <= 1.0
+        assert out[0] == 0.0
 
 
 class TestBinScatter2d:
