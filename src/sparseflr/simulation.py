@@ -244,11 +244,13 @@ def in_scores(
     weight of the observation at S_l is S_l - S_{l-1}, anchored at the
     domain's lower endpoint. With a handful of points this quadrature is
     crude, which is exactly what the harness measures. Times must be
-    ascending.
+    ascending, with one value each; ValueError otherwise.
     """
     m = model.n_components if n_components is None else int(n_components)
     t = np.asarray(times, dtype=float).ravel()
     u = np.asarray(values, dtype=float).ravel()
+    if t.size != u.size:
+        raise ValueError("times and values lengths differ")
     if t.size == 0:
         return np.zeros(m)
     if t.size > 1 and (np.diff(t) < 0).any():

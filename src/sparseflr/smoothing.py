@@ -28,6 +28,11 @@ smoothers, and counts them in the flags accumulator. Windows are never
 stretched beyond the bandwidth. Output is therefore finite whenever at
 least one point carries weight.
 
+The three smoothers and both selectors check their points through
+``_scatter``. Invalid points raise ValueError: an empty scatter, columns of
+unequal length, a non-finite point or weight, a negative weight, or weights
+or a ``subject_index`` not one per point.
+
 Bandwidth selection offers pooled GCV (default, cheap) and
 leave-one-subject-out CV (honest but n times the work). One search runs
 both for 1-d and 2-d scatters; ``select_bandwidth_1d`` and
@@ -174,9 +179,34 @@ def _as_weights(weights: np.ndarray | None, n: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.shape != (n,):
         raise ValueError(f"weights shape {w.shape} does not match {n} points")
-    if (w < 0).any():
-        raise ValueError("weights must be nonnegative")
+    if not (np.isfinite(w) & (w >= 0)).all():
+        raise ValueError("weights must be finite and nonnegative")
     return w
+
+
+def _scatter(columns: Sequence[np.ndarray], weights: np.ndarray | None,
+             subject_index: np.ndarray | None = None, sort: bool = True) -> tuple:
+    """(*columns, weights, subject_index) of a smoother or bandwidth search,
+    checked as the module docstring says, the columns as 1-d float arrays;
+    with ``sort``, stably sorted by the first column."""
+    cols = [np.asarray(c, dtype=float).ravel() for c in columns]
+    n = cols[0].size
+    if n == 0:
+        raise ValueError("cannot smooth an empty scatter")
+    if any(c.size != n for c in cols):
+        raise ValueError(f"scatter columns differ in length: {[c.size for c in cols]}")
+    if not all(np.isfinite(c).all() for c in cols):
+        raise ValueError("scatter points must be finite")
+    w = _as_weights(weights, n)
+    if subject_index is not None:
+        subject_index = np.asarray(subject_index).ravel()
+        if subject_index.size != n:
+            raise ValueError(f"subject_index has {subject_index.size} entries for {n} points")
+    if sort:
+        order = np.argsort(cols[0], kind="stable")
+        cols, w = [c[order] for c in cols], w[order]
+        subject_index = None if subject_index is None else subject_index[order]
+    return (*cols, w, subject_index)
 
 
 def _pad(centers: np.ndarray | float, half_widths: np.ndarray | float) -> np.ndarray | float:
@@ -323,22 +353,13 @@ def local_linear_1d(
     Raises
     ------
     ValueError
-        No data points, no point with positive weight, or a non-positive
-        bandwidth.
+        Invalid points (see the module docstring), no point with positive
+        weight, or a non-positive bandwidth.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
+    xs, ys, ws, _ = _scatter((x, y), weights)
     s = np.atleast_1d(np.asarray(eval_points, dtype=float)).ravel()
-    if x.size == 0:
-        raise ValueError("cannot smooth an empty scatter")
-    if x.shape != y.shape:
-        raise ValueError(f"x and y lengths differ: {x.size} vs {y.size}")
     if not bandwidth > 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    w = _as_weights(weights, x.size)
-
-    order = np.argsort(x, kind="stable")
-    xs, ys, ws = x[order], y[order], w[order]
     b = float(bandwidth)
 
     # Each window is a contiguous run [lo, hi) of the sorted scatter. On
@@ -348,7 +369,7 @@ def local_linear_1d(
     # block whose padding points at a zero-weight sentinel. Windows with no
     # whole block keep their full run there.
     lo, hi = _support(xs, s, b)
-    blk = _block_size(x.size)
+    blk = _block_size(xs.size)
     whole = np.zeros(s.size, dtype=bool)
     if blk:
         j0 = -(-np.searchsorted(xs, s - _BLOCK_REACH * b, side="left") // blk)
@@ -362,7 +383,7 @@ def local_linear_1d(
     idx = lo[:, None] + k
     if blocks:
         idx = np.where(k < (cut - lo)[:, None], idx, idx + (resume - cut)[:, None])
-    idx[idx >= hi[:, None]] = x.size
+    idx[idx >= hi[:, None]] = xs.size - 1  # the sentinel
     d = s[:, None] - xs[idx]
     kw = kernel(d / b) * ws[idx]
     kd = kw * d
@@ -585,29 +606,20 @@ def local_linear_2d(
 
     Rank-deficient nodes drop to a local constant, and nodes whose window
     holds no weighted point take the weighted mean of the scatter; ``flags``
-    counts both. A scatter with no positive weight raises ValueError.
+    counts both. Raises ValueError as ``local_linear_1d`` does.
 
     Returns
     -------
     ndarray of shape (len(grid1), len(grid2))
     """
-    x1 = np.asarray(x1, dtype=float).ravel()
-    x2 = np.asarray(x2, dtype=float).ravel()
-    z = np.asarray(z, dtype=float).ravel()
+    # Sorted by x1 once; from here on the result depends only on the sorted
+    # scatter, so a caller's presorted copy gives the same bits.
+    x1, x2, z, w, _ = _scatter((x1, x2, z), weights)
     g1 = np.asarray(grid1, dtype=float).ravel()
     g2 = np.asarray(grid2, dtype=float).ravel()
     h1, h2 = bandwidths
-    if x1.size == 0:
-        raise ValueError("cannot smooth an empty scatter")
-    if not (x1.shape == x2.shape == z.shape):
-        raise ValueError("x1, x2, z must have equal lengths")
     if not (h1 > 0 and h2 > 0):
         raise ValueError(f"bandwidths must be positive, got {bandwidths}")
-    w = _as_weights(weights, x1.size)
-    # Sorted by x1 once; from here on the result depends only on the sorted
-    # scatter, so a caller's presorted copy gives the same bits.
-    order = np.argsort(x1, kind="stable")
-    x1, x2, z, w = x1[order], x2[order], z[order], w[order]
 
     c1 = 0.5 * (g1.min() + g1.max())
     c2 = 0.5 * (g2.min() + g2.max())
@@ -653,17 +665,14 @@ def local_diag_rotated(
     of every pair given. A caller may drop the pairs beyond the reach first,
     keeping the rest in their order: wherever the band is not empty, the fit
     is the same bit for bit, since the band is then the same pairs in the
-    same order.
+    same order. Raises ValueError as ``local_linear_1d`` does.
     """
-    x1 = np.asarray(x1, dtype=float).ravel()
-    x2 = np.asarray(x2, dtype=float).ravel()
-    z = np.asarray(z, dtype=float).ravel()
+    # Not sorted: the band's order of ties along the diagonal is the
+    # caller's, and it sets the order of the window sums.
+    x1, x2, z, w, _ = _scatter((x1, x2, z), weights, sort=False)
     s = np.atleast_1d(np.asarray(eval_points, dtype=float)).ravel()
-    if x1.size == 0:
-        raise ValueError("cannot smooth an empty scatter")
     if not bandwidth > 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    w = _as_weights(weights, x1.size)
 
     rt2 = np.sqrt(2.0)
     dd = (x1 + x2) / rt2
@@ -875,14 +884,13 @@ def _search(
     elif objective == "loso-cv":
         if subject_index is None:
             raise ValueError("loso-cv requires subject_index")
-        idx = np.asarray(subject_index).ravel()
-        subjects = np.unique(idx)
+        subjects = np.unique(subject_index)
         if subjects.size < 2:
             raise ValueError("loso-cv needs at least 2 subjects")
         for c in cands:
             sse = 0.0
             for sid in subjects:
-                mask = idx == sid
+                mask = subject_index == sid
                 r = held_out(c, mask)
                 sse += float(w[mask] @ (r * r))
             scores.append(sse)
@@ -893,19 +901,6 @@ def _search(
         raise ValueError("no candidate bandwidth produced a finite score")
     fit = fits[best] if fits else None
     return BandwidthSelection(cands[best], tuple(cands), tuple(scores), objective, fit)
-
-
-def _aligned_subjects(subject_index: np.ndarray | None, order: np.ndarray) -> np.ndarray | None:
-    """``subject_index`` in the sorted scatter's ``order``; it must have one
-    entry per point."""
-    if subject_index is None:
-        return None
-    idx = np.asarray(subject_index).ravel()
-    if idx.size != order.size:
-        raise ValueError(
-            f"subject_index has {idx.size} entries for a scatter of {order.size} points"
-        )
-    return idx[order]
 
 
 def select_bandwidth_1d(
@@ -931,18 +926,17 @@ def select_bandwidth_1d(
         Leave-one-subject-out squared prediction error; needs
         ``subject_index`` aligned with the points and at least 2 subjects.
 
-    A ``subject_index`` of another length than the scatter raises
-    ValueError, whatever the objective.
+    Raises
+    ------
+    ValueError
+        Invalid points (see the module docstring), whatever the objective;
+        no candidates, an unknown objective, loso-cv without 2 subjects, or
+        no candidate with a finite score.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    g = np.asarray(grid, dtype=float).ravel()
-    w = _as_weights(weights, x.size)
-    rng = float(g.max() - g.min())
     # Sorted once here, the scatter is cheap to sort again in each fit.
-    order = np.argsort(x, kind="stable")
-    x, y, w = x[order], y[order], w[order]
-    subject_index = _aligned_subjects(subject_index, order)
+    x, y, w, subject_index = _scatter((x, y), weights, subject_index)
+    g = np.asarray(grid, dtype=float).ravel()
+    rng = float(g.max() - g.min())
 
     def grid_fit(b):
         fit = local_linear_1d(x, y, g, b, kernel, weights=w, flags=flags)
@@ -975,18 +969,13 @@ def select_bandwidth_2d(
     """2-d analogue of ``select_bandwidth_1d``; candidates are (h1, h2) pairs.
 
     The GCV trace approximation becomes K(0)^2 |range1| |range2| / (N h1 h2).
+    Raises ValueError as ``select_bandwidth_1d`` does.
     """
-    x1 = np.asarray(x1, dtype=float).ravel()
-    x2 = np.asarray(x2, dtype=float).ravel()
-    z = np.asarray(z, dtype=float).ravel()
+    x1, x2, z, w, subject_index = _scatter((x1, x2, z), weights, subject_index)
     g1 = np.asarray(grid1, dtype=float).ravel()
     g2 = np.asarray(grid2, dtype=float).ravel()
-    w = _as_weights(weights, x1.size)
     r1 = float(g1.max() - g1.min())
     r2 = float(g2.max() - g2.min())
-    order = np.argsort(x1, kind="stable")
-    x1, x2, z, w = x1[order], x2[order], z[order], w[order]
-    subject_index = _aligned_subjects(subject_index, order)
 
     def grid_fit(h):
         fit = local_linear_2d(x1, x2, z, g1, g2, h, kernel, weights=w, flags=flags)

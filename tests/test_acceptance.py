@@ -230,6 +230,30 @@ def test_criterion_6_noise_variance_recovery():
     assert ok
 
 
+# ROADMAP item 2's gate: criterion 6 on the response, whose diagonal-
+# inflation noise variance misses its truth 0.1 (3 of 20 runs within the
+# gate, 6 truncated to 0). The xfail reason reports the figures; any other
+# failure, or the gate met, fails the test.
+@pytest.mark.xfail(strict=True, raises=pytest.xfail.Exception,
+                   reason="the response noise variance misses its truth")
+def test_response_noise_variance_recovery():
+    estimates = []
+    for r in range(20):
+        cfg = SimConfig(n_subjects=400, seed=0)
+        _, y_sample, _ = gen_pair(cfg, np.random.default_rng(500 + r))
+        estimates.append(fit_fpca(y_sample, FpcaConfig()).noise_var)
+    est = np.array(estimates)
+    hits = int(((est >= 0.05) & (est <= 0.2)).sum())
+    detail = (
+        f"noise variance in [0.05, 0.2] for {hits}/20 runs, {int((est == 0).sum())} "
+        f"truncated to 0 (median estimate {np.median(est):.4f}, max {est.max():.4f}, "
+        f"truth 0.1)"
+    )
+    verdict("6 on Y", hits >= 18, detail)
+    if hits < 18:
+        pytest.xfail(detail)
+
+
 def test_criterion_7_explained_variation(design):
     # population side: pure score algebra, no surfaces involved
     b = np.asarray(design.b_matrix, float)

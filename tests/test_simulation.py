@@ -223,6 +223,13 @@ class TestInScores:
         expected = psi @ (resid * gaps)
         assert np.max(np.abs(in_scores(truth_x_model, times, values) - expected)) < 1e-12
 
+    @pytest.mark.parametrize("n_times, n_values", [(3, 1), (3, 4), (0, 1)])
+    def test_unequal_lengths_raise(self, truth_x_model, n_times, n_values):
+        # one value against three times was once broadcast into scores
+        times = np.linspace(1.0, 9.0, n_times)
+        with pytest.raises(ValueError, match="lengths differ"):
+            in_scores(truth_x_model, times, np.ones(n_values))
+
     def test_dense_grid_matches_quadrature_closely(self, design, grid):
         model = make_truth_model(design, grid)
         psi = design.psi(grid.points)

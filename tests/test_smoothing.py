@@ -927,3 +927,88 @@ class TestBandwidthSelection:
             )
         assert np.allclose(sel.scores, direct, rtol=1e-10)
         assert sel.chosen == cands[int(np.argmin(direct))]
+
+
+G11 = np.linspace(0.0, 10.0, 11)
+
+# Each public entry point, with its number of columns, as a call on its
+# columns and weights.
+ENTRY_POINTS = {
+    "local_linear_1d": (2, lambda c, w: local_linear_1d(*c, G11, 2.0, weights=w)),
+    "select_bandwidth_1d": (2, lambda c, w: select_bandwidth_1d(*c, [2.0], G11, weights=w)),
+    "local_linear_2d": (3, lambda c, w: local_linear_2d(*c, G11, G11, (2.0, 2.0), weights=w)),
+    "local_diag_rotated": (3, lambda c, w: local_diag_rotated(*c, G11, 2.0, weights=w)),
+    "select_bandwidth_2d": (
+        3, lambda c, w: select_bandwidth_2d(*c, [(2.0, 2.0)], G11, G11, weights=w)
+    ),
+}
+
+
+def invalid_scatters():
+    """(entry point, defect) cases: a column after the first 10 points
+    longer or shorter than the first, a NaN or inf in one column or in the
+    weights (column k of k), or an empty scatter."""
+    for name, (k, _) in ENTRY_POINTS.items():
+        for col in range(1, k):
+            for extra, how in ((10, "longer"), (-10, "shorter")):
+                yield pytest.param(name, ("length", col, extra), id=f"{name}-column{col}-{how}")
+        for col in range(k + 1):
+            where = "weights" if col == k else f"column{col}"
+            for bad in (np.nan, np.inf):
+                yield pytest.param(name, ("value", col, bad), id=f"{name}-{where}-{bad}")
+        yield pytest.param(name, ("empty",), id=f"{name}-empty")
+
+
+@st.composite
+def finite_scatters(draw):
+    """Any finite scatter of 1 to 30 points with at least one positive
+    weight, with evaluation points, a grid and bandwidths around it."""
+    n = draw(st.integers(1, 30))
+
+    def column(elements):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=float)
+
+    x1, x2 = column(st.floats(-50.0, 50.0)), column(st.floats(-50.0, 50.0))
+    z = column(st.floats(-1e3, 1e3))
+    w = column(st.floats(0.0, 10.0))
+    w[draw(st.integers(0, n - 1))] = draw(st.floats(0.0, 10.0, exclude_min=True))
+    s = np.array(draw(st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=8)))
+    g = draw(st.floats(-60.0, 50.0)) + np.linspace(
+        0.0, draw(st.floats(0.5, 60.0)), draw(st.integers(2, 12))
+    )
+    h = (draw(st.floats(0.05, 30.0)), draw(st.floats(0.05, 30.0)))
+    return x1, x2, z, w, s, g, h, draw(KERNELS)
+
+
+class TestScatterChecks:
+    """All five entry points check their points through one helper."""
+
+    @pytest.mark.parametrize("name, defect", list(invalid_scatters()))
+    def test_invalid_scatter_raises(self, name, defect):
+        # mismatched columns were once truncated or raised IndexError, and
+        # a non-finite point was dropped or spread NaN through the fit
+        k, fit = ENTRY_POINTS[name]
+        rng = np.random.default_rng(5)
+        cols, w = list(rng.uniform(0.0, 10.0, (k, 50))), np.ones(50)
+        fit(cols, w)
+        kind, *where = defect
+        if kind == "length":
+            col, extra = where
+            cols[col] = np.resize(cols[col], 50 + extra)
+            match = "differ in length"
+        elif kind == "value":
+            col, bad = where
+            (w if col == k else cols[col])[7] = bad
+            match = "must be finite"
+        else:
+            cols, w, match = [np.empty(0)] * k, None, "empty scatter"
+        with pytest.raises(ValueError, match=match):
+            fit(cols, w)
+
+    @settings(derandomize=True, max_examples=60)
+    @given(case=finite_scatters())
+    def test_finite_scatters_give_finite_fits(self, case):
+        x1, x2, z, w, s, g, h, kernel = case
+        assert np.isfinite(local_linear_1d(x1, z, s, h[0], kernel, weights=w)).all()
+        assert np.isfinite(local_linear_2d(x1, x2, z, g, g, h, kernel, weights=w)).all()
+        assert np.isfinite(local_diag_rotated(x1, x2, z, s, h[0], kernel, weights=w)).all()
