@@ -193,6 +193,13 @@ class RawCovariances:
     given by its coordinates is its own observations, ``RawCovariances(s1,
     s2, np.arange(n), np.arange(n), value, subject, diag_t, diag_value)``;
     the cross-covariance scatter has empty diagonal arrays.
+
+    ``raw_covariances`` and the cross-covariance stage build ``a``, ``b``
+    and ``subject`` as int32, 4 bytes per pair each, and as ``np.intp``
+    only where the pair count, the subject count or an observation count
+    does not fit in int32 (``_index_dtype``). NumPy widens int32 indices to
+    ``np.intp`` inside a gather, so the stages of a binned fit gather in
+    chunks; ``s1`` and ``s2`` gather every pair at once.
     """
 
     times_a: np.ndarray
@@ -210,11 +217,11 @@ class RawCovariances:
 
     @property
     def s1(self) -> np.ndarray:
-        return self.times_a[self.a]
+        return self.times_a.take(self.a)
 
     @property
     def s2(self) -> np.ndarray:
-        return self.times_b[self.b]
+        return self.times_b.take(self.b)
 
     def take(self, idx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(s1, s2, value) of the pairs ``idx``, a slice or an index array."""
@@ -395,6 +402,12 @@ def estimate_mean(
     return MeanEstimate(grid, values, float(bandwidth))
 
 
+def _index_dtype(*sizes: int) -> type:
+    """int32 where every one of ``sizes`` is at most int32's largest value,
+    else ``np.intp``: the dtype of indices that count up to these sizes."""
+    return np.int32 if max(sizes, default=0) <= np.iinfo(np.int32).max else np.intp
+
+
 def _pair_indices(
     starts_a: np.ndarray,
     counts_a: np.ndarray,
@@ -406,7 +419,9 @@ def _pair_indices(
     Subject g pairs the ``counts_a[g]`` points from ``starts_a[g]`` with the
     ``counts_b[g]`` points from ``starts_b[g]``, row-major. With no b side
     each subject's points pair with each other, leaving out the diagonal.
-    Returns (first indices, second indices, subject of each pair).
+    Returns (first indices, second indices, subject of each pair), all of
+    the ``_index_dtype`` of the pair count, the subject count and the
+    largest start plus count on each side.
 
     Each row, one first point, is repeated over its columns; the second
     indices run on from the row's first pair, stepping over the diagonal.
@@ -420,12 +435,19 @@ def _pair_indices(
     )
     cols = counts_b[row_subject] - int(self_pairs)
     first = np.cumsum(cols) - cols
-    a = np.repeat(row, cols)
-    b = np.arange(a.size)
-    b += np.repeat(starts_b[row_subject] - first, cols)
+    n_pairs = int(cols.sum())
+    dtype = _index_dtype(
+        n_pairs,
+        counts_a.size,
+        int((starts_a + counts_a).max(initial=0)),
+        int((starts_b + counts_b).max(initial=0)),
+    )
+    a = np.repeat(row.astype(dtype), cols)
+    b = np.arange(n_pairs, dtype=dtype)
+    b += np.repeat((starts_b[row_subject] - first).astype(dtype), cols)
     if self_pairs:
         b += b >= a
-    return a, b, np.repeat(row_subject, cols)
+    return a, b, np.repeat(row_subject.astype(dtype), cols)
 
 
 def raw_covariances(sample: SparseFunctionalSample, mean: MeanEstimate) -> RawCovariances:
@@ -905,6 +927,7 @@ def fit_fpca(
         stage_prefix + "noise_variance",
         lambda: estimate_noise_variance(raw, grid, cov.bandwidth, config, flags),
     )
+    del raw  # the pair scatter, the fit's largest array, is not read again
     eig = _run_stage(stage_prefix + "eigendecompose", lambda: eigendecompose(cov, flags=flags))
 
     model = FpcaModel(

@@ -31,7 +31,9 @@ least one point carries weight.
 The three smoothers and both selectors check their points through
 ``_scatter``. Invalid points raise ValueError: an empty scatter, columns of
 unequal length, a non-finite point or weight, a negative weight, or weights
-or a ``subject_index`` not one per point.
+or a ``subject_index`` not one per point. ``bin_scatter_2d`` checks its
+points the same way, pair indices included, except that it bins an empty
+scatter to an empty aggregate.
 
 Bandwidth selection offers pooled GCV (default, cheap) and
 leave-one-subject-out CV (honest but n times the work). One search runs
@@ -666,6 +668,13 @@ def local_diag_rotated(
     keeping the rest in their order: wherever the band is not empty, the fit
     is the same bit for bit, since the band is then the same pairs in the
     same order. Raises ValueError as ``local_linear_1d`` does.
+
+    The band is found over ``_chunks`` of the pairs, and the rotated
+    coordinates and across-diagonal kernel weights are formed on the band
+    alone, so beyond the weights no float array runs over every pair given.
+    Each value is the elementwise one the whole scatter would give, and the
+    stable sort of the band's diagonal coordinates orders it as before, so
+    the window sums do not depend on the chunk size.
     """
     # Not sorted: the band's order of ties along the diagonal is the
     # caller's, and it sets the order of the window sums.
@@ -675,17 +684,19 @@ def local_diag_rotated(
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
 
     rt2 = np.sqrt(2.0)
-    dd = (x1 + x2) / rt2
-    oo = (x2 - x1) / rt2
     targets = rt2 * s
 
     # Only pairs inside the band |o| < h carry weight; sorted along the
     # diagonal, each target's window is one contiguous slice of the band.
-    ko = kernel(oo / bandwidth)
-    band = np.flatnonzero((ko > 0) & (w > 0))
-    band = band[np.argsort(dd[band], kind="stable")]
-    bd, bk, bw, bz = dd[band], ko[band], w[band], z[band]
-    bo2 = oo[band] * oo[band]
+    band = np.concatenate([np.empty(0, dtype=np.intp)] + [
+        np.flatnonzero((kernel((x2[sl] - x1[sl]) / rt2 / bandwidth) > 0) & (w[sl] > 0)) + sl.start
+        for sl in _chunks(z.size)
+    ])
+    band = band[np.argsort((x1[band] + x2[band]) / rt2, kind="stable")]
+    bd = (x1[band] + x2[band]) / rt2
+    bo = (x2[band] - x1[band]) / rt2
+    bk, bw, bz = kernel(bo / bandwidth), w[band], z[band]
+    bo2 = bo * bo
     lo, hi = _support(bd, targets, float(bandwidth))
 
     moments = np.empty((9, s.size))
@@ -739,22 +750,34 @@ def bin_scatter_2d(
     coordinates, so each observation's node is found once and gathered,
     chunk by chunk, without forming a coordinate array per point. The
     aggregate is that of x1[a] and x2[b] bit for bit.
+
+    Raises ValueError, as the smoothers do, where z, the weights or, with
+    ``pairs``, a and b are not one per point, or a coordinate or z value is
+    not finite.
     """
     g1 = np.asarray(grid1, dtype=float)
     g2 = np.asarray(grid2, dtype=float)
-    z = np.asarray(z, dtype=float).ravel()
+    x1, x2, z = (np.asarray(c, dtype=float).ravel() for c in (x1, x2, z))
+    if pairs is None:
+        lengths = [x1.size, x2.size, z.size]
+    else:
+        a, b = (np.asarray(p).ravel() for p in pairs)
+        lengths = [a.size, b.size, z.size]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"scatter columns differ in length: {lengths}")
+    if not all(np.isfinite(c).all() for c in (x1, x2, z)):
+        raise ValueError("scatter points must be finite")
+    # Without weights every point weighs 1: the node weights are exact
+    # counts and the value sums are bincount's sums of z in point order.
+    w = None if weights is None else _as_weights(weights, z.size)
     i = _nearest_node(x1, g1) * g2.size
     j = _nearest_node(x2, g2)
     if pairs is None:
         flat = i + j
     else:
-        a, b = pairs
         flat = np.empty(z.size, dtype=np.intp)
         for sl in _chunks(z.size):
             np.add(i.take(a[sl]), j.take(b[sl]), out=flat[sl])
-    # Without weights every point weighs 1: the node weights are exact
-    # counts and the value sums are bincount's sums of z in point order.
-    w = None if weights is None else _as_weights(weights, z.size)
     size = g1.size * g2.size
     wsum = np.bincount(flat, w, size).astype(float, copy=False)
     wzsum = np.bincount(flat, z if w is None else w * z, size)

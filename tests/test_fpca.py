@@ -37,6 +37,7 @@ from sparseflr.fpca import (
     BIN_THRESHOLD,
     MeanEstimate,
     RawCovariances,
+    _index_dtype,
     _pair_indices,
     _rotated_diagonal,
     raw_covariances,
@@ -171,20 +172,20 @@ def loop_raw_covariances(sample, mean):
         s1_parts.append(tt1[off])
         s2_parts.append(tt2[off])
         v_parts.append(rr[off])
-        idx_parts.append(np.full(L * (L - 1), i, dtype=np.intp))
+        idx_parts.append(np.full(L * (L - 1), i, dtype=np.int32))
 
     def cat(parts, dtype=float):
         return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
     value = cat(v_parts)
-    each = np.arange(value.size)
+    each = np.arange(value.size, dtype=np.int32)
     return RawCovariances(
         times_a=cat(s1_parts),
         times_b=cat(s2_parts),
         a=each,
         b=each,
         value=value,
-        subject=cat(idx_parts, np.intp),
+        subject=cat(idx_parts, np.int32),
         diag_t=cat(dt_parts),
         diag_value=cat(dv_parts),
     )
@@ -374,7 +375,7 @@ def brute_pair_indices(starts_a, counts_a, starts_b=None, counts_b=None):
                     a.append(starts_a[s] + r)
                     b.append(starts_b[s] + c)
                     g.append(s)
-    return tuple(np.array(v, dtype=np.intp) for v in (a, b, g))
+    return tuple(np.array(v, dtype=np.int32) for v in (a, b, g))
 
 
 class TestPairIndices:
@@ -409,6 +410,22 @@ class TestPairIndices:
             want = brute_pair_indices(*args)
             for x, y in zip(got, want):
                 assert x.dtype == y.dtype and np.array_equal(x, y), (count_x, match)
+
+    def test_index_dtype_widens_at_two_to_the_31(self):
+        # sizes only: nothing of that length is allocated
+        assert _index_dtype() is np.int32
+        assert _index_dtype(0, 2**31 - 1) is np.int32
+        assert _index_dtype(2**31) is np.intp
+        assert _index_dtype(5, 2**31, 7) is np.intp
+
+    @pytest.mark.parametrize("start_b, dtype", [(2**31 - 2, np.int32), (2**31 - 1, np.intp)])
+    def test_observation_extent_sets_the_dtype(self, start_b, dtype):
+        # one subject pairs two points with one point at start_b, so the
+        # pooled b side reaches start_b + 1 while only two pairs are formed
+        one = np.ones(1, dtype=np.intp)
+        a, b, subject = _pair_indices(0 * one, 2 * one, start_b * one, one)
+        for got, want in zip((a, b, subject), ([0, 1], [start_b, start_b], [0, 0])):
+            assert got.dtype == dtype and got.tolist() == want
 
 
 def public_covariance(raw, grid, config):
@@ -502,10 +519,19 @@ class TestPairScatterMatchesPublicComposition:
 
 class TestPairScatterMemory:
     # Peak traced allocation of ``fit_fpca`` on the dense n=100 cohort, in
-    # units of one float per raw pair: 7.58 measured (10.10 when the pair
-    # coordinates and full-length temporaries were formed), plus a margin of
-    # 0.42. A float array per pair that outlives its stage adds 1.
-    PEAK_PAIR_FLOATS = 8.0
+    # units of one float per raw pair: 5.38 measured, at the rotated
+    # diagonal fit of the noise-variance stage (7.58 with 8-byte pair
+    # indices and full-length band temporaries, 10.10 when the pair
+    # coordinates were formed as well), plus a margin of 0.42. A float array
+    # per pair that outlives its stage adds 1, and 8-byte indices 1.5.
+    PEAK_PAIR_FLOATS = 5.80
+
+    def test_pair_indices_are_four_bytes(self, dense_pair, grid):
+        sample = dense_pair[0]
+        raw = raw_covariances(sample, estimate_mean(sample, grid))
+        assert raw.n_pairs > BIN_THRESHOLD
+        for name in ("a", "b", "subject"):
+            assert getattr(raw, name).dtype == np.int32, name
 
     def test_binned_fit_holds_no_full_length_temporary(self, dense_pair):
         sample = dense_pair[0]

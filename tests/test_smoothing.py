@@ -1,5 +1,7 @@
 """Kernel smoothers checked against brute-force weighted least squares."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -749,6 +751,50 @@ class TestLocalDiagRotated:
         assert 0.0 <= out[0] <= 1.0
         assert out[0] == 0.0
 
+    def test_band_is_the_same_across_chunk_boundaries(self, monkeypatch):
+        # pairs on a coarse lattice tie along the diagonal, so the band's
+        # order of ties sets the order of each window's sums; some weights
+        # are zero, and chunks of 7 pairs split the band found over them
+        rng = np.random.default_rng(24)
+        x1, x2 = 0.5 * rng.integers(0, 21, (2, 300))
+        z = rng.normal(size=300)
+        w = np.where(rng.uniform(size=300) < 0.2, 0.0, rng.uniform(0.5, 2.0, 300))
+        s = np.linspace(0.0, 10.0, 26)
+        for weights in (w, None):
+            want = local_diag_rotated(x1, x2, z, s, 0.8, QUARTIC, weights=weights)
+            with monkeypatch.context() as m:
+                m.setattr(smoothing, "_PAIR_CHUNK", 7)
+                got = local_diag_rotated(x1, x2, z, s, 0.8, QUARTIC, weights=weights)
+            assert np.array_equal(got, want)
+
+
+def with_bad(values, bad):
+    """A copy of ``values`` with ``bad`` at position 7."""
+    out = values.copy()
+    out[7] = bad
+    return out
+
+
+# Fifty points, and as pairs fifty (observation, observation) index pairs.
+BIN_X1, BIN_X2 = np.linspace(0.0, 10.0, 50), np.linspace(10.0, 0.0, 50)
+BIN_PAIRS = (np.arange(50), np.arange(50)[::-1])
+
+# Defect -> (changed arguments of ``bin_scatter_2d``, error match).
+BIN_DEFECTS = {
+    "z longer": ({"z": np.ones(70)}, "differ in length"),
+    "z shorter": ({"z": np.ones(40)}, "differ in length"),
+    "x2 shorter": ({"x2": BIN_X2[:40]}, "differ in length"),
+    "weights shorter": ({"weights": np.ones(40)}, "does not match"),
+    "NaN x1": ({"x1": with_bad(BIN_X1, np.nan)}, "must be finite"),
+    "inf x2": ({"x2": with_bad(BIN_X2, np.inf)}, "must be finite"),
+    "NaN z": ({"z": with_bad(np.ones(50), np.nan)}, "must be finite"),
+    "pairs, z shorter": ({"pairs": BIN_PAIRS, "z": np.ones(30)}, "differ in length"),
+    "pairs, b shorter": ({"pairs": (BIN_PAIRS[0], BIN_PAIRS[1][:30])}, "differ in length"),
+    "pairs, NaN observation": (
+        {"pairs": BIN_PAIRS, "x1": with_bad(BIN_X1, np.nan)}, "must be finite"
+    ),
+}
+
 
 class TestBinScatter2d:
     def test_weighted_mean_per_node(self):
@@ -787,6 +833,22 @@ class TestBinScatter2d:
         want = bin_scatter_2d(t1[a], t2[b], z, g1, g2, w)
         for x, y in zip(got, want):
             assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("defect", list(BIN_DEFECTS))
+    def test_invalid_points_raise(self, defect):
+        # z of 70 or 40 values once raised bincount's length error, a NaN
+        # coordinate warned in the index cast, and a short z with pairs
+        # raised a broadcast error
+        g = np.linspace(0.0, 10.0, 11)
+        for pairs in (None, BIN_PAIRS):
+            bin_scatter_2d(BIN_X1, BIN_X2, np.ones(50), g, g, pairs=pairs)
+        changes, match = BIN_DEFECTS[defect]
+        args = {"x1": BIN_X1, "x2": BIN_X2, "z": np.ones(50), "weights": None, "pairs": None}
+        args.update(changes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                bin_scatter_2d(grid1=g, grid2=g, **args)
 
 
 class TestInterp:
