@@ -54,6 +54,7 @@ from .smoothing import (
     KERNEL_NAMES,
     Kernel,
     SmoothFlags,
+    _bin_linear,
     _chunks,
     _diag_band_reach,
     _interp_slopes,
@@ -375,8 +376,12 @@ def estimate_mean(
     Every observation enters with equal weight. ``config.mean_bandwidth``
     fixes the bandwidth; when None, ``config.bandwidth_objective`` chooses
     it among ``config.mean_bandwidth_fractions`` of the domain length, and
-    a GCV search's winning fit is the estimate. ``config.n_grid`` is read
-    by ``fit_fpca`` alone, which builds ``grid`` from it.
+    a GCV search's winning fit is the estimate. A pooled scatter of more
+    than 401 points is smoothed on its linear binning onto a 401-node
+    lattice, whichever rule set the bandwidth, so a mean fixed at the GCV
+    pick is the GCV fit bit for bit; smaller ones are smoothed exactly (see
+    ``select_bandwidth_1d``). ``config.n_grid`` is read by ``fit_fpca``
+    alone, which builds ``grid`` from it.
     """
     kern = get_kernel(config.kernel)
     pooled = pooled_points(sample)
@@ -396,9 +401,8 @@ def estimate_mean(
         )
         bandwidth, values = float(sel.chosen), sel.fit
     if values is None:
-        values = local_linear_1d(
-            pooled.times, pooled.values, grid.points, bandwidth, kern, flags=flags
-        )
+        x, y, w = _bin_linear(pooled.times, pooled.values, None, grid.points)
+        values = local_linear_1d(x, y, grid.points, bandwidth, kern, weights=w, flags=flags)
     return MeanEstimate(grid, values, float(bandwidth))
 
 

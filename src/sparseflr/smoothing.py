@@ -11,15 +11,16 @@ Each fits, at every evaluation point, an exact weighted least-squares
 polynomial against kernel weights with compact support. Only the points
 inside an evaluation point's support window enter its sums: the scatter is
 sorted along an axis once per call and each window is a contiguous run of
-it. Two cases cost less than the points per window:
+it. ``local_linear_1d`` sums each window's points directly. Two callers
+smooth a lattice instead, at a cost set by the lattice alone:
 
-* ``local_linear_1d`` on large scatters sums whole blocks of about
-  sqrt(n) sorted points from their power moments (both kernels are
-  polynomials in u^2), so each window costs its blocks plus its two ragged
-  ends, and a call costs about n plus the evaluation points times sqrt(n);
+* ``select_bandwidth_1d`` fits its GCV candidates to a scatter of more than
+  ``_MEAN_LATTICE`` points on its linear binning onto that many evenly
+  spaced nodes (``_bin_linear``), and ``fpca.estimate_mean`` fits a fixed or
+  cross-validated mean bandwidth the same way;
 * ``local_linear_2d`` on a scatter whose points all sit on grid nodes (the
   output of ``bin_scatter_2d``) pools them per node and smooths the lattice
-  with kernel matrices, at a cost set by the grid alone.
+  with kernel matrices.
 
 Windows whose normal equations are numerically rank-deficient fall back to
 a local constant fit, and a window holding no weighted point takes the
@@ -78,14 +79,9 @@ __all__ = [
 # normal matrix, so the threshold is dimensionless.
 _DEGENERATE_TOL = 1e-10
 
-# Whole blocks of points enter a 1-d window's sums through their moments
-# only where |u| <= _BLOCK_REACH. Near the edge the kernel polynomial cancels
-# to a small weight, and moment sums would lose digits the direct sums keep.
-_BLOCK_REACH = 0.9
-
-# 1-d scatters with fewer points per block (the square root of their size)
-# than this are summed directly.
-_MIN_BLOCK = 24
+# Scatters with more points than this are smoothed for a mean on their
+# linear binning onto this many evenly spaced nodes (``_bin_linear``).
+_MEAN_LATTICE = 401
 
 # Points per chunk of elementwise work over a scatter held as pair indices:
 # the size of the largest scatter the fit smooths unbinned, so a chunk's
@@ -100,8 +96,8 @@ class Kernel:
     |u| <= 1, and 0 outside.
 
     ``at_zero`` is the kernel value at the origin; GCV needs it for the
-    smoother-trace approximation. The coefficients let ``local_linear_1d``
-    sum whole blocks of points from their power moments.
+    smoother-trace approximation. ``fn`` evaluates the polynomial in powers
+    of 1 - u^2, which keeps full relative precision near the edge.
     """
 
     name: str
@@ -234,77 +230,6 @@ def _chunks(n: int):
     return (slice(k, k + _PAIR_CHUNK) for k in range(0, n, _PAIR_CHUNK))
 
 
-def _block_size(n: int) -> int:
-    """Points per block of ``local_linear_1d``'s whole-block sums on a
-    scatter of ``n`` points, or 0 where blocks would not pay for their
-    bookkeeping."""
-    blk = math.isqrt(n)
-    return blk if blk >= _MIN_BLOCK else 0
-
-
-def _whole_block_sums(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    ws: np.ndarray,
-    blk: int,
-    s: np.ndarray,
-    b: float,
-    j0: np.ndarray,
-    j1: np.ndarray,
-    kernel: Kernel,
-) -> tuple[np.ndarray, ...]:
-    """The local-linear window sums (s0, s1, s2, t0, t1) over the whole
-    blocks j0 .. j1-1 of a sorted scatter cut into runs of ``blk`` points,
-    one row per window center ``s`` with half-width ``b``.
-
-    Each block keeps the weighted power moments of its points about its
-    midpoint, plain and times y. Shifted binomially to a center they give
-    the power sums of d = s - x, and the kernel, a polynomial in (d/b)^2
-    across the window, turns those into the window sums. Block-local origins
-    keep every power small, so nothing is lost when x sits far from zero.
-    """
-    nb = xs.size // blk
-    r = len(kernel.coefficients) - 1
-    q = 2 * r + 2  # the highest power of d, in s2
-    xb, yb, wb = (a[: nb * blk].reshape(nb, blk) for a in (xs, ys, ws))
-    mid = 0.5 * (xb[:, 0] + xb[:, -1])
-    e = mid[:, None] - xb
-    pw = np.empty((q + 1, nb, blk))
-    pw[0] = wb
-    for p in range(1, q + 1):
-        pw[p] = pw[p - 1] * e
-    # Per block: sum w e^p for p = 0..q, then sum w y e^p for p = 0..q-1.
-    moments = np.concatenate([pw.sum(axis=2), (pw[:q] * yb).sum(axis=2)]).T
-
-    # G[i, m, p] = sum over window i's blocks of c^m * moments[p], c = s - mid.
-    jj = j0[:, None] + np.arange(int((j1 - j0).max()))
-    inside = jj < j1[:, None]
-    jj = np.minimum(jj, nb - 1)
-    c = s[:, None] - mid[jj]
-    cpow = np.empty((s.size, q + 1, jj.shape[1]))
-    cpow[:, 0] = inside
-    for m in range(1, q + 1):
-        cpow[:, m] = cpow[:, m - 1] * c
-    G = cpow @ moments[jj]
-    # sum w d^t = sum_p C(t, p) G[t - p, p], and likewise times y.
-    shift = np.zeros((q + 1, 2 * q + 1, 2 * q + 1))
-    for t in range(q + 1):
-        for p in range(t + 1):
-            shift[t - p, p, t] = math.comb(t, p)
-            if t < q:
-                shift[t - p, q + 1 + p, q + 1 + t] = math.comb(t, p)
-    power = G.reshape(s.size, -1) @ shift.reshape(-1, 2 * q + 1)
-    S, Y = power[:, : q + 1], power[:, q + 1:]
-
-    # K(d/b) d^k = sum_r a_r d^(2r + k) with a_r = coefficients[r] / b^(2r).
-    a = np.asarray(kernel.coefficients) * b ** (-2.0 * np.arange(r + 1))
-
-    def kernel_sum(sums, k):
-        return (a * sums[:, k: k + 2 * r + 1: 2]).sum(axis=1)
-
-    return kernel_sum(S, 0), kernel_sum(S, 1), kernel_sum(S, 2), kernel_sum(Y, 0), kernel_sum(Y, 1)
-
-
 def local_linear_1d(
     x: np.ndarray,
     y: np.ndarray,
@@ -320,13 +245,10 @@ def local_linear_1d(
     the weighted least-squares line fitted to ``(x_i, y_i)`` with weights
     ``w_i * K((x_i - s) / b)``. The solve is the exact 2x2 normal-equation
     solution, so affine data are reproduced to rounding error. Only the
-    points inside each kernel window enter its sums. On scatters of at least
-    ``_MIN_BLOCK**2`` points the sorted scatter is cut into blocks of
-    isqrt(n) points; blocks lying within ``_BLOCK_REACH`` of a window's
-    center enter through their moments, and only the window's ragged ends are
-    summed point by point. A call then costs O(n) for the block moments plus
-    about sqrt(n) blocks and the ragged ends per evaluation point, instead of
-    the points of every window.
+    points inside each kernel window enter its sums, summed directly: a call
+    costs the points of every window. Callers that smooth many candidates
+    on a large scatter fit its linear binning instead (see
+    ``select_bandwidth_1d``).
 
     A window holding a single distinct x takes the local constant, and one
     holding no weighted point the weighted mean of the scatter.
@@ -364,27 +286,12 @@ def local_linear_1d(
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     b = float(bandwidth)
 
-    # Each window is a contiguous run [lo, hi) of the sorted scatter. On
-    # large scatters the whole blocks of it that lie within _BLOCK_REACH of
-    # the center are summed from their moments; the rest of the run, its two
-    # ragged ends [lo, cut) and [resume, hi), is gathered into one padded
-    # block whose padding points at a zero-weight sentinel. Windows with no
-    # whole block keep their full run there.
+    # Each window is a contiguous run [lo, hi) of the sorted scatter,
+    # gathered into one padded block whose padding points at a zero-weight
+    # sentinel.
     lo, hi = _support(xs, s, b)
-    blk = _block_size(xs.size)
-    whole = np.zeros(s.size, dtype=bool)
-    if blk:
-        j0 = -(-np.searchsorted(xs, s - _BLOCK_REACH * b, side="left") // blk)
-        j1 = np.searchsorted(xs, s + _BLOCK_REACH * b, side="right") // blk
-        whole = j1 > j0
-    blocks = whole.any()
-    cut = np.where(whole, j0 * blk, hi) if blocks else hi
-    resume = np.where(whole, j1 * blk, hi) if blocks else hi
     xs, ys, ws = (np.append(a, 0.0) for a in (xs, ys, ws))
-    k = np.arange(int((cut - lo + hi - resume).max(initial=1)))
-    idx = lo[:, None] + k
-    if blocks:
-        idx = np.where(k < (cut - lo)[:, None], idx, idx + (resume - cut)[:, None])
+    idx = lo[:, None] + np.arange(int((hi - lo).max(initial=1)))
     idx[idx >= hi[:, None]] = xs.size - 1  # the sentinel
     d = s[:, None] - xs[idx]
     kw = kernel(d / b) * ws[idx]
@@ -396,11 +303,6 @@ def local_linear_1d(
     s2 = (kd * d).sum(axis=1)
     t0 = (kw * yg).sum(axis=1)
     t1 = (kd * yg).sum(axis=1)
-    if blocks:
-        sums = _whole_block_sums(xs[:-1], ys[:-1], ws[:-1], blk, s[whole], b,
-                                 j0[whole], j1[whole], kernel)
-        for acc, extra in zip((s0, s1, s2, t0, t1), sums):
-            acc[whole] += extra
 
     empty = _empty_fill(s0, ys[:-1], ws[:-1])
     return _solve_line(s0, s1, s2, t0, t1, flags, empty).reshape(np.shape(eval_points))
@@ -794,6 +696,37 @@ def _nearest_node(x: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return i.astype(np.intp)
 
 
+def _bin_linear(
+    x: np.ndarray, y: np.ndarray, weights: np.ndarray | None, grid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, weights) of the scatter that a mean on ``grid`` is fitted to.
+
+    A scatter of at most ``_MEAN_LATTICE`` points is itself, checked and
+    sorted by ``_scatter``. A larger one is binned linearly onto
+    ``_MEAN_LATTICE`` evenly spaced nodes spanning its points and ``grid``,
+    so no point is clipped: each point's weight is split between its two
+    neighbouring nodes in proportion to its nearness to each, which keeps
+    the total weight and the weighted sums of x and y. Each node carries the
+    weight it received and the weighted mean of its y (0 where it has none).
+    The points are binned in their sorted order, so the bins do not depend
+    on the order they are given in.
+    """
+    x, y, w, _ = _scatter((x, y), weights)
+    g = np.asarray(grid, dtype=float).ravel()
+    lo, hi = min(x[0], g.min()), max(x[-1], g.max())
+    if x.size <= _MEAN_LATTICE or lo == hi:
+        return x, y, w
+    m = _MEAN_LATTICE
+    pos = np.clip((x - lo) / ((hi - lo) / (m - 1)), 0.0, m - 1.0)
+    i = np.minimum(pos.astype(np.intp), m - 2)
+    right = w * (pos - i)
+    left = w - right
+    wsum = np.bincount(i, left, m) + np.bincount(i + 1, right, m)
+    ysum = np.bincount(i, left * y, m) + np.bincount(i + 1, right * y, m)
+    ymean = np.divide(ysum, wsum, out=np.zeros(m), where=wsum > 0)
+    return np.linspace(lo, hi, m), ymean, wsum
+
+
 def _interp_slopes(grid_points: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Node-to-node slopes of curves stacked in rows, as ``interp_linear``
     forms them."""
@@ -866,7 +799,9 @@ class BandwidthSelection:
     """Outcome of a bandwidth search: chosen value plus the full score table.
 
     Under GCV ``fit`` is the chosen candidate's fitted curve or surface on
-    the search grid, so callers need not refit it; LOSO-CV fits no
+    the search grid, so callers need not refit it; for a 1-d scatter of
+    more than ``_MEAN_LATTICE`` points it is the fit to the scatter's
+    linear binning (see ``select_bandwidth_1d``). LOSO-CV fits no
     full-data candidate and leaves it None.
     """
 
@@ -945,6 +880,12 @@ def select_bandwidth_1d(
         trace approximation trace ~= K(0) * range / b. Candidates too small
         for the approximation (slack <= 0) score infinity. Ties go to the
         first (smallest) candidate, whose grid fit is returned as ``fit``.
+        A scatter of more than ``_MEAN_LATTICE`` points is binned linearly
+        once (``_bin_linear``) and each candidate is fitted to the binned
+        lattice, so a candidate costs the lattice rather than the points;
+        the residuals are still taken at the raw points and N is their
+        total weight. ``fpca.estimate_mean`` fits a fixed or LOSO-CV mean
+        bandwidth to the same lattice, so the two rules agree bit for bit.
     loso-cv
         Leave-one-subject-out squared prediction error; needs
         ``subject_index`` aligned with the points and at least 2 subjects.
@@ -960,9 +901,12 @@ def select_bandwidth_1d(
     x, y, w, subject_index = _scatter((x, y), weights, subject_index)
     g = np.asarray(grid, dtype=float).ravel()
     rng = float(g.max() - g.min())
+    lattice_x, lattice_y, lattice_w = _bin_linear(x, y, w, g)
 
     def grid_fit(b):
-        fit = local_linear_1d(x, y, g, b, kernel, weights=w, flags=flags)
+        fit = local_linear_1d(
+            lattice_x, lattice_y, g, b, kernel, weights=lattice_w, flags=flags
+        )
         return fit, y - interp_linear(g, fit, x)
 
     def held_out(b, mask):

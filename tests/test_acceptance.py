@@ -405,3 +405,72 @@ def test_criterion_9_property_bundle(design, grid, fitted, truth_x_model, sparse
     ok = not failures
     verdict("9", ok, "all properties hold" if ok else "; ".join(failures))
     assert ok, failures
+
+
+# The paper's consistency claim (ROADMAP item 10): the regression function
+# is estimated consistently. On sparse cohorts, seeds 0-4, the median beta
+# error ∫∫(β̂−β)²/∫∫β² and the median X eigenfunction error (the worse of
+# the first two sign-aligned ∫(ψ̂−ψ)²) must fall strictly from n = 100 to
+# 400 to 2000, and at n = 2000 lie below ROADMAP item 10's medians (0.039
+# and 0.016), each with a 25% margin for seed-to-seed spread.
+CONSISTENCY_SIZES = (100, 400, 2000)
+CONSISTENCY_MARGIN = 1.25
+CONSISTENCY_BOUNDS = (CONSISTENCY_MARGIN * 0.039, CONSISTENCY_MARGIN * 0.016)
+
+
+def beta_error(model, design) -> float:
+    s, t = model.grid_s, model.grid_t
+    truth = design.beta(s.points, t.points)
+    diff = model.beta - truth
+    ws, wt = s.trapezoid_weights, t.trapezoid_weights
+    return float((ws @ (diff * diff) @ wt) / (ws @ (truth * truth) @ wt))
+
+
+def psi_error(model, design) -> float:
+    w = model.x.grid.trapezoid_weights
+    truth = design.psi(model.x.grid.points)
+    return max(
+        min(float(w @ (est - psi) ** 2), float(w @ (est + psi) ** 2))
+        for est, psi in zip(model.x.eigenfunctions[:2], truth)
+    )
+
+
+def consistency_verdict(name: str, config: FlrConfig) -> tuple[bool, str]:
+    beta, psi = [], []
+    for n in CONSISTENCY_SIZES:
+        errors = []
+        for seed in range(5):
+            x_sample, y_sample, truth = gen_pair(
+                SimConfig(n_subjects=n, seed=seed), np.random.default_rng(seed)
+            )
+            model = fit_flr(x_sample, y_sample, config)
+            errors.append((beta_error(model, truth.design), psi_error(model, truth.design)))
+        b, p = np.median(errors, axis=0)
+        beta.append(float(b))
+        psi.append(float(p))
+    falls = all(a > b for a, b in zip(beta, beta[1:])) and all(a > b for a, b in zip(psi, psi[1:]))
+    ok = falls and beta[-1] < CONSISTENCY_BOUNDS[0] and psi[-1] < CONSISTENCY_BOUNDS[1]
+    detail = (
+        f"median beta error {[round(v, 4) for v in beta]}, median X psi error "
+        f"{[round(v, 4) for v in psi]} at n = {list(CONSISTENCY_SIZES)}; the claim: both strictly "
+        f"falling, and below {CONSISTENCY_BOUNDS[0]:.4f} and {CONSISTENCY_BOUNDS[1]:.4f} at n = 2000"
+    )
+    verdict(name, ok, detail)
+    return ok, detail
+
+
+def test_consistency_at_the_true_rank():
+    config = FlrConfig(ncomp_x=2, ncomp_y=2)
+    ok, detail = consistency_verdict("consistency, both counts at 2", config)
+    assert ok, detail
+
+
+# At default settings AIC keeps up to 10 components for X and Y and the beta
+# error does not fall with n (ROADMAP item 10's table); the xfail reason
+# reports the medians, and the claim met fails the test.
+@pytest.mark.xfail(strict=True, raises=pytest.xfail.Exception,
+                   reason="at default settings the beta error does not fall with n")
+def test_consistency_at_default_settings():
+    ok, detail = consistency_verdict("consistency, default settings", FlrConfig())
+    if not ok:
+        pytest.xfail(detail)

@@ -571,6 +571,17 @@ class TestFitFlr:
         assert model.x.n_components == 2
         assert model.y.n_components == 2
 
+    def test_response_without_repeated_observations_fails_at_its_covariance(self, sparse_pair):
+        # every subject keeps one response observation: the response has a
+        # mean but no within-subject pair to estimate a covariance from
+        x_sample, y_sample, _ = sparse_pair
+        single = SparseFunctionalSample(y_sample.domain, tuple(
+            SubjectRecord(s.subject_id, s.times[:1], s.values[:1]) for s in y_sample.subjects
+        ))
+        with pytest.raises(FitError) as info:
+            fit_flr(x_sample, single)
+        assert info.value.stage == "y_covariance"
+
 
 def selections(model):
     """Every tuning choice of a fit: bandwidths and component counts."""

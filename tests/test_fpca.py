@@ -152,6 +152,26 @@ class TestEstimateMean:
         mean = estimate_mean(affine_sample(), grid, FpcaConfig(mean_bandwidth=2.0))
         assert np.array_equal(mean.at(grid.points), mean.values)
 
+    @pytest.fixture(scope="class")
+    def large_sample(self):
+        """The predictor sample of the sparse n=2000 seed-0 cohort: 8,004
+        pooled points, smoothed on the 401-node lattice."""
+        sample, _, _ = gen_pair(SimConfig(n_subjects=2000, seed=0), np.random.default_rng(0))
+        return sample
+
+    def test_fixed_bandwidth_at_the_gcv_pick_is_the_gcv_fit(self, grid, large_sample):
+        searched = estimate_mean(large_sample, grid)
+        fixed = estimate_mean(large_sample, grid, FpcaConfig(mean_bandwidth=searched.bandwidth))
+        assert np.array_equal(fixed.values, searched.values)
+
+    def test_lattice_mean_stays_near_the_exact_fit(self, grid, large_sample):
+        pooled = pooled_points(large_sample)
+        for fraction in FpcaConfig().mean_bandwidth_fractions:
+            b = fraction * large_sample.domain.length
+            mean = estimate_mean(large_sample, grid, FpcaConfig(mean_bandwidth=b))
+            exact = local_linear_1d(pooled.times, pooled.values, grid.points, b)
+            assert np.max(np.abs(mean.values - exact)) <= 5e-4 * np.max(np.abs(exact))
+
 
 def loop_raw_covariances(sample, mean):
     """Reference for ``raw_covariances``: the per-subject loop it replaced."""

@@ -56,7 +56,7 @@ def test_failing_property_test_reports_its_example_and_the_run_goes_on(tmp_path)
 # modules. Hypothesis mixes the literals of every imported local module into
 # its draws, so the derandomized property tests draw other examples whenever
 # one of these numbers changes.
-MINED_INTEGERS = [100, 200, 1000, 20000]
+MINED_INTEGERS = [100, 200, 401, 1000, 20000]
 MINED_FLOATS = [
     -225.46268785411937, -82.03722561683334, -59.96335010141079, -56.67628574690703,
     -2.0, -1.875, -1.2391658386738125, -1.1833162112133, -1.0, -0.75,
@@ -66,7 +66,7 @@ MINED_FLOATS = [
     2.6580697468673755e-06, 2.8924786474538068e-06, 0.00030158155350823543,
     0.00032801446468212774, 0.012371663481782003, 0.013420400608854318, 0.05, 0.075,
     0.08, 0.1, 0.11, 0.12, 0.1353352832366127, 0.16, 0.18, 0.2, 0.20148538954917908,
-    0.21623699359449663, 0.24, 0.25, 0.27, 0.35, 0.4, 0.5, 0.75, 0.9, 0.9375, 0.95, 1.0,
+    0.21623699359449663, 0.24, 0.25, 0.27, 0.35, 0.4, 0.5, 0.75, 0.9375, 0.95, 1.0,
     1.3330346081580755, 1.3770209948908132, 1.9544885833814176, 2.0,
     2.1866330685079025, 2.504649462083094, 2.5066282746310007, 3.2377489177694603,
     3.6798356385616087, 3.9388102529247444, 4.0, 4.0554489230596245, 4.676279128988815,

@@ -27,7 +27,7 @@ from sparseflr.smoothing import (
     select_bandwidth_1d,
     select_bandwidth_2d,
 )
-from sparseflr.smoothing import _block_size, _node_index, _solve_plane_batch
+from sparseflr.smoothing import _bin_linear, _node_index, _solve_plane_batch
 
 RNG = np.random.default_rng(42)
 finite_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -314,7 +314,7 @@ def clustered_scatter():
     """Clusters of x rounded to 0.01 (duplicates) between gaps, a 400-fold
     atom alone in a gap, a zero-weight cluster and 10% zero weights: small
     bandwidths leave windows empty or holding a single distinct x, and
-    larger ones take whole blocks of clusters into their moment sums."""
+    larger ones span several clusters."""
     rng = np.random.default_rng(7)
     parts = [np.round(c + 0.4 * rng.uniform(size=600), 2) for c in (0.0, 3.0, 3.6, 7.0, 8.0, 10.0)]
     x = np.concatenate(parts + [np.full(400, 5.0)])
@@ -463,12 +463,11 @@ class TestWindowedSmoothersMatchFullScatter:
 
 
 class TestWholeBlockSums:
-    """``local_linear_1d`` on scatters large enough for whole-block moment
-    sums, against the full-scatter body. Blocks count only well inside the
-    kernel, but shifting their moments still reorders sums of larger terms,
-    so values agree to 1e-11 of the data scale (on the clustered scatter the
-    previous windowed body was itself 4.8e-12 from this oracle) and every
-    fallback decision, empty windows included, is identical."""
+    """``local_linear_1d`` on scatters of thousands of points, against the
+    full-scatter body. These are the scatters that once went through
+    whole-block moment sums; the smoother now sums them directly like small
+    ones. Values agree to 1e-11 of the data scale and every fallback
+    decision, empty windows included, is identical."""
 
     CASES = {
         "sparse n=2000 cohort": pooled_cohort(),
@@ -480,7 +479,6 @@ class TestWholeBlockSums:
     @pytest.mark.parametrize("case", list(CASES))
     def test_matches_full_scatter(self, case, kernel):
         x, y, w, s, bandwidths = self.CASES[case]
-        assert _block_size(x.size) > 0
         empty = 0
         for b in bandwidths:
             new, old = SmoothFlags(), SmoothFlags()
@@ -956,6 +954,40 @@ class TestBandwidthSelection:
         x2 = RNG.uniform(0, 10, 90)
         sel = select_bandwidth_2d(x, x2, y, [(1.5, 1.5), (3.0, 2.0)], grid, grid)
         assert np.array_equal(sel.fit, local_linear_2d(x, x2, y, grid, grid, sel.chosen))
+
+    @pytest.mark.parametrize("case", ["sparse n=2000 cohort", "clusters", "x near 1000"])
+    def test_linear_binning_keeps_weight_and_first_moments(self, case):
+        # the lattice spans the points and the grid, whichever is wider
+        x, y, w, s, _ = TestWholeBlockSums.CASES[case]
+        for grid in (s, s[10:-10]):
+            nodes, ybar, wsum = _bin_linear(x, y, w, grid)
+            assert nodes.size == 401 and (wsum >= 0).all()
+            assert nodes[0] == min(x.min(), grid[0]) and nodes[-1] == max(x.max(), grid[-1])
+            for raw, binned in ((w, wsum), (w * x, wsum * nodes), (w * y, wsum * ybar)):
+                assert abs(binned.sum() - raw.sum()) <= 1e-12 * np.abs(raw).sum()
+
+    @pytest.mark.parametrize("n", [401, 402])
+    def test_gcv_fits_the_lattice_above_401_points(self, n):
+        # up to 401 points the search fits the scatter exactly; from 402 it
+        # fits the linear binning, and still scores residuals at the points
+        rng = np.random.default_rng(n)
+        x = rng.uniform(0, 10, n)
+        y = np.sin(x) + rng.normal(scale=0.3, size=n)
+        grid = np.linspace(0, 10, 51)
+        sel = select_bandwidth_1d(x, y, [0.8, 1.5], grid)
+        exact = local_linear_1d(x, y, grid, sel.chosen)
+        nodes, ybar, wsum = _bin_linear(x, y, None, grid)
+        if n == 401:
+            assert np.array_equal(nodes, np.sort(x))
+            assert np.array_equal(sel.fit, exact)
+        else:
+            binned = local_linear_1d(nodes, ybar, grid, sel.chosen, weights=wsum)
+            assert np.array_equal(sel.fit, binned) and not np.array_equal(sel.fit, exact)
+        resid = y - interp_linear(grid, sel.fit, x)
+        slack = 1.0 - EPANECHNIKOV.at_zero * 10.0 / sel.chosen / n
+        assert sel.scores[sel.candidates.index(sel.chosen)] == pytest.approx(
+            float(resid @ resid) / slack**2, rel=1e-12
+        )
 
     def test_loso_returns_no_fit(self):
         x = np.sort(RNG.uniform(0, 10, 40))
