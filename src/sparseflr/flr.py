@@ -34,8 +34,6 @@ from .fpca import (
     MeanEstimate,
     RawCovariances,
     ScorePrediction,
-    _pair_indices,
-    _pair_products,
     _run_stage,
     _smooth_pairs,
     fit_fpca,
@@ -190,12 +188,12 @@ def _cross_raw_pairs(
 
     Pairs run subject by subject in predictor roster order, row-major in
     each subject's predictor x response product; the subject index is the
-    predictor roster position. They are held as indices into the two pooled
-    samples, and the diagonal arrays are empty.
+    predictor roster position. They are held as the observations of the two
+    pooled samples, each predictor's rows paired with its response rows,
+    and the diagonal arrays are empty.
     """
     y_index = {s.subject_id: j for j, s in enumerate(y_sample.subjects)}
     match = np.array([y_index.get(s.subject_id, -1) for s in x_sample.subjects], dtype=np.intp)
-    shared = match >= 0
     px, py = pooled_points(x_sample), pooled_points(y_sample)
     rx = px.values - x_mean.at(px.times)
     ry = py.values - y_mean.at(py.times)
@@ -203,12 +201,11 @@ def _cross_raw_pairs(
     # the trailing empty entry is what an unmatched id (index -1) pairs with
     count_y = np.append(y_sample.counts, 0)
     start_y = np.cumsum(count_y) - count_y
-    a, b, subject = _pair_indices(
-        np.cumsum(count_x) - count_x, count_x, start_y[match], count_y[match]
+    pairs = RawCovariances(
+        px.times, py.times, rx, ry, np.cumsum(count_x) - count_x, count_x,
+        start_y[match], count_y[match], np.empty(0), np.empty(0),
     )
-    value = _pair_products(rx, ry, a, b)
-    pairs = RawCovariances(px.times, py.times, a, b, value, subject, np.empty(0), np.empty(0))
-    return pairs, int(shared.sum())
+    return pairs, int((match >= 0).sum())
 
 
 def estimate_cross_covariance(

@@ -11,17 +11,17 @@ are best linear predictors given the subject's noisy observations, which
 stay well defined with as few as one observation per subject. The component
 count is fixed by the caller or chosen by a pseudo-Gaussian AIC.
 
-``RawCovariances`` holds the pairs of the covariance and cross-covariance
-surfaces alike, as two indices into observation times built by
-``np.repeat`` over the pooled rows; a scatter given by its coordinates has
-identity indices. The coordinates are gathered only where a stage reads
-them: unbinned or LOSO-CV smoothing. A binned surface gathers each pair's
-lattice node from the nearest nodes of its two observations
-(``bin_scatter_2d`` with ``pairs``), and the diagonal fit takes only the
-pairs within reach of the diagonal. Elementwise
-work over the pairs runs in chunks, so a binned fit holds no float array per
-pair beyond the residual products, and every number equals the one the
-materialized pairs give.
+``RawCovariances`` holds the scatters of the covariance and
+cross-covariance surfaces alike as their observations: pooled times and
+residuals and each subject's rows. Pairs are formed only where a stage
+reads them, as indices into the observations built by ``np.repeat`` over
+the pooled rows. Unbinned or LOSO-CV smoothing forms every pair at once. A
+binned surface forms them a run of whole subjects at a time, about
+``smoothing._PAIR_CHUNK`` pairs, and bins each run as it comes
+(``bin_scatter_2d`` with a chunk source); the diagonal fit collects the
+pairs within reach of the diagonal in a second pass. A binned fit thus
+holds no array with one entry per pair, and every number equals the one
+the materialized pairs give.
 
 ``FpcaConfig`` declares every marginal setting once; a joint fit nests one
 in ``FlrConfig`` and applies it to both variables. Each stage function
@@ -55,9 +55,9 @@ from .smoothing import (
     Kernel,
     SmoothFlags,
     _bin_linear,
-    _chunks,
     _diag_band_reach,
     _interp_slopes,
+    _runs,
     bin_scatter_2d,
     get_kernel,
     interp_linear,
@@ -171,14 +171,6 @@ class MeanEstimate:
         return interp_linear(self.grid.points, self.values, t)
 
 
-def _pair_products(u: np.ndarray, v: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """u[a] * v[b], formed in chunks."""
-    out = np.empty(a.size)
-    for sl in _chunks(a.size):
-        np.multiply(u.take(a[sl]), v.take(b[sl]), out=out[sl])
-    return out
-
-
 @dataclass(frozen=True)
 class RawCovariances:
     """Pairwise residual products, split into off-diagonal and diagonal parts.
@@ -188,53 +180,80 @@ class RawCovariances:
     at single observations and carry the noise variance on top of the
     surface.
 
-    Pair k joins the observation at ``times_a[a[k]]`` with the one at
-    ``times_b[b[k]]``, carries ``value[k]`` and belongs to subject
-    ``subject[k]``; ``s1`` and ``s2`` are gathered on each read. A scatter
-    given by its coordinates is its own observations, ``RawCovariances(s1,
-    s2, np.arange(n), np.arange(n), value, subject, diag_t, diag_value)``;
-    the cross-covariance scatter has empty diagonal arrays.
+    The scatter is held as its observations: times and residuals on each
+    side, pooled, and each subject's rows. Subject g pairs its
+    ``counts_a[g]`` observations from ``starts_a[g]`` on side a with its
+    ``counts_b[g]`` from ``starts_b[g]`` on side b, row-major; with
+    ``starts_b`` and ``counts_b`` None its side-a observations pair with
+    each other, leaving out the diagonal, and side b is side a. The pair of
+    observations k and l lies at (``times_a[k]``, ``times_b[l]``) and
+    carries ``resid_a[k] * resid_b[l]``. The cross-covariance scatter has
+    empty diagonal arrays.
 
-    ``raw_covariances`` and the cross-covariance stage build ``a``, ``b``
-    and ``subject`` as int32, 4 bytes per pair each, and as ``np.intp``
-    only where the pair count, the subject count or an observation count
-    does not fit in int32 (``_index_dtype``). NumPy widens int32 indices to
-    ``np.intp`` inside a gather, so the stages of a binned fit gather in
-    chunks; ``s1`` and ``s2`` gather every pair at once.
+    ``chunks`` forms the pairs' indices a run of whole subjects at a time,
+    and ``products`` their values; ``s1``, ``s2``, ``value`` and ``subject``
+    form every pair on each read, in the same order, ``subject`` as the
+    roster position in the ``_index_dtype`` of ``_pair_indices``.
     """
 
     times_a: np.ndarray
     times_b: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    value: np.ndarray
-    subject: np.ndarray
+    resid_a: np.ndarray
+    resid_b: np.ndarray
+    starts_a: np.ndarray
+    counts_a: np.ndarray
+    starts_b: np.ndarray | None
+    counts_b: np.ndarray | None
     diag_t: np.ndarray
     diag_value: np.ndarray
 
     @property
     def n_pairs(self) -> int:
-        return int(self.value.size)
+        return int(self._subject_pairs().sum())
+
+    def _subject_pairs(self) -> np.ndarray:
+        """The number of pairs of each subject."""
+        if self.starts_b is None:
+            return self.counts_a * (self.counts_a - 1)
+        return self.counts_a * self.counts_b
+
+    def _pairs(self, run: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a, b, subject) of the pairs of the subjects ``run``, a slice of
+        the roster: pooled indices on each side and the subject, counted
+        from the run's first."""
+        side_b = () if self.starts_b is None else (self.starts_b[run], self.counts_b[run])
+        return _pair_indices(self.starts_a[run], self.counts_a[run], *side_b)
+
+    def products(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The values of the pairs of observations ``a`` and ``b``."""
+        return self.resid_a.take(a) * self.resid_b.take(b)
+
+    def chunks(self):
+        """(a, b) of the pairs, one run of whole subjects at a time
+        (``smoothing._runs`` of the pair counts), in pair order."""
+        for run in _runs(self._subject_pairs()):
+            yield self._pairs(run)[:2]
+
+    def scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(s1, s2, value, subject) of every pair at once."""
+        a, b, subject = self._pairs(slice(0, self.counts_a.size))
+        return self.times_a.take(a), self.times_b.take(b), self.products(a, b), subject
 
     @property
     def s1(self) -> np.ndarray:
-        return self.times_a.take(self.a)
+        return self.scatter()[0]
 
     @property
     def s2(self) -> np.ndarray:
-        return self.times_b.take(self.b)
+        return self.scatter()[1]
 
-    def take(self, idx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(s1, s2, value) of the pairs ``idx``, a slice or an index array."""
-        return self.times_a.take(self.a[idx]), self.times_b.take(self.b[idx]), self.value[idx]
+    @property
+    def value(self) -> np.ndarray:
+        return self.scatter()[2]
 
-    def near_diagonal(self, reach: float) -> np.ndarray:
-        """Indices, ascending, of the pairs with |s2 - s1| <= ``reach``."""
-        parts = [np.empty(0, dtype=np.intp)]
-        for sl in _chunks(self.n_pairs):
-            t1, t2, _ = self.take(sl)
-            parts.append(np.flatnonzero(np.abs(t2 - t1) <= reach) + sl.start)
-        return np.concatenate(parts)
+    @property
+    def subject(self) -> np.ndarray:
+        return self.scatter()[3]
 
 
 @dataclass(frozen=True)
@@ -460,17 +479,17 @@ def raw_covariances(sample: SparseFunctionalSample, mean: MeanEstimate) -> RawCo
     The mean is interpolated to each observation time. Subjects contribute
     L(L-1) ordered off-diagonal pairs (row-major in the subject's L x L
     product matrix, diagonal excluded) and L diagonal entries; subjects with
-    a single observation feed only the diagonal. The pairs are held as
-    indices into the pooled observations; ``s1`` and ``s2`` are gathered on
-    each read.
+    a single observation feed only the diagonal. Only the observations are
+    kept: the pooled times and residuals and each subject's rows. The pairs
+    are formed where a stage reads them (see ``RawCovariances``), so the
+    scatter takes memory of the order of the observations, not of the pairs.
     """
     pooled = pooled_points(sample)
     resid = pooled.values - mean.at(pooled.times)
     counts = sample.counts
-    a, b, subject = _pair_indices(np.cumsum(counts) - counts, counts)
-    value = _pair_products(resid, resid, a, b)
     return RawCovariances(
-        pooled.times, pooled.times, a, b, value, subject, pooled.times, resid * resid
+        pooled.times, pooled.times, resid, resid, np.cumsum(counts) - counts, counts,
+        None, None, pooled.times, resid * resid,
     )
 
 
@@ -486,21 +505,23 @@ def _smooth_pairs(
 
     A fixed ``config.cov_bandwidth`` b serves both axes as (b, b); otherwise
     each candidate is one of ``config.cov_bandwidth_fractions`` of each
-    axis's domain length. The pair coordinates are formed only for an
-    unbinned scatter or a LOSO-CV search."""
+    axis's domain length. A binned scatter is binned from its chunks; every
+    pair is formed at once only for an unbinned scatter or a LOSO-CV
+    search."""
     kernel = get_kernel(config.kernel)
     g1, g2 = grid1.points, grid2.points
     binned = pairs.n_pairs > BIN_THRESHOLD
+    loso = config.cov_bandwidth is None and config.bandwidth_objective == "loso-cv"
+    if loso or not binned:
+        s1, s2, value, subject = pairs.scatter()
     if binned:
-        x1, x2, z, w = bin_scatter_2d(
-            pairs.times_a, pairs.times_b, pairs.value, g1, g2, pairs=(pairs.a, pairs.b)
-        )
+        chunks = ((a, b, pairs.products(a, b)) for a, b in pairs.chunks())
+        x1, x2, z, w = bin_scatter_2d(pairs.times_a, pairs.times_b, None, g1, g2, pairs=chunks)
     else:
-        x1, x2, z, w = pairs.s1, pairs.s2, pairs.value, None
+        x1, x2, z, w = s1, s2, value, None
     if config.cov_bandwidth is None:
-        loso = config.bandwidth_objective == "loso-cv"
         sel = select_bandwidth_2d(
-            *((pairs.s1, pairs.s2, pairs.value) if loso and binned else (x1, x2, z)),
+            *((s1, s2, value) if loso else (x1, x2, z)),
             [
                 (f * grid1.interval.length, f * grid2.interval.length)
                 for f in config.cov_bandwidth_fractions
@@ -510,7 +531,7 @@ def _smooth_pairs(
             kernel,
             weights=None if loso else w,
             objective=config.bandwidth_objective,
-            subject_index=pairs.subject if loso else None,
+            subject_index=subject if loso else None,
             flags=flags,
         )
         bandwidths, surface = sel.chosen, sel.fit
@@ -538,10 +559,11 @@ def estimate_covariance(
     than ``BIN_THRESHOLD`` are pre-aggregated onto the grid nodes; LOSO-CV
     scores the unbinned pairs, since binning pools subjects.
 
-    Binning passes the pair indices to ``bin_scatter_2d``: each pair's node
-    is gathered from the nearest nodes of its two observations, and the
-    aggregate is that of ``s1``, ``s2`` and ``value`` bit for bit, without
-    forming the pair coordinates.
+    Binning passes ``raw.chunks()``, with their ``products``, to
+    ``bin_scatter_2d``: the pairs are formed and binned a run of subjects at
+    a time, each pair's node gathered from the nearest nodes of its two
+    observations, and the aggregate is that of ``s1``, ``s2`` and ``value``
+    bit for bit, without an array over every pair.
     """
     if raw.n_pairs == 0:
         raise FitError("covariance", "no subject contributes an off-diagonal pair")
@@ -566,11 +588,12 @@ def estimate_noise_variance(
     (boundary fits are the least reliable) and scaled back to a per-point
     variance. Negative estimates truncate to zero.
 
-    The rotated fit takes ``raw.near_diagonal``, the pairs within
-    ``_diag_band_reach`` of the diagonal in |s2 - s1|, which hold its whole
-    band, or every pair where none lies that near. Wherever the band is not
-    empty it equals ``local_diag_rotated`` of every pair bit for bit, empty
-    windows included, since they take the band's mean.
+    The rotated fit takes the pairs within ``_diag_band_reach`` of the
+    diagonal in |s2 - s1|, which hold its whole band, collected from
+    ``raw.chunks()`` in pair order, or every pair where none lies that near.
+    Wherever the band is not empty it equals ``local_diag_rotated`` of every
+    pair bit for bit, empty windows included, since they take the band's
+    mean. The stage thus holds the band, not the pairs.
     """
     kern = get_kernel(config.kernel)
     if raw.diag_t.size == 0:
@@ -602,10 +625,23 @@ def _rotated_diagonal(
 ) -> np.ndarray:
     """``local_diag_rotated`` of the pairs near the diagonal, or of every
     pair where none lies that near."""
-    near = pairs.near_diagonal(_diag_band_reach(bandwidth))
-    return local_diag_rotated(
-        *pairs.take(near if near.size else slice(None)), points, bandwidth, kernel, flags=flags
-    )
+    band = _near_diagonal(pairs, _diag_band_reach(bandwidth))
+    if not band[0].size:
+        band = pairs.scatter()[:3]
+    return local_diag_rotated(*band, points, bandwidth, kernel, flags=flags)
+
+
+def _near_diagonal(pairs: RawCovariances, reach: float) -> tuple[np.ndarray, ...]:
+    """(s1, s2, value) of the pairs with |s2 - s1| <= ``reach``, in pair
+    order, gathered chunk by chunk."""
+    parts = [(np.empty(0),) * 3]
+    for a, b in pairs.chunks():
+        d = pairs.times_b.take(b)
+        d -= pairs.times_a.take(a)
+        near = np.flatnonzero(np.abs(d, out=d) <= reach)
+        a, b = a.take(near), b.take(near)
+        parts.append((pairs.times_a.take(a), pairs.times_b.take(b), pairs.products(a, b)))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def eigendecompose(
@@ -931,7 +967,6 @@ def fit_fpca(
         stage_prefix + "noise_variance",
         lambda: estimate_noise_variance(raw, grid, cov.bandwidth, config, flags),
     )
-    del raw  # the pair scatter, the fit's largest array, is not read again
     eig = _run_stage(stage_prefix + "eigendecompose", lambda: eigendecompose(cov, flags=flags))
 
     model = FpcaModel(

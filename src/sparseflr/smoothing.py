@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -83,9 +83,10 @@ _DEGENERATE_TOL = 1e-10
 # linear binning onto this many evenly spaced nodes (``_bin_linear``).
 _MEAN_LATTICE = 401
 
-# Points per chunk of elementwise work over a scatter held as pair indices:
-# the size of the largest scatter the fit smooths unbinned, so a chunk's
-# temporaries never outgrow an unbinned fit's.
+# Points per chunk of elementwise work over a large scatter, and pairs per
+# chunk of a raw pair scatter formed from its observations: the size of the
+# largest scatter the fit smooths unbinned, so a chunk's temporaries never
+# outgrow an unbinned fit's.
 _PAIR_CHUNK = 20000
 
 
@@ -172,8 +173,10 @@ class SmoothFlags:
 
 
 def _as_weights(weights: np.ndarray | None, n: int) -> np.ndarray:
+    """The checked weights; unit weights are a read-only view of one 1.0,
+    which allocates nothing until a caller gathers or sorts it."""
     if weights is None:
-        return np.ones(n)
+        return np.broadcast_to(1.0, n)
     w = np.asarray(weights, dtype=float)
     if w.shape != (n,):
         raise ValueError(f"weights shape {w.shape} does not match {n} points")
@@ -228,6 +231,19 @@ def _support(
 def _chunks(n: int):
     """Slices of at most ``_PAIR_CHUNK`` covering range(n)."""
     return (slice(k, k + _PAIR_CHUNK) for k in range(0, n, _PAIR_CHUNK))
+
+
+def _runs(sizes: np.ndarray):
+    """Slices of consecutive items covering range(len(sizes)), in order:
+    each holds items of total size at most ``_PAIR_CHUNK``, or one larger
+    item alone."""
+    ends = np.cumsum(sizes)
+    start = 0
+    while start < ends.size:
+        done = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, done + _PAIR_CHUNK, side="right")))
+        yield slice(start, stop)
+        start = stop
 
 
 def local_linear_1d(
@@ -573,10 +589,12 @@ def local_diag_rotated(
 
     The band is found over ``_chunks`` of the pairs, and the rotated
     coordinates and across-diagonal kernel weights are formed on the band
-    alone, so beyond the weights no float array runs over every pair given.
-    Each value is the elementwise one the whole scatter would give, and the
-    stable sort of the band's diagonal coordinates orders it as before, so
-    the window sums do not depend on the chunk size.
+    alone, so no float array runs over every pair given; without
+    ``weights`` none is tested or gathered, since a unit weight leaves each
+    product as it is. Each value is the elementwise one the whole scatter
+    would give, and the stable sort of the band's diagonal coordinates
+    orders it as before, so the window sums do not depend on the chunk
+    size.
     """
     # Not sorted: the band's order of ties along the diagonal is the
     # caller's, and it sets the order of the window sums.
@@ -590,14 +608,17 @@ def local_diag_rotated(
 
     # Only pairs inside the band |o| < h carry weight; sorted along the
     # diagonal, each target's window is one contiguous slice of the band.
+    weighted = weights is not None
     band = np.concatenate([np.empty(0, dtype=np.intp)] + [
-        np.flatnonzero((kernel((x2[sl] - x1[sl]) / rt2 / bandwidth) > 0) & (w[sl] > 0)) + sl.start
+        np.flatnonzero(
+            (kernel((x2[sl] - x1[sl]) / rt2 / bandwidth) > 0) & ((w[sl] > 0) if weighted else True)
+        ) + sl.start
         for sl in _chunks(z.size)
     ])
     band = band[np.argsort((x1[band] + x2[band]) / rt2, kind="stable")]
     bd = (x1[band] + x2[band]) / rt2
     bo = (x2[band] - x1[band]) / rt2
-    bk, bw, bz = kernel(bo / bandwidth), w[band], z[band]
+    bk, bw, bz = kernel(bo / bandwidth), w[band] if weighted else w[: band.size], z[band]
     bo2 = bo * bo
     lo, hi = _support(bd, targets, float(bandwidth))
 
@@ -628,12 +649,12 @@ def _diag_band_reach(bandwidth: float) -> float:
 def bin_scatter_2d(
     x1: np.ndarray,
     x2: np.ndarray,
-    z: np.ndarray,
+    z: np.ndarray | None,
     grid1: np.ndarray,
     grid2: np.ndarray,
     weights: np.ndarray | None = None,
     *,
-    pairs: tuple[np.ndarray, np.ndarray] | None = None,
+    pairs: tuple[np.ndarray, np.ndarray] | Iterable[tuple] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Aggregate a large 2-d scatter onto grid nodes by nearest-node snapping.
 
@@ -647,42 +668,52 @@ def bin_scatter_2d(
     With ``pairs`` = (a, b), two index arrays, point k lies at
     (x1[a[k]], x2[b[k]]): x1 and x2 are then the coordinates of the
     observations the points pair up, while z and weights run over the
-    points. Each point's node is i * len(grid2) + j, with i and j the
-    nearest nodes on each axis; that index is elementwise in the
-    coordinates, so each observation's node is found once and gathered,
-    chunk by chunk, without forming a coordinate array per point. The
-    aggregate is that of x1[a] and x2[b] bit for bit.
+    points. ``pairs`` may instead be an iterable of (a, b, z) chunks, each
+    a run of such points with their values, and ``z`` and ``weights`` None:
+    the points are those of the chunks in turn, every one at unit weight,
+    and no array runs over all of them. Each point's node is i *
+    len(grid2) + j, with i and j the nearest nodes on each axis, found once
+    per observation and gathered per chunk. Node counts are integer
+    bincounts, and node sums are added into one lattice by ``np.add.at``,
+    in point order as one ``bincount`` adds them, so the aggregate is that
+    of the gathered points x1[a] and x2[b] bit for bit, however they are
+    chunked.
 
     Raises ValueError, as the smoothers do, where z, the weights or, with
-    ``pairs``, a and b are not one per point, or a coordinate or z value is
-    not finite.
+    ``pairs``, a and b are not one per point, a coordinate or z value is
+    not finite, or a chunked scatter is given ``z`` or ``weights``.
     """
     g1 = np.asarray(grid1, dtype=float)
     g2 = np.asarray(grid2, dtype=float)
-    x1, x2, z = (np.asarray(c, dtype=float).ravel() for c in (x1, x2, z))
-    if pairs is None:
-        lengths = [x1.size, x2.size, z.size]
+    x1, x2 = (np.asarray(c, dtype=float).ravel() for c in (x1, x2))
+    if pairs is None or isinstance(pairs, tuple):
+        z = np.asarray(z, dtype=float).ravel()
+        a, b = (None, None) if pairs is None else (np.asarray(p).ravel() for p in pairs)
+        lengths = [x1.size, x2.size, z.size] if pairs is None else [a.size, b.size, z.size]
+        if len(set(lengths)) > 1:
+            raise ValueError(f"scatter columns differ in length: {lengths}")
+        w = None if weights is None else _as_weights(weights, z.size)
+        chunks = [(a, b, z)]
+    elif z is not None or weights is not None:
+        raise ValueError("a chunked scatter carries its own values, at unit weight")
     else:
-        a, b = (np.asarray(p).ravel() for p in pairs)
-        lengths = [a.size, b.size, z.size]
-    if len(set(lengths)) > 1:
-        raise ValueError(f"scatter columns differ in length: {lengths}")
-    if not all(np.isfinite(c).all() for c in (x1, x2, z)):
+        w, chunks = None, pairs
+    if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
         raise ValueError("scatter points must be finite")
-    # Without weights every point weighs 1: the node weights are exact
-    # counts and the value sums are bincount's sums of z in point order.
-    w = None if weights is None else _as_weights(weights, z.size)
     i = _nearest_node(x1, g1) * g2.size
     j = _nearest_node(x2, g2)
-    if pairs is None:
-        flat = i + j
-    else:
-        flat = np.empty(z.size, dtype=np.intp)
-        for sl in _chunks(z.size):
-            np.add(i.take(a[sl]), j.take(b[sl]), out=flat[sl])
     size = g1.size * g2.size
-    wsum = np.bincount(flat, w, size).astype(float, copy=False)
-    wzsum = np.bincount(flat, z if w is None else w * z, size)
+    counts, wsum, wzsum = np.zeros(size, dtype=np.intp), np.zeros(size), np.zeros(size)
+    for a, b, cz in chunks:
+        if not np.isfinite(cz).all():
+            raise ValueError("scatter points must be finite")
+        flat = i + j if a is None else i.take(a) + j.take(b)
+        if w is None:
+            counts += np.bincount(flat, minlength=size)
+        else:
+            np.add.at(wsum, flat, w)
+        np.add.at(wzsum, flat, cz if w is None else w * cz)
+    wsum = counts.astype(float) if w is None else wsum
     occ = wsum > 0
     ii, jj = np.divmod(np.flatnonzero(occ), g2.size)
     return g1[ii], g2[jj], wzsum[occ] / wsum[occ], wsum[occ]

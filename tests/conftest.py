@@ -15,6 +15,7 @@ from sparseflr import (
     fit_flr,
     gen_pair,
 )
+import sparseflr.smoothing
 
 settings.register_profile(
     "suite",
@@ -82,6 +83,15 @@ def make_truth_model(design, grid, noise_var=0.25):
         cov_bandwidth=1.0,
         n_subjects=1,
     )
+
+
+@pytest.fixture(params=[7, 1000], ids=lambda n: f"chunk {n}")
+def pair_chunk(request, monkeypatch):
+    """``smoothing._PAIR_CHUNK`` patched small: 7 puts a chunk boundary
+    after nearly every subject, 1000 after every few, and a subject of more
+    pairs than a chunk fills one alone."""
+    monkeypatch.setattr(sparseflr.smoothing, "_PAIR_CHUNK", request.param)
+    return request.param
 
 
 def ragged_sample(ids, counts, seed):

@@ -1,6 +1,8 @@
 """Cross-covariance coupling, regression surface, R2, and trajectory bands."""
 
+import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -40,7 +42,7 @@ from sparseflr.flr import (
     estimate_cross_covariance,
     estimate_sigma_km,
 )
-from sparseflr.fpca import BIN_THRESHOLD, MeanEstimate, estimate_mean
+from sparseflr.fpca import MeanEstimate, estimate_mean
 from sparseflr.smoothing import (
     QUARTIC,
     bin_scatter_2d,
@@ -243,6 +245,58 @@ class TestR2:
         assert abs(r2.value_raw - weighted) < 1e-12
 
 
+def test_binned_fit_reaches_the_benchmark_layers(dense_pair, monkeypatch):
+    # perfbench wraps these functions in every sparseflr module that binds
+    # them and reads the calls per fit, so a fit must keep calling them
+    # through those module attributes
+    calls = Counter()
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "sparseflr"]
+    for home, name in (("fpca", "raw_covariances"), ("smoothing", "bin_scatter_2d"),
+                       ("smoothing", "local_diag_rotated")):
+        original = getattr(sys.modules[f"sparseflr.{home}"], name)
+
+        def counted(*args, _fn=original, _span=f"{home}.{name}", **kwargs):
+            calls[_span] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    fit_flr(*dense_pair[:2])
+    assert calls == {
+        "fpca.raw_covariances": 2,
+        "smoothing.bin_scatter_2d": 3,
+        "smoothing.local_diag_rotated": 2,
+    }
+
+
+def assert_cross_is_the_public_composition(x_sample, y_sample, grid, config):
+    """A binned cross surface, and the lattice binned from its chunks,
+    equal ``bin_scatter_2d`` of the per-subject loop's pairs plus the public
+    search or smoother, with no tolerance."""
+    x_mean, y_mean = estimate_mean(x_sample, grid), estimate_mean(y_sample, grid)
+    cross = estimate_cross_covariance(x_sample, y_sample, x_mean, y_mean, grid, grid, config)
+    s, t, v, _, _ = loop_cross_raw_pairs(x_sample, y_sample, x_mean, y_mean)
+    assert cross.binned and v.size > sparseflr.fpca.BIN_THRESHOLD
+    kern, g, length = get_kernel(config.kernel), grid.points, grid.interval.length
+    x1, x2, z, w = bin_scatter_2d(s, t, v, g, g)
+    pairs, _ = _cross_raw_pairs(x_sample, y_sample, x_mean, y_mean)
+    chunks = ((a, b, pairs.products(a, b)) for a, b in pairs.chunks())
+    chunked = bin_scatter_2d(pairs.times_a, pairs.times_b, None, g, g, pairs=chunks)
+    for got, want in zip(chunked, (x1, x2, z, w)):
+        assert np.array_equal(got, want)
+    if config.cov_bandwidth is None:
+        sel = select_bandwidth_2d(
+            x1, x2, z, [(f * length, f * length) for f in config.cov_bandwidth_fractions],
+            g, g, kern, weights=w,
+        )
+        h, surface = sel.chosen, sel.fit
+    else:
+        h = (config.cov_bandwidth, config.cov_bandwidth)
+        surface = local_linear_2d(x1, x2, z, g, g, h, kern, weights=w)
+    assert cross.bandwidths == h and np.array_equal(cross.surface, surface)
+
+
 class TestCrossCovariance:
     def grids(self):
         return Interval(0.0, 10.0)
@@ -287,9 +341,11 @@ class TestCrossCovariance:
         assert n_shared == want[4]
 
     # Peak traced allocation of ``estimate_cross_covariance`` on the dense
-    # n=100 cohort, in units of one float per cross pair: 4.65 measured
-    # (6.15 with 8-byte pair indices), plus a margin of 0.42.
-    PEAK_CROSS_PAIR_FLOATS = 5.07
+    # n=100 cohort, in units of one float per cross pair: 2.59 measured,
+    # with the pairs formed a chunk at a time (4.65 with every pair held as
+    # 4-byte indices and a product, 6.15 with 8-byte indices), plus a margin
+    # of 0.42.
+    PEAK_CROSS_PAIR_FLOATS = 3.01
 
     def test_cross_scatter_memory_per_pair(self, dense_pair, grid):
         x_sample, y_sample, _ = dense_pair
@@ -300,8 +356,9 @@ class TestCrossCovariance:
 
         n_pairs = cross().n_pairs  # caches and lazy imports
         pairs, _ = _cross_raw_pairs(x_sample, y_sample, x_mean, y_mean)
-        for name in ("a", "b", "subject"):
-            assert getattr(pairs, name).dtype == np.int32, name
+        for a, b in pairs.chunks():
+            assert a.dtype == b.dtype == np.int32
+        assert pairs.subject.dtype == np.int32
         del pairs
         tracemalloc.start()
         try:
@@ -318,22 +375,22 @@ class TestCrossCovariance:
         # ``bin_scatter_2d`` of the per-subject loop's pairs plus the public
         # search or smoother, with no tolerance
         x_sample, y_sample, _ = dense_pair
-        x_mean, y_mean = estimate_mean(x_sample, grid), estimate_mean(y_sample, grid)
-        cross = estimate_cross_covariance(x_sample, y_sample, x_mean, y_mean, grid, grid, config)
-        s, t, v, _, _ = loop_cross_raw_pairs(x_sample, y_sample, x_mean, y_mean)
-        assert cross.binned and v.size > BIN_THRESHOLD
-        kern, g, length = get_kernel(config.kernel), grid.points, grid.interval.length
-        x1, x2, z, w = bin_scatter_2d(s, t, v, g, g)
-        if config.cov_bandwidth is None:
-            sel = select_bandwidth_2d(
-                x1, x2, z, [(f * length, f * length) for f in config.cov_bandwidth_fractions],
-                g, g, kern, weights=w,
-            )
-            h, surface = sel.chosen, sel.fit
-        else:
-            h = (config.cov_bandwidth, config.cov_bandwidth)
-            surface = local_linear_2d(x1, x2, z, g, g, h, kern, weights=w)
-        assert cross.bandwidths == h and np.array_equal(cross.surface, surface)
+        assert_cross_is_the_public_composition(x_sample, y_sample, grid, config)
+
+    @pytest.mark.parametrize("config", [FpcaConfig(), FpcaConfig(cov_bandwidth=1.3, kernel="quartic")])
+    def test_chunked_surface_is_the_public_composition(self, dense_pair, grid, config, pair_chunk):
+        x_sample, y_sample, _ = dense_pair
+        assert_cross_is_the_public_composition(x_sample, y_sample, grid, config)
+
+    def test_chunked_ragged_surface_is_the_public_composition(self, grid, monkeypatch, pair_chunk):
+        # shared ids in another roster order, ids in one sample only, 0- and
+        # 1-observation subjects, tied times, and a subject of 30 * 40 pairs,
+        # more than a chunk
+        x_sample = ragged_sample(list("abcdefg"), [3, 0, 1, 4, 2, 6, 30], seed=1)
+        y_sample = ragged_sample(list("fxdcbagy"), [2, 3, 0, 1, 5, 4, 40, 1], seed=2)
+        monkeypatch.setattr(sparseflr.fpca, "BIN_THRESHOLD", 1)
+        for config in (FpcaConfig(), FpcaConfig(cov_bandwidth=1.3, kernel="quartic")):
+            assert_cross_is_the_public_composition(x_sample, y_sample, grid, config)
 
     def test_search_fit_is_the_estimate(self, grid, monkeypatch):
         calls = []

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from sparseflr.fpca import (
     MeanEstimate,
     RawCovariances,
     _index_dtype,
+    _near_diagonal,
     _pair_indices,
     _rotated_diagonal,
     raw_covariances,
@@ -102,19 +104,21 @@ def affine_sample(n_subjects=30, slope=2.0, intercept=1.0, seed=11):
 
 
 def handmade_raw(s1, s2, value, diag_t=None, diag_value=None):
-    """Raw covariances given by pair coordinates: each pair is its own
-    observation (identity indices)."""
+    """Raw covariances given by pair coordinates: each pair is a subject of
+    its own, pairing one observation on each side, whose residuals are the
+    pair's value and 1."""
     s1 = np.asarray(s1, float)
-    diag_t = np.asarray([] if diag_t is None else diag_t, float)
-    each = np.arange(s1.size)
+    each, one = np.arange(s1.size), np.ones(s1.size, dtype=np.intp)
     return RawCovariances(
         times_a=s1,
         times_b=np.asarray(s2, float),
-        a=each,
-        b=each,
-        value=np.asarray(value, float),
-        subject=np.zeros(s1.size, dtype=int),
-        diag_t=diag_t,
+        resid_a=np.asarray(value, float),
+        resid_b=np.ones(s1.size),
+        starts_a=each,
+        counts_a=one,
+        starts_b=each,
+        counts_b=one,
+        diag_t=np.asarray([] if diag_t is None else diag_t, float),
         diag_value=np.asarray([] if diag_value is None else diag_value, float),
     )
 
@@ -197,14 +201,10 @@ def loop_raw_covariances(sample, mean):
     def cat(parts, dtype=float):
         return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
-    value = cat(v_parts)
-    each = np.arange(value.size, dtype=np.int32)
-    return RawCovariances(
-        times_a=cat(s1_parts),
-        times_b=cat(s2_parts),
-        a=each,
-        b=each,
-        value=value,
+    return types.SimpleNamespace(
+        s1=cat(s1_parts),
+        s2=cat(s2_parts),
+        value=cat(v_parts),
         subject=cat(idx_parts, np.int32),
         diag_t=cat(dt_parts),
         diag_value=cat(dv_parts),
@@ -327,9 +327,9 @@ class TestEstimateCovariance:
         assert np.array_equal(cov.surface, fixed.surface)
 
     def test_loso_selects_on_unbinned_pairs(self, grid, monkeypatch):
-        rng = np.random.default_rng(5)
-        raw = handmade_raw(rng.uniform(0, 10, 300), rng.uniform(0, 10, 300), rng.normal(size=300))
-        raw = dataclasses.replace(raw, subject=np.repeat(np.arange(30), 10))
+        # 30 subjects of 4 observations: 12 pairs each, 360 in all
+        sample = ragged_sample([f"s{i}" for i in range(30)], [4] * 30, seed=5)
+        raw = raw_covariances(sample, MeanEstimate(grid, np.zeros(grid.n_points), 1.0))
         monkeypatch.setattr(sparseflr.fpca, "BIN_THRESHOLD", 100)
         config = FpcaConfig(cov_bandwidth_fractions=(0.2, 0.4), bandwidth_objective="loso-cv")
         cov = estimate_covariance(raw, grid, config)
@@ -483,19 +483,98 @@ def public_noise_variance(raw, grid, bandwidth, config, flags):
     return max(0.0, float(est)), flags.widened_windows - before
 
 
+@pytest.fixture(scope="module")
+def raws(dense_pair, grid):
+    """(raw covariances, the per-subject loop's pairs) of both samples of
+    the dense n=100 cohort, above ``BIN_THRESHOLD``."""
+    out = []
+    for sample in dense_pair[:2]:
+        mean = estimate_mean(sample, grid)
+        out.append((raw_covariances(sample, mean), loop_raw_covariances(sample, mean)))
+    assert all(raw.n_pairs > BIN_THRESHOLD for raw, _ in out)
+    return out
+
+
+def assert_chunked_lattice(raw, pairs, grid):
+    """The lattice ``bin_scatter_2d`` bins from ``raw.chunks()`` is that of
+    the materialized ``pairs`` (s1, s2, value), bit for bit, and its node
+    sums are those one ``bincount`` adds in point order."""
+    g = grid.points
+    chunks = ((a, b, raw.products(a, b)) for a, b in raw.chunks())
+    got = bin_scatter_2d(raw.times_a, raw.times_b, None, g, g, pairs=chunks)
+    want = bin_scatter_2d(*pairs, g, g)
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y)
+    node = sparseflr.smoothing._nearest_node
+    flat = node(pairs[0], g) * g.size + node(pairs[1], g)
+    counts = np.bincount(flat, None, g.size**2)
+    sums = np.bincount(flat, pairs[2], g.size**2)
+    assert np.array_equal(got[2], sums[counts > 0] / counts[counts > 0])
+
+
+def assert_chunked_stages(raw, loop, grid, bandwidths=(0.8, 0.03)):
+    """Lattice, band, surfaces and noise variance of a binned ``raw``
+    against the public functions on the loop's materialized pairs, with no
+    tolerance."""
+    assert_chunked_lattice(raw, (loop.s1, loop.s2, loop.value), grid)
+    for config in (FpcaConfig(), FpcaConfig(cov_bandwidth=1.3, kernel="quartic")):
+        cov = estimate_covariance(raw, grid, config)
+        surface, bandwidth = public_covariance(loop, grid, config)
+        assert cov.binned and cov.bandwidth == bandwidth
+        assert np.array_equal(cov.surface, surface)
+    for bandwidth in bandwidths:
+        reach = sparseflr.smoothing._diag_band_reach(bandwidth)
+        near = np.abs(loop.s2 - loop.s1) <= reach
+        for x, y in zip(_near_diagonal(raw, reach), (loop.s1, loop.s2, loop.value)):
+            assert np.array_equal(x, y[near])
+        new, old = SmoothFlags(), SmoothFlags()
+        got = estimate_noise_variance(raw, grid, bandwidth, FpcaConfig(), new)
+        want, _ = public_noise_variance(loop, grid, bandwidth, FpcaConfig(), old)
+        assert got == want and flag_counts(new) == flag_counts(old)
+
+
+def flag_counts(flags):
+    return flags.widened_windows, flags.constant_fallbacks
+
+
+class TestPairChunks:
+    """The stages that form pairs a run of subjects at a time give the same
+    bits at any chunk size, with chunk boundaries inside and between runs."""
+
+    def test_dense_cohorts(self, raws, grid, pair_chunk):
+        for raw, loop in raws:
+            assert_chunked_stages(raw, loop, grid)
+
+    def test_ragged_sample(self, grid, monkeypatch, pair_chunk):
+        # empty and single-observation subjects, times tied on a 0.5 lattice,
+        # and a last subject of 33 * 32 = 1056 pairs, more than a chunk
+        counts = [0, 3, 1, 0, 5, 2, 1, 8, 0, 4, 33, 1]
+        sample = ragged_sample([f"s{i}" for i in range(len(counts))], counts, seed=12)
+        mean = MeanEstimate(grid, np.sin(grid.points), 1.0)
+        raw = raw_covariances(sample, mean)
+        assert max(c * (c - 1) for c in counts) > pair_chunk
+        monkeypatch.setattr(sparseflr.fpca, "BIN_THRESHOLD", 1)
+        assert_chunked_stages(raw, loop_raw_covariances(sample, mean), grid)
+
+    def test_empty_band_takes_every_pair(self, grid, monkeypatch, pair_chunk):
+        # distinct times at least 0.25 apart: no pair lies within reach of
+        # the diagonal at bandwidth 0.03, so the rotated fit takes every pair
+        rng = np.random.default_rng(14)
+        sample = SparseFunctionalSample(Interval(0.0, 10.0), tuple(
+            SubjectRecord(f"s{i}", 0.25 * rng.choice(41, n, replace=False), rng.normal(size=n))
+            for i, n in enumerate([6, 0, 2, 9, 1, 35])
+        ))
+        mean = MeanEstimate(grid, np.zeros(grid.n_points), 1.0)
+        raw, loop = raw_covariances(sample, mean), loop_raw_covariances(sample, mean)
+        assert _near_diagonal(raw, sparseflr.smoothing._diag_band_reach(0.03))[0].size == 0
+        monkeypatch.setattr(sparseflr.fpca, "BIN_THRESHOLD", 1)
+        assert_chunked_stages(raw, loop, grid, bandwidths=(0.03,))
+
+
 class TestPairScatterMatchesPublicComposition:
     """The fit's binned and banded pair stages against the public functions
     on materialized pairs (the per-subject loop's), with no tolerance, on a
     cohort above ``BIN_THRESHOLD``."""
-
-    @pytest.fixture(scope="class")
-    def raws(self, dense_pair, grid):
-        out = []
-        for sample in dense_pair[:2]:
-            mean = estimate_mean(sample, grid)
-            out.append((raw_covariances(sample, mean), loop_raw_covariances(sample, mean)))
-        assert all(raw.n_pairs > BIN_THRESHOLD for raw, _ in out)
-        return out
 
     @pytest.mark.parametrize("config", [FpcaConfig(), FpcaConfig(cov_bandwidth=1.3, kernel="quartic")])
     def test_covariance(self, raws, grid, config):
@@ -530,7 +609,7 @@ class TestPairScatterMatchesPublicComposition:
         new, old = SmoothFlags(), SmoothFlags()
         out = _rotated_diagonal(raw, target, h, QUARTIC, new)
         ref = local_diag_rotated(s1, s2, z, target, h, QUARTIC, flags=old)
-        assert raw.near_diagonal(h * np.sqrt(2.0)).size == 1
+        assert _near_diagonal(raw, h * np.sqrt(2.0))[0].size == 1
         assert np.array_equal(out, ref)
         assert (new.widened_windows, new.constant_fallbacks) == (1, 0) == (
             old.widened_windows, old.constant_fallbacks
@@ -539,19 +618,39 @@ class TestPairScatterMatchesPublicComposition:
 
 class TestPairScatterMemory:
     # Peak traced allocation of ``fit_fpca`` on the dense n=100 cohort, in
-    # units of one float per raw pair: 5.38 measured, at the rotated
-    # diagonal fit of the noise-variance stage (7.58 with 8-byte pair
-    # indices and full-length band temporaries, 10.10 when the pair
-    # coordinates were formed as well), plus a margin of 0.42. A float array
-    # per pair that outlives its stage adds 1, and 8-byte indices 1.5.
-    PEAK_PAIR_FLOATS = 5.80
+    # units of one float per raw pair: 2.67 measured, at the covariance
+    # stage, which bins the pairs a chunk at a time (5.38 when the raw
+    # scatter held every pair as 4-byte indices and a product, with the
+    # peak at the rotated diagonal fit, 7.58 with 8-byte indices and
+    # full-length band temporaries, 10.10 when the pair coordinates were
+    # formed as well), plus a margin of 0.42. A float array per pair that
+    # outlives its stage adds 1.
+    PEAK_PAIR_FLOATS = 3.09
+
+    def test_binned_fit_forms_pairs_a_chunk_at_a_time(self, dense_pair, monkeypatch):
+        # each binned surface forms its pairs once, and each marginal once
+        # more for the diagonal band, never more than a chunk at a time
+        sizes = []
+
+        def recorded(*args):
+            out = _pair_indices(*args)
+            sizes.append(out[0].size)
+            return out
+
+        monkeypatch.setattr(sparseflr.fpca, "_pair_indices", recorded)
+        model = fit_flr(*dense_pair[:2])
+        n_marginal = sum(int((s.counts * (s.counts - 1)).sum()) for s in dense_pair[:2])
+        assert model.cross.binned and min(model.cross.n_pairs, n_marginal) > 2 * BIN_THRESHOLD
+        assert sum(sizes) == 2 * n_marginal + model.cross.n_pairs
+        assert max(sizes) <= sparseflr.smoothing._PAIR_CHUNK
 
     def test_pair_indices_are_four_bytes(self, dense_pair, grid):
         sample = dense_pair[0]
         raw = raw_covariances(sample, estimate_mean(sample, grid))
         assert raw.n_pairs > BIN_THRESHOLD
-        for name in ("a", "b", "subject"):
-            assert getattr(raw, name).dtype == np.int32, name
+        for a, b in raw.chunks():
+            assert a.dtype == b.dtype == np.int32
+        assert raw.subject.dtype == np.int32
 
     def test_binned_fit_holds_no_full_length_temporary(self, dense_pair):
         sample = dense_pair[0]

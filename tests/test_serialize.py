@@ -1,11 +1,15 @@
 """Model persistence: byte-stable saves, faithful loads, hard schema checks."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparseflr
 from sparseflr import (
     DataError,
     FlrConfig,
@@ -18,6 +22,31 @@ from sparseflr import (
 )
 from sparseflr.serialize import SCHEMA_VERSION
 from sparseflr.smoothing import SmoothFlags
+
+
+# Fits the dense n=100 cohort, whose three surfaces are binned, and prints
+# the sha256 of its model document.
+FIT_DIGEST = """
+import hashlib, json
+import numpy as np
+from sparseflr import SimConfig, fit_flr, gen_pair, model_document
+x, y, _ = gen_pair(SimConfig(n_subjects=100, sparsity="dense", seed=0), np.random.default_rng(0))
+doc = json.dumps(model_document(fit_flr(x, y)), sort_keys=True)
+print(hashlib.sha256(doc.encode()).hexdigest())
+"""
+
+
+def test_binned_fit_document_does_not_depend_on_blas_threads():
+    src = os.path.dirname(os.path.dirname(sparseflr.__file__))
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run(
+            [sys.executable, "-c", FIT_DIGEST], capture_output=True, text=True, env=env,
+            check=True, timeout=300,
+        )
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1
 
 
 class TestRoundTrip:
