@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -77,7 +77,9 @@ class FlrConfig:
     Bandwidths left as None are selected per sample. The cross-covariance
     surface takes the marginal covariance settings (see
     ``estimate_cross_covariance``), one free parameter instead of two.
-    Component counts left as None are selected by AIC.
+    A predictor count left as None is chosen by the likelihood's BIC; a
+    response count left as None keeps every retained component up to
+    ``marginal.max_components``, as beta loses to too few, not to extra ones.
     """
 
     marginal: FpcaConfig = FpcaConfig()
@@ -189,8 +191,7 @@ def _cross_raw_pairs(
     Pairs run subject by subject in predictor roster order, row-major in
     each subject's predictor x response product; the subject index is the
     predictor roster position. They are held as the observations of the two
-    pooled samples, each predictor's rows paired with its response rows,
-    and the diagonal arrays are empty.
+    pooled samples, each predictor's rows paired with its response rows.
     """
     y_index = {s.subject_id: j for j, s in enumerate(y_sample.subjects)}
     match = np.array([y_index.get(s.subject_id, -1) for s in x_sample.subjects], dtype=np.intp)
@@ -203,7 +204,7 @@ def _cross_raw_pairs(
     start_y = np.cumsum(count_y) - count_y
     pairs = RawCovariances(
         px.times, py.times, rx, ry, np.cumsum(count_x) - count_x, count_x,
-        start_y[match], count_y[match], np.empty(0), np.empty(0),
+        start_y[match], count_y[match],
     )
     return pairs, int((match >= 0).sum())
 
@@ -501,7 +502,10 @@ def fit_flr(
     flags = SmoothFlags()
     marginal = config.marginal
     x_model = fit_fpca(x_sample, marginal, config.ncomp_x, flags, stage_prefix="x_")
-    y_model = fit_fpca(y_sample, marginal, config.ncomp_y, flags, stage_prefix="y_")
+    y_model = fit_fpca(y_sample, marginal, config.ncomp_y or marginal.max_components, flags, "y_")
+    if config.ncomp_y is None:
+        rule = {"method": "max_components", "chosen": y_model.n_components}
+        y_model = replace(y_model, selection=rule)
     x_mean = MeanEstimate(x_model.grid, x_model.mean, x_model.mean_bandwidth)
     y_mean = MeanEstimate(y_model.grid, y_model.mean, y_model.mean_bandwidth)
     cross = _run_stage(

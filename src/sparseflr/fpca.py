@@ -3,13 +3,15 @@
 The pipeline pools observations across subjects: a local-linear fit of the
 pooled scatter gives the mean curve; a local-plane fit of pairwise raw
 covariances (diagonal pairs excluded, because their noise does not cancel)
-gives the covariance surface; the surface diagonal, refitted in rotated
-coordinates and compared against a fit of the raw diagonal, gives the
-observation-noise variance. Eigenfunctions come from the trapezoid
+gives the covariance surface. Eigenfunctions come from the trapezoid
 discretization of the covariance operator, and per-subject component scores
 are best linear predictors given the subject's noisy observations, which
-stay well defined with as few as one observation per subject. The component
-count is fixed by the caller or chosen by a pseudo-Gaussian AIC.
+stay well defined with as few as one observation per subject.
+
+The noise variance and the component count come from one Gaussian
+reduced-rank likelihood at the fitted eigenpairs (James, Hastie & Sugar
+2000): each count's noise variance maximizes it, and the count is fixed by
+the caller or chosen by its BIC (Li, Wang & Carroll 2013).
 
 ``RawCovariances`` holds the scatters of the covariance and
 cross-covariance surfaces alike as their observations: pooled times and
@@ -18,10 +20,9 @@ reads them, as indices into the observations built by ``np.repeat`` over
 the pooled rows. Unbinned or LOSO-CV smoothing forms every pair at once. A
 binned surface forms them a run of whole subjects at a time, about
 ``smoothing._PAIR_CHUNK`` pairs, and bins each run as it comes
-(``bin_scatter_2d`` with a chunk source); the diagonal fit collects the
-pairs within reach of the diagonal in a second pass. A binned fit thus
-holds no array with one entry per pair, and every number equals the one
-the materialized pairs give.
+(``bin_scatter_2d`` with a chunk source). A binned fit thus holds no array
+with one entry per pair, and every number equals the one the materialized
+pairs give.
 
 ``FpcaConfig`` declares every marginal setting once; a joint fit nests one
 in ``FlrConfig`` and applies it to both variables. Each stage function
@@ -41,7 +42,6 @@ from typing import Sequence
 import numpy as np
 
 from .data import (
-    Interval,
     PooledPoints,
     RegularGrid,
     SparseFunctionalSample,
@@ -52,16 +52,13 @@ from .errors import DataError, FitError, _require_int, _require_real
 from .smoothing import (
     BANDWIDTH_OBJECTIVES,
     KERNEL_NAMES,
-    Kernel,
     SmoothFlags,
     _bin_linear,
-    _diag_band_reach,
     _interp_slopes,
     _runs,
     bin_scatter_2d,
     get_kernel,
     interp_linear,
-    local_diag_rotated,
     local_linear_1d,
     local_linear_2d,
     select_bandwidth_1d,
@@ -107,6 +104,11 @@ _RIDGE_FREE_MAX_OBS = 1000
 # ``_score_group``.
 _CLIP_MARGIN = 1e-9
 
+# The noise-variance search of ``_marginal_loglik`` on x = log(sigma^2 / v):
+# start spacing, largest step, end tolerance, step cap, and the bounds of x.
+_SEARCH_DIFF, _SEARCH_STEP, _SEARCH_TOL, _SEARCH_ITER = 1e-3, 1.0, 3e-5, 100
+_SEARCH_FLOOR, _SEARCH_CEIL = math.log(1e-12), math.log(1e3)
+
 # Sign convention: eigenfunctions integrate to a nonnegative value; when the
 # integral is essentially zero the largest-magnitude grid value is positive.
 _SIGN_INTEGRAL_TOL = 1e-8
@@ -119,7 +121,7 @@ class FpcaConfig:
     ``mean_bandwidth`` and ``cov_bandwidth`` may be fixed (finite and > 0);
     when None they are selected from candidate fractions of the domain
     length (non-empty, each finite and > 0). Unless ``fit_fpca`` is given a
-    count, AIC selects it up to ``max_components``.
+    count, the likelihood's BIC selects it up to ``max_components``.
     """
 
     n_grid: int = 51
@@ -173,12 +175,11 @@ class MeanEstimate:
 
 @dataclass(frozen=True)
 class RawCovariances:
-    """Pairwise residual products, split into off-diagonal and diagonal parts.
+    """Pairwise residual products off the diagonal.
 
-    Off-diagonal entries are ordered pairs (l1 != l2) so the scatter is
-    symmetric in its two coordinates; diagonal entries are squared residuals
-    at single observations and carry the noise variance on top of the
-    surface.
+    Entries are ordered pairs (l1 != l2) so the scatter is symmetric in its
+    two coordinates; squared residuals at single observations, which carry
+    the noise variance on top of the surface, are left out.
 
     The scatter is held as its observations: times and residuals on each
     side, pooled, and each subject's rows. Subject g pairs its
@@ -187,8 +188,7 @@ class RawCovariances:
     ``starts_b`` and ``counts_b`` None its side-a observations pair with
     each other, leaving out the diagonal, and side b is side a. The pair of
     observations k and l lies at (``times_a[k]``, ``times_b[l]``) and
-    carries ``resid_a[k] * resid_b[l]``. The cross-covariance scatter has
-    empty diagonal arrays.
+    carries ``resid_a[k] * resid_b[l]``.
 
     ``chunks`` forms the pairs' indices a run of whole subjects at a time,
     and ``products`` their values; ``s1``, ``s2``, ``value`` and ``subject``
@@ -204,8 +204,6 @@ class RawCovariances:
     counts_a: np.ndarray
     starts_b: np.ndarray | None
     counts_b: np.ndarray | None
-    diag_t: np.ndarray
-    diag_value: np.ndarray
 
     @property
     def n_pairs(self) -> int:
@@ -478,18 +476,17 @@ def raw_covariances(sample: SparseFunctionalSample, mean: MeanEstimate) -> RawCo
 
     The mean is interpolated to each observation time. Subjects contribute
     L(L-1) ordered off-diagonal pairs (row-major in the subject's L x L
-    product matrix, diagonal excluded) and L diagonal entries; subjects with
-    a single observation feed only the diagonal. Only the observations are
-    kept: the pooled times and residuals and each subject's rows. The pairs
-    are formed where a stage reads them (see ``RawCovariances``), so the
-    scatter takes memory of the order of the observations, not of the pairs.
+    product matrix, diagonal excluded); subjects with a single observation
+    contribute none. Only the observations are kept: the pooled times and
+    residuals and each subject's rows. The pairs are formed where a stage
+    reads them (see ``RawCovariances``), so the scatter takes memory of the
+    order of the observations, not of the pairs.
     """
     pooled = pooled_points(sample)
     resid = pooled.values - mean.at(pooled.times)
     counts = sample.counts
     return RawCovariances(
-        pooled.times, pooled.times, resid, resid, np.cumsum(counts) - counts, counts,
-        None, None, pooled.times, resid * resid,
+        pooled.times, pooled.times, resid, resid, np.cumsum(counts) - counts, counts, None, None
     )
 
 
@@ -572,78 +569,6 @@ def estimate_covariance(
     return CovarianceEstimate(grid, surface, bandwidth, binned=binned)
 
 
-def estimate_noise_variance(
-    raw: RawCovariances,
-    grid: RegularGrid,
-    bandwidth: float,
-    config: FpcaConfig = FpcaConfig(),
-    flags: SmoothFlags | None = None,
-) -> float:
-    """Observation-noise variance from the diagonal inflation.
-
-    The raw diagonal carries surface-plus-noise; the rotated diagonal fit of
-    off-diagonal pairs carries the surface alone. Both are smoothed at
-    ``bandwidth``, the fitted covariance bandwidth, with ``config.kernel``.
-    Their difference is integrated over the middle half of the domain
-    (boundary fits are the least reliable) and scaled back to a per-point
-    variance. Negative estimates truncate to zero.
-
-    The rotated fit takes the pairs within ``_diag_band_reach`` of the
-    diagonal in |s2 - s1|, which hold its whole band, collected from
-    ``raw.chunks()`` in pair order, or every pair where none lies that near.
-    Wherever the band is not empty it equals ``local_diag_rotated`` of every
-    pair bit for bit, empty windows included, since they take the band's
-    mean. The stage thus holds the band, not the pairs.
-    """
-    kern = get_kernel(config.kernel)
-    if raw.diag_t.size == 0:
-        raise FitError("noise_variance", "no observations to fit the raw diagonal")
-    if raw.n_pairs == 0:
-        raise FitError("noise_variance", "no off-diagonal pairs for the surface diagonal")
-    lo, hi = grid.interval.lo, grid.interval.hi
-    length = grid.interval.length
-    mid = RegularGrid(
-        Interval(lo + 0.25 * length, hi - 0.25 * length),
-        max(2, grid.n_points // 2 + 1),
-    )
-    v_hat = local_linear_1d(
-        raw.diag_t, raw.diag_value, mid.points, bandwidth, kern, flags=flags
-    )
-    g_diag = _rotated_diagonal(raw, mid.points, bandwidth, kern, flags)
-    est = 2.0 / length * mid.integrate(v_hat - g_diag)
-    if est < 0 and flags is not None:
-        flags.note(f"noise variance truncated to 0 (raw estimate {est:.3e})")
-    return max(0.0, float(est))
-
-
-def _rotated_diagonal(
-    pairs: RawCovariances,
-    points: np.ndarray,
-    bandwidth: float,
-    kernel: Kernel,
-    flags: SmoothFlags | None,
-) -> np.ndarray:
-    """``local_diag_rotated`` of the pairs near the diagonal, or of every
-    pair where none lies that near."""
-    band = _near_diagonal(pairs, _diag_band_reach(bandwidth))
-    if not band[0].size:
-        band = pairs.scatter()[:3]
-    return local_diag_rotated(*band, points, bandwidth, kernel, flags=flags)
-
-
-def _near_diagonal(pairs: RawCovariances, reach: float) -> tuple[np.ndarray, ...]:
-    """(s1, s2, value) of the pairs with |s2 - s1| <= ``reach``, in pair
-    order, gathered chunk by chunk."""
-    parts = [(np.empty(0),) * 3]
-    for a, b in pairs.chunks():
-        d = pairs.times_b.take(b)
-        d -= pairs.times_a.take(a)
-        near = np.flatnonzero(np.abs(d, out=d) <= reach)
-        a, b = a.take(near), b.take(near)
-        parts.append((pairs.times_a.take(a), pairs.times_b.take(b), pairs.products(a, b)))
-    return tuple(np.concatenate(column) for column in zip(*parts))
-
-
 def eigendecompose(
     cov: CovarianceEstimate,
     flags: SmoothFlags | None = None,
@@ -698,9 +623,7 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def _score_group(
-    model: FpcaModel, psi: np.ndarray, resid: np.ndarray, with_omega: bool = True
-) -> tuple:
+def _score_group(model: FpcaModel, psi: np.ndarray, resid: np.ndarray) -> tuple:
     """Scores of G subjects sharing one observation count L, solved stacked.
 
     ``psi`` (G, m, L) holds eigenfunction values in C order, which makes
@@ -709,8 +632,7 @@ def _score_group(
     come unstacked, as ``psi`` (m, L) and ``resid`` (L,), which spares the
     stacking: every array returned then drops its leading axis and equals
     the subject's row of a stack bit for bit. Returns (h, sigma_u, scores,
-    omega, ridged, omega_clipped); with ``with_omega`` False the
-    conditional covariance is not computed and its two entries are None.
+    omega, ridged, omega_clipped).
 
     Sigma_U is ridged only where an LU solve would be unstable, when its
     smallest eigenvalue magnitude falls to 1e-12 of the largest
@@ -729,8 +651,6 @@ def _score_group(
     Sigma_U^-1 H^T. Every other group (a zero noise estimate, say) is
     tested and solved as before, U - mu apart from H^T, since a condition
     number up to 1e12 would magnify the joint solve's different rounding.
-    Either way the AIC path, which skips omega, gets the same scores bit
-    for bit.
 
     Omega's negative eigenvalues, left by rounding, are clipped to zero.
     An eigensolve decides the clip only where omega less 1e-9 of its trace
@@ -759,9 +679,7 @@ def _score_group(
             floor = np.maximum(np.maximum(trace, amax[ridged]), np.finfo(float).tiny)
             sigma[ridged] += (1e-8 * floor / n_obs)[:, None, None] * eye
         scores = (h @ np.linalg.solve(sigma, resid[..., None]))[..., 0]
-        cross = h @ np.linalg.solve(sigma, h.swapaxes(-1, -2)) if with_omega else None
-    if not with_omega:
-        return h, sigma, scores, None, ridged, None
+        cross = h @ np.linalg.solve(sigma, h.swapaxes(-1, -2))
     omega = rho * _identity(m) - cross
     omega = 0.5 * (omega + omega.swapaxes(-1, -2))
     clipped = np.zeros(stack, dtype=bool)
@@ -795,41 +713,31 @@ def pace_scores_batch(
     counts = np.array([s.n_obs for s in subjects], dtype=np.intp)
     t_all = np.concatenate([np.empty(0)] + [s.times for s in subjects])
     u_all = np.concatenate([np.empty(0)] + [s.values for s in subjects])
-    scores, omega, ridged, clipped, _, _ = _pooled_scores(model, t_all, u_all, counts, m)
+    n = counts.size
+    scores, ridged, clipped = np.zeros((n, m)), np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    omega = np.repeat(np.diag(model.eigenvalues[:m])[None], n, axis=0)
+    for rows, resid, psi in _count_groups(model, t_all, u_all, counts, m):
+        _, _, scores[rows], omega[rows], ridged[rows], clipped[rows] = _score_group(
+            model, psi, resid
+        )
     return ScoreBatch(scores, omega, ridged, clipped, counts == 0)
 
 
-def _pooled_scores(
-    model: FpcaModel,
-    times: np.ndarray,
-    values: np.ndarray,
-    counts: np.ndarray,
-    m: int,
-    with_omega: bool = True,
-) -> tuple:
-    """The grouped solve of ``pace_scores_batch`` on pooled arrays, where
-    subject i owns the next ``counts[i]`` entries. Returns (scores, omega,
-    ridged, omega_clipped, residuals from the mean at the pooled times, the
-    (m, N) eigenfunction values there); with ``with_omega`` False omega and
-    omega_clipped are not computed and are None."""
-    n = counts.size
+def _count_groups(
+    model: FpcaModel, times: np.ndarray, values: np.ndarray, counts: np.ndarray, m: int
+):
+    """(rows, resid, psi) of each observation count L > 0 in turn, where
+    subject i owns the next ``counts[i]`` entries of the pooled ``times``
+    and ``values``: the G subjects with L observations, their residuals from
+    the mean (G, L), and the first m eigenfunctions at their times, (G, m,
+    L) in C order."""
     curves = model._curves_at(times, m)
     resid_all, psi_all = values - curves[0], curves[1:]
     starts = np.cumsum(counts) - counts
-    scores = np.zeros((n, m))
-    ridged = np.zeros(n, dtype=bool)
-    omega = np.repeat(np.diag(model.eigenvalues[:m])[None], n, axis=0) if with_omega else None
-    clipped = np.zeros(n, dtype=bool) if with_omega else None
     for n_obs in sorted(set(counts.tolist()) - {0}):
         rows = np.flatnonzero(counts == n_obs)
         idx = starts[rows, None] + np.arange(n_obs)
-        psi = np.ascontiguousarray(psi_all[:, idx].transpose(1, 0, 2))
-        _, _, scores[rows], group_omega, ridged[rows], group_clipped = _score_group(
-            model, psi, resid_all[idx], with_omega
-        )
-        if with_omega:
-            omega[rows], clipped[rows] = group_omega, group_clipped
-    return scores, omega, ridged, clipped, resid_all, psi_all
+        yield rows, resid_all[idx], np.ascontiguousarray(psi_all[:, idx].transpose(1, 0, 2))
 
 
 def pace_scores(
@@ -882,27 +790,132 @@ def pace_scores(
     return ScorePrediction(scores, sigma, h, omega, bool(ridged), bool(clipped))
 
 
-def _aic_curve(
-    model: FpcaModel, sample: SparseFunctionalSample, max_m: int
-) -> np.ndarray:
-    """Gaussian pseudo-likelihood AIC for component counts 1..max_m.
-
-    The per-subject deviance uses residuals after removing the fitted
-    truncated trajectory at the subject's own times; the penalty adds the
-    component count. The noise variance enters both the quadratic weight and
-    the log term; an exact zero is floored at a scale-aware epsilon so the
-    log stays finite.
-    """
-    diag_scale = float(np.mean(np.diag(model.surface)))
-    sigma2 = max(model.noise_var, 1e-8 * max(diag_scale, 0.0), 1e-300)
+def _likelihood_blocks(
+    model: FpcaModel, sample: SparseFunctionalSample, m: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(S, beta, v) at the first m eigenpairs, a column per subject with
+    observations, in units of v, the mean squared residual: with r_i the
+    residuals from the mean and Psi_i (m, L_i) the eigenfunctions at the
+    subject's times, S_i = D^1/2 Psi_i Psi_i^T D^1/2 / v, its lower triangle
+    packed by columns (``_packed``), and beta_i = D^1/2 Psi_i r_i / v."""
     pooled = pooled_points(sample)
-    scores, _, _, _, resid, psi = _pooled_scores(
-        model, pooled.times, pooled.values, sample.counts, max_m, with_omega=False
-    )
-    # row m - 1 holds the residuals of the trajectory truncated to m components
-    r = resid - np.cumsum(scores[pooled.subject_index].T * psi, axis=0)
-    log_term = 0.5 * resid.size * (math.log(2.0 * math.pi) + math.log(sigma2))
-    return np.einsum("mn,mn->m", r, r) / (2.0 * sigma2) + log_term + np.arange(1, max_m + 1)
+    groups = list(_count_groups(model, pooled.times, pooled.values, sample.counts, m))
+    if not groups:
+        raise ValueError("no observations to evaluate the likelihood at")
+    scale = sum(float(np.square(resid).sum()) for _, resid, _ in groups) / pooled.times.size
+    root = math.sqrt(scale) or 1.0
+    weight = np.sqrt(model.eigenvalues[:m])[:, None] / root
+    parts = []
+    for _, resid, psi in groups:
+        psi = np.ascontiguousarray((psi * weight).transpose(1, 2, 0))
+        columns = [np.einsum("lg,ilg->ig", psi[j], psi[j:]) for j in range(m)]
+        parts.append(np.vstack(columns + [np.einsum("klg,lg->kg", psi, resid.T / root)]))
+    blocks = np.hstack(parts)
+    return blocks[: _packed(m, m)], blocks[_packed(m, m) :], scale
+
+
+def _packed(m: int, j: int) -> int:
+    """The first row of column j of an m x m lower triangle packed by columns."""
+    return j * m - j * (j - 1) // 2
+
+
+def _nested_curve(s: np.ndarray, beta: np.ndarray, n_obs: int, x: float, k: int) -> np.ndarray:
+    """f_K = -2 l at x = log(sigma^2 / v) for K = 1..k in the units of
+    ``_likelihood_blocks``, where the squared residuals sum to n_obs: (n_obs
+    - n K) x + sum_i [log det(tau I + S_K) - beta_K^T (tau I + S_K)^-1
+    beta_K / tau] + n_obs / tau, tau = e^x. One Cholesky factor of tau I + S
+    serves every K: the leading block of a factor factors the leading block."""
+    m, n = beta.shape
+    tau = math.exp(x)
+    # rows 0..k-1 the factor, row k the solution z of factor z = beta
+    factor = np.empty((k + 1, k, n))
+    for j in range(k):
+        col = np.concatenate((s[_packed(m, j) : _packed(m, j) + k - j], beta[j : j + 1]))
+        col -= np.einsum("ikn,kn->in", factor[j:, :j], factor[j, :j])
+        col[0] += tau
+        np.divide(col, np.sqrt(col[0]), out=factor[j:, j])
+    logdet = 2.0 * np.log(np.einsum("kkn->kn", factor[:k])).sum(1)
+    quad = np.einsum("kn,kn->k", factor[k], factor[k])
+    curve = (n_obs - n * np.arange(1, k + 1)) * x + np.cumsum(logdet)
+    return curve + (n_obs - np.cumsum(quad)) / tau
+
+
+def _search_step(xs: list, fs: list) -> float:
+    """The minimum of the cubic through the (at most) four points of (``xs``,
+    ``fs``) nearest the lowest, or a step downhill where it has none; at
+    most ``_SEARCH_STEP`` from the lowest, within the bounds."""
+    (x0, f0), *rest = sorted(zip(xs, fs), key=lambda p: abs(p[0] - xs[fs.index(min(fs))]))[:4]
+    t = [x - x0 for x, _ in rest]
+    d = [(f - f0) / u for u, (_, f) in zip(t, rest)]  # divided differences f[0, i]
+    e = [(d[i] - d[0]) / (t[i] - t[0]) for i in range(1, len(t))]  # f[0, 1, i]
+    c3 = (e[1] - e[0]) / (t[2] - t[1]) if len(e) > 1 else 0.0  # f[0, 1, 2, 3]
+    c1, c2 = d[0] - e[0] * t[0] + c3 * t[0] * t[1], e[0] - c3 * (t[0] + t[1])
+    disc = c2 * c2 - 3.0 * c1 * c3  # of the slope c1 + 2 c2 t + 3 c3 t^2
+    if disc >= 0.0 and c2 + math.sqrt(disc) > 0.0:  # a root of positive curvature
+        step = -c1 / (c2 + math.sqrt(disc))
+    else:
+        step = -math.copysign(_SEARCH_STEP, c1)
+    step = min(max(step, -_SEARCH_STEP), _SEARCH_STEP)
+    return min(max(x0 + step, _SEARCH_FLOOR), _SEARCH_CEIL)
+
+
+def _marginal_loglik(
+    model: FpcaModel, sample: SparseFunctionalSample, counts: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma2, loglik) at each of the component ``counts``: the noise
+    variance maximizing the Gaussian likelihood l = -1/2 sum_i [log det
+    Sigma_i + r_i^T Sigma_i^-1 r_i], Sigma_i = Psi_i^T D_K Psi_i + sigma^2 I
+    at the fitted eigenpairs (James, Hastie & Sugar 2000), and l there.
+
+    By the determinant lemma and Woodbury, l is evaluated in component
+    space (``_nested_curve``), on x = log(sigma^2 / v), so a power-of-two
+    map of the values scales sigma2 by its square exactly. The search starts
+    at e^x = 1 - (the traces of S_i) / (the observations) at the largest
+    count, at least 0.05; then, largest count first, each count steps on
+    its own values and the larger counts' until a step ends within
+    ``_SEARCH_TOL`` of an evaluated point, which it takes. Residuals that
+    are all zero give sigma2 0 and loglik inf.
+    """
+    top = max(counts)
+    s, beta, scale = _likelihood_blocks(model, sample, top)
+    if scale == 0.0:
+        return np.zeros(len(counts)), np.full(len(counts), math.inf)
+    n_obs = int(sample.counts.sum())
+    trace = sum(float(s[_packed(top, j)].sum()) for j in range(top))
+    start = math.log(max(1.0 - trace / n_obs, 0.05))
+    points = {k: ([], []) for k in range(1, top + 1)}
+
+    def evaluate(x: float, k: int) -> None:
+        for j, f in enumerate(_nested_curve(s, beta, n_obs, x, k), 1):
+            points[j][0].append(x)
+            points[j][1].append(float(f))
+
+    for x in (start - _SEARCH_DIFF, start, start + _SEARCH_DIFF):
+        evaluate(x, top)
+    best = {}
+    for k in sorted(set(counts), reverse=True):
+        xs, fs = points[k]
+        for _ in range(_SEARCH_ITER):
+            x = _search_step(xs, fs)
+            near = min(range(len(xs)), key=lambda i: abs(xs[i] - x))
+            if abs(xs[near] - x) < _SEARCH_TOL:
+                break
+            evaluate(x, k)
+        best[k] = scale * math.exp(xs[near]), -0.5 * (fs[near] + n_obs * math.log(scale))
+    return tuple(np.array(column) for column in zip(*(best[k] for k in counts)))
+
+
+def estimate_noise_variance(
+    sample: SparseFunctionalSample,
+    model: FpcaModel,
+    n_components: int,
+    config: FpcaConfig = FpcaConfig(),
+) -> float:
+    """The observation-noise variance maximizing the Gaussian likelihood of
+    ``sample`` at ``n_components`` of the model's eigenpairs
+    (``_marginal_loglik``); no setting of ``config`` enters it."""
+    _check_ncomp(model, n_components)
+    return float(_marginal_loglik(model, sample, [n_components])[0][0])
 
 
 def select_ncomp(
@@ -910,18 +923,18 @@ def select_ncomp(
     model: FpcaModel,
     config: FpcaConfig = FpcaConfig(),
 ) -> tuple[int, dict]:
-    """Pick the component count by pseudo-Gaussian AIC, up to
-    ``config.max_components``.
-
-    Returns the argmin count and a record of the criterion curve. Ties go to
-    the smaller count.
-    """
+    """The count K, up to ``config.max_components``, minimizing the BIC -2
+    l_K + (K + 1) log n at each count's own noise variance, n the subjects
+    with observations, ties to the smaller; and the record of both curves."""
     max_m = min(config.max_components, model.eigenvalues.size)
     if max_m < 1:
         raise FitError("select_ncomp", "no retained eigenvalues to choose from")
-    curve = _aic_curve(model, sample, max_m)
+    counts = np.arange(1, max_m + 1)
+    sigma2, loglik = _marginal_loglik(model, sample, counts.tolist())
+    curve = -2.0 * loglik + (counts + 1) * math.log(int((sample.counts > 0).sum()))
     n = int(np.argmin(curve)) + 1
-    return n, {"method": "aic", "criterion": [float(v) for v in curve], "chosen": n}
+    info = {"method": "bic", "criterion": curve.tolist(), "noise_var": sigma2.tolist()}
+    return n, {**info, "chosen": n}
 
 
 def _run_stage(stage: str, fn):
@@ -940,11 +953,12 @@ def fit_fpca(
     flags: SmoothFlags | None = None,
     stage_prefix: str = "",
 ) -> FpcaModel:
-    """Fit the full marginal model: mean, surface, noise, eigenpairs, count.
+    """Fit the full marginal model: mean, surface, eigenpairs, count, noise.
 
     A fixed ``ncomp`` (at least 1, clamped to the retained eigenpairs)
-    replaces the AIC selection. Fallbacks and notes go to ``flags``, which
-    a joint fit shares across its stages. Raises FitError with a stage name
+    replaces the BIC selection; the noise variance is the likelihood's at
+    the count either way. Fallbacks and notes go to ``flags``, which a
+    joint fit shares across its stages. Raises FitError with a stage name
     (optionally prefixed, so a joint fit can distinguish predictor from
     response stages) when any step cannot proceed.
     """
@@ -963,17 +977,13 @@ def fit_fpca(
     cov = _run_stage(
         stage_prefix + "covariance", lambda: estimate_covariance(raw, grid, config, flags)
     )
-    sigma2 = _run_stage(
-        stage_prefix + "noise_variance",
-        lambda: estimate_noise_variance(raw, grid, cov.bandwidth, config, flags),
-    )
     eig = _run_stage(stage_prefix + "eigendecompose", lambda: eigendecompose(cov, flags=flags))
 
     model = FpcaModel(
         grid=grid,
         mean=mean.values,
         surface=cov.surface,
-        noise_var=sigma2,
+        noise_var=0.0,
         eigenvalues=eig.eigenvalues,
         eigenfunctions=eig.functions,
         n_components=min(ncomp or eig.n_retained, eig.n_retained),
@@ -982,13 +992,14 @@ def fit_fpca(
         selection={},
         n_subjects=sample.n_subjects,
     )
-    if ncomp is not None:
+    if ncomp is None:
+        stage = stage_prefix + "select_ncomp"
+        n, info = _run_stage(stage, lambda: select_ncomp(sample, model, config))
+        sigma2 = info["noise_var"][n - 1]
+    else:
         if ncomp > eig.n_retained and flags is not None:
-            flags.note(f"requested {ncomp} components, only {eig.n_retained} retained")
-        info = {"method": "fixed", "chosen": model.n_components}
-        return replace(model, selection=info)
-    n, info = _run_stage(
-        stage_prefix + "select_ncomp",
-        lambda: select_ncomp(sample, model, config),
-    )
-    return replace(model, n_components=n, selection=info)
+            flags.note(f"component count {ncomp} clamped to the {eig.n_retained} retained")
+        n, info = model.n_components, {"method": "fixed", "chosen": model.n_components}
+        stage = stage_prefix + "noise_variance"
+        sigma2 = _run_stage(stage, lambda: estimate_noise_variance(sample, model, n, config))
+    return replace(model, noise_var=sigma2, n_components=n, selection=info)

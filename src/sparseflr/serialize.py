@@ -128,6 +128,7 @@ def _check_shapes(model: FlrModel) -> None:
         "cross.surface on its own grids": (cross.surface, cross_grids),
         "sigma_km": (sigma_km, (y.n_components, x.n_components)),
         "beta": (beta, (n_s, n_t)),
+        "r2.pointwise": (model.r2.pointwise, (n_t,)),
     }
     for name, m in (("x", x), ("y", y)):
         n, r = m.grid.n_points, m.eigenvalues.size

@@ -1,11 +1,11 @@
 """Weighted local-linear kernel smoothers on 1-d and 2-d scatters.
 
-All estimators in the package reduce to three smoothing primitives:
+The package has three smoothing primitives:
 
-* ``local_linear_1d`` for mean curves and the raw diagonal,
+* ``local_linear_1d`` for mean curves,
 * ``local_linear_2d`` for covariance and cross-covariance surfaces,
-* ``local_diag_rotated`` for the smoothed surface diagonal, fitted in
-  coordinates rotated 45 degrees so the diagonal ridge is not flattened.
+* ``local_diag_rotated`` for a surface diagonal (no fit calls it), fitted
+  in coordinates rotated 45 degrees so the diagonal ridge is not flattened.
 
 Each fits, at every evaluation point, an exact weighted least-squares
 polynomial against kernel weights with compact support. Only the points
@@ -45,7 +45,6 @@ the GCV trace formula.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -571,21 +570,16 @@ def local_diag_rotated(
     diagonal target s the fit is ``b0 + b1 (d - sqrt2 s) + b2 o^2`` with
     product kernel weights in (d, o); the value at the target is ``b0``.
     Fitting a quadratic across the diagonal instead of a plane keeps the
-    surface ridge from being flattened, which matters because the diagonal
-    feeds the noise-variance estimate. Degenerate targets drop the
+    surface ridge from being flattened. Degenerate targets drop the
     curvature term and keep the line along the diagonal, then fall back to
     a local constant.
 
     ``eval_points`` are diagonal locations in original coordinates.
 
     Only pairs in the band |o| < bandwidth with positive weight carry
-    weight, and every one of them lies within ``_diag_band_reach(bandwidth)``
-    of the diagonal in |x2 - x1|. A target whose window holds none of them
-    takes the weighted mean of the band, or, where the band is empty, that
-    of every pair given. A caller may drop the pairs beyond the reach first,
-    keeping the rest in their order: wherever the band is not empty, the fit
-    is the same bit for bit, since the band is then the same pairs in the
-    same order. Raises ValueError as ``local_linear_1d`` does.
+    weight. A target whose window holds none of them takes the weighted
+    mean of the band, or, where the band is empty, that of every pair
+    given. Raises ValueError as ``local_linear_1d`` does.
 
     The band is found over ``_chunks`` of the pairs, and the rotated
     coordinates and across-diagonal kernel weights are formed on the band
@@ -633,17 +627,6 @@ def local_diag_rotated(
     empty = _empty_fill(moments[0], *((bz, bw) if band.size else (z, w)))
     out = _solve_plane_batch(tuple(moments), flags, line_fallback=True, empty=empty)
     return out.reshape(np.shape(eval_points))
-
-
-def _diag_band_reach(bandwidth: float) -> float:
-    """A bound on |x2 - x1| over the pairs in ``local_diag_rotated``'s band
-    at ``bandwidth``: a pair weighs in only where its rotated offset
-    |x2 - x1| / sqrt2 is below the bandwidth, and ``_pad`` covers the
-    rounding of the rotation and of the kernel's argument. Every fitted
-    value, empty windows' band mean included, depends on the pairs within
-    it alone while the band is not empty."""
-    reach = math.sqrt(2.0) * bandwidth
-    return reach + _pad(0.0, reach)
 
 
 def bin_scatter_2d(

@@ -349,6 +349,19 @@ class TestReport:
         for name in ("mean_x.csv", "mean_y.csv", "r2_pointwise.csv"):
             assert (out / name).exists()
 
+    # the report writes one row per response-grid node: a number there once
+    # raised TypeError (exit 1), and a short array wrote a short file
+    @pytest.mark.parametrize("edit", [lambda values: 0.5, lambda values: values[:-1]],
+                             ids=["number", "one short"])
+    def test_malformed_pointwise_r2_is_data_error(self, fit_dir, tmp_path, capsys, edit):
+        doc = json.loads((fit_dir / "model.json").read_text())
+        doc["r2"]["pointwise"] = edit(doc["r2"]["pointwise"])
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        args = ["report", "--model", str(tmp_path / "model.json"), "--out", str(tmp_path / "o")]
+        assert main(args) == 3
+        assert "r2.pointwise" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "r2_pointwise.csv").exists()
+
 
 class TestManifest:
     """Each command's manifest holds exactly its parsed flags, so a flag added

@@ -252,7 +252,7 @@ def test_binned_fit_reaches_the_benchmark_layers(dense_pair, monkeypatch):
     calls = Counter()
     modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "sparseflr"]
     for home, name in (("fpca", "raw_covariances"), ("smoothing", "bin_scatter_2d"),
-                       ("smoothing", "local_diag_rotated")):
+                       ("fpca", "select_ncomp"), ("fpca", "estimate_noise_variance")):
         original = getattr(sys.modules[f"sparseflr.{home}"], name)
 
         def counted(*args, _fn=original, _span=f"{home}.{name}", **kwargs):
@@ -263,10 +263,13 @@ def test_binned_fit_reaches_the_benchmark_layers(dense_pair, monkeypatch):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
     fit_flr(*dense_pair[:2])
+    # the predictor's count is selected, the response's fixed at every
+    # retained component, so each takes its noise variance one way
     assert calls == {
         "fpca.raw_covariances": 2,
         "smoothing.bin_scatter_2d": 3,
-        "smoothing.local_diag_rotated": 2,
+        "fpca.select_ncomp": 1,
+        "fpca.estimate_noise_variance": 1,
     }
 
 
@@ -742,6 +745,8 @@ class TestInvariance:
         assert deviation <= 1e-10
         if c in (4.0, -1.0, -4.0) and d == 0.0:
             assert np.array_equal(got, want)
+            mapped_model, fitted_model = getattr(model, variable), getattr(fitted, variable)
+            assert mapped_model.noise_var == c * c * fitted_model.noise_var
 
 
 class TestFlrConfig:

@@ -39,18 +39,15 @@ from sparseflr.fpca import (
     MeanEstimate,
     RawCovariances,
     _index_dtype,
-    _near_diagonal,
+    _marginal_loglik,
     _pair_indices,
-    _rotated_diagonal,
     raw_covariances,
     select_ncomp,
 )
 from sparseflr.smoothing import (
-    QUARTIC,
     SmoothFlags,
     bin_scatter_2d,
     get_kernel,
-    local_diag_rotated,
     local_linear_1d,
     local_linear_2d,
     select_bandwidth_2d,
@@ -103,7 +100,7 @@ def affine_sample(n_subjects=30, slope=2.0, intercept=1.0, seed=11):
     return SparseFunctionalSample(Interval(0.0, 10.0), tuple(subjects))
 
 
-def handmade_raw(s1, s2, value, diag_t=None, diag_value=None):
+def handmade_raw(s1, s2, value):
     """Raw covariances given by pair coordinates: each pair is a subject of
     its own, pairing one observation on each side, whose residuals are the
     pair's value and 1."""
@@ -118,8 +115,6 @@ def handmade_raw(s1, s2, value, diag_t=None, diag_value=None):
         counts_a=one,
         starts_b=each,
         counts_b=one,
-        diag_t=np.asarray([] if diag_t is None else diag_t, float),
-        diag_value=np.asarray([] if diag_value is None else diag_value, float),
     )
 
 
@@ -180,16 +175,11 @@ class TestEstimateMean:
 def loop_raw_covariances(sample, mean):
     """Reference for ``raw_covariances``: the per-subject loop it replaced."""
     s1_parts, s2_parts, v_parts, idx_parts = [], [], [], []
-    dt_parts, dv_parts = [], []
     for i, subj in enumerate(sample.subjects):
         L = subj.n_obs
-        if L == 0:
-            continue
-        resid = subj.values - mean.at(subj.times)
-        dt_parts.append(subj.times)
-        dv_parts.append(resid * resid)
         if L < 2:
             continue
+        resid = subj.values - mean.at(subj.times)
         tt1, tt2 = np.meshgrid(subj.times, subj.times, indexing="ij")
         rr = np.outer(resid, resid)
         off = ~np.eye(L, dtype=bool)
@@ -206,8 +196,6 @@ def loop_raw_covariances(sample, mean):
         s2=cat(s2_parts),
         value=cat(v_parts),
         subject=cat(idx_parts, np.int32),
-        diag_t=cat(dt_parts),
-        diag_value=cat(dv_parts),
     )
 
 
@@ -225,7 +213,7 @@ class TestRawCovariances:
         mean = MeanEstimate(grid, np.sin(grid.points), 1.0)
         raw = raw_covariances(sample, mean)
         ref = loop_raw_covariances(sample, mean)
-        for name in ("s1", "s2", "value", "subject", "diag_t", "diag_value"):
+        for name in ("s1", "s2", "value", "subject"):
             got, want = getattr(raw, name), getattr(ref, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
 
@@ -241,7 +229,7 @@ class TestRawCovariances:
         raw = raw_covariances(sample, self.zero_mean(grid))
         # ordered off-diagonal pairs: 3*2 from a, none from b or c
         assert raw.n_pairs == 6
-        assert raw.diag_t.size == 4
+        assert raw.times_a.size == 4
 
     def test_products_and_symmetry(self, grid, domain):
         sample = SparseFunctionalSample(
@@ -252,8 +240,7 @@ class TestRawCovariances:
         pairs = {(t1, t2): v for t1, t2, v in zip(raw.s1, raw.s2, raw.value)}
         assert pairs[(1.0, 2.0)] == -6.0
         assert pairs[(2.0, 1.0)] == -6.0
-        diag = {(t, v) for t, v in zip(raw.diag_t, raw.diag_value)}
-        assert diag == {(1.0, 9.0), (2.0, 4.0)}
+        assert len(pairs) == 2
 
     def test_mean_is_subtracted(self, grid, domain):
         sample = SparseFunctionalSample(
@@ -262,7 +249,7 @@ class TestRawCovariances:
         mean = MeanEstimate(grid, np.full(grid.n_points, 5.0), 1.0)
         raw = raw_covariances(sample, mean)
         assert np.max(np.abs(raw.value)) == 0.0
-        assert np.max(np.abs(raw.diag_value)) == 0.0
+        assert np.max(np.abs(raw.resid_a)) == 0.0
 
 
 class TestEstimateCovariance:
@@ -356,29 +343,20 @@ class TestEstimateCovariance:
 
 class TestNoiseVariance:
     def test_constant_inflation_recovered(self, grid):
-        n = 600
-        sigma2 = 0.37
-        raw = handmade_raw(
-            RNG.uniform(0, 10, n),
-            RNG.uniform(0, 10, n),
-            np.full(n, 1.5),
-            diag_t=np.linspace(0, 10, 80),
-            diag_value=np.full(80, 1.5 + sigma2),
-        )
-        est = estimate_noise_variance(raw, grid, 2.0)
-        assert abs(est - sigma2) < 1e-6
-
-    def test_negative_estimates_truncate_to_zero(self, grid):
-        n = 400
-        raw = handmade_raw(
-            RNG.uniform(0, 10, n),
-            RNG.uniform(0, 10, n),
-            np.full(n, 1.0),
-            diag_t=np.linspace(0, 10, 60),
-            diag_value=np.zeros(60),
-        )
-        est = estimate_noise_variance(raw, grid, 2.0)
-        assert est == 0.0
+        # 400 subjects of 2 to 6 observations from the six-component model,
+        # each observation's variance inflated by the noise variance 0.37:
+        # the likelihood at the true eigenpairs recovers it
+        model = six_component_model(grid, 0.37)
+        rng = np.random.default_rng(23)
+        subjects = []
+        for i in range(400):
+            t = np.sort(rng.uniform(0.0, 10.0, rng.integers(2, 7)))
+            curve = model.mean_at(t) + (rng.normal(size=6) * np.sqrt(model.eigenvalues)) @ (
+                model.eigenfunctions_at(t)
+            )
+            subjects.append(SubjectRecord(f"s{i}", t, curve + rng.normal(0.0, np.sqrt(0.37), t.size)))
+        sample = SparseFunctionalSample(grid.interval, tuple(subjects))
+        assert estimate_noise_variance(sample, model, 6) == pytest.approx(0.37, rel=0.1)
 
 
 def brute_pair_indices(starts_a, counts_a, starts_b=None, counts_b=None):
@@ -465,24 +443,6 @@ def public_covariance(raw, grid, config):
     return 0.5 * (surface + surface.T), h[0]
 
 
-def public_noise_variance(raw, grid, bandwidth, config, flags):
-    """``estimate_noise_variance`` as the public functions compose it, with
-    the rotated diagonal fitted on every pair. Returns (estimate, the
-    rotated fit's empty-window count)."""
-    kern, lo, length = get_kernel(config.kernel), grid.interval.lo, grid.interval.length
-    mid = RegularGrid(
-        Interval(lo + 0.25 * length, grid.interval.hi - 0.25 * length),
-        max(2, grid.n_points // 2 + 1),
-    )
-    v_hat = local_linear_1d(raw.diag_t, raw.diag_value, mid.points, bandwidth, kern, flags=flags)
-    before = flags.widened_windows
-    g_diag = local_diag_rotated(
-        raw.s1, raw.s2, raw.value, mid.points, bandwidth, kern, flags=flags
-    )
-    est = 2.0 / length * mid.integrate(v_hat - g_diag)
-    return max(0.0, float(est)), flags.widened_windows - before
-
-
 @pytest.fixture(scope="module")
 def raws(dense_pair, grid):
     """(raw covariances, the per-subject loop's pairs) of both samples of
@@ -512,29 +472,15 @@ def assert_chunked_lattice(raw, pairs, grid):
     assert np.array_equal(got[2], sums[counts > 0] / counts[counts > 0])
 
 
-def assert_chunked_stages(raw, loop, grid, bandwidths=(0.8, 0.03)):
-    """Lattice, band, surfaces and noise variance of a binned ``raw``
-    against the public functions on the loop's materialized pairs, with no
-    tolerance."""
+def assert_chunked_stages(raw, loop, grid):
+    """Lattice and surfaces of a binned ``raw`` against the public functions
+    on the loop's materialized pairs, with no tolerance."""
     assert_chunked_lattice(raw, (loop.s1, loop.s2, loop.value), grid)
     for config in (FpcaConfig(), FpcaConfig(cov_bandwidth=1.3, kernel="quartic")):
         cov = estimate_covariance(raw, grid, config)
         surface, bandwidth = public_covariance(loop, grid, config)
         assert cov.binned and cov.bandwidth == bandwidth
         assert np.array_equal(cov.surface, surface)
-    for bandwidth in bandwidths:
-        reach = sparseflr.smoothing._diag_band_reach(bandwidth)
-        near = np.abs(loop.s2 - loop.s1) <= reach
-        for x, y in zip(_near_diagonal(raw, reach), (loop.s1, loop.s2, loop.value)):
-            assert np.array_equal(x, y[near])
-        new, old = SmoothFlags(), SmoothFlags()
-        got = estimate_noise_variance(raw, grid, bandwidth, FpcaConfig(), new)
-        want, _ = public_noise_variance(loop, grid, bandwidth, FpcaConfig(), old)
-        assert got == want and flag_counts(new) == flag_counts(old)
-
-
-def flag_counts(flags):
-    return flags.widened_windows, flags.constant_fallbacks
 
 
 class TestPairChunks:
@@ -556,24 +502,10 @@ class TestPairChunks:
         monkeypatch.setattr(sparseflr.fpca, "BIN_THRESHOLD", 1)
         assert_chunked_stages(raw, loop_raw_covariances(sample, mean), grid)
 
-    def test_empty_band_takes_every_pair(self, grid, monkeypatch, pair_chunk):
-        # distinct times at least 0.25 apart: no pair lies within reach of
-        # the diagonal at bandwidth 0.03, so the rotated fit takes every pair
-        rng = np.random.default_rng(14)
-        sample = SparseFunctionalSample(Interval(0.0, 10.0), tuple(
-            SubjectRecord(f"s{i}", 0.25 * rng.choice(41, n, replace=False), rng.normal(size=n))
-            for i, n in enumerate([6, 0, 2, 9, 1, 35])
-        ))
-        mean = MeanEstimate(grid, np.zeros(grid.n_points), 1.0)
-        raw, loop = raw_covariances(sample, mean), loop_raw_covariances(sample, mean)
-        assert _near_diagonal(raw, sparseflr.smoothing._diag_band_reach(0.03))[0].size == 0
-        monkeypatch.setattr(sparseflr.fpca, "BIN_THRESHOLD", 1)
-        assert_chunked_stages(raw, loop, grid, bandwidths=(0.03,))
-
 
 class TestPairScatterMatchesPublicComposition:
-    """The fit's binned and banded pair stages against the public functions
-    on materialized pairs (the per-subject loop's), with no tolerance, on a
+    """The fit's binned pair stage against the public functions on
+    materialized pairs (the per-subject loop's), with no tolerance, on a
     cohort above ``BIN_THRESHOLD``."""
 
     @pytest.mark.parametrize("config", [FpcaConfig(), FpcaConfig(cov_bandwidth=1.3, kernel="quartic")])
@@ -583,37 +515,6 @@ class TestPairScatterMatchesPublicComposition:
             surface, bandwidth = public_covariance(loop, grid, config)
             assert cov.binned and cov.bandwidth == bandwidth
             assert np.array_equal(cov.surface, surface)
-
-    # 0.8 is the covariance bandwidth the fit picks; at 0.03 some targets of
-    # the rotated fit have empty windows and take the band's mean, which the
-    # pairs near the diagonal give as every pair does
-    @pytest.mark.parametrize("bandwidth, widens", [(0.8, False), (0.03, True)])
-    def test_noise_variance(self, raws, grid, bandwidth, widens):
-        for raw, loop in raws:
-            new, old = SmoothFlags(), SmoothFlags()
-            got = estimate_noise_variance(raw, grid, bandwidth, FpcaConfig(), new)
-            want, rotated_widened = public_noise_variance(loop, grid, bandwidth, FpcaConfig(), old)
-            assert got == want
-            assert (new.widened_windows, new.constant_fallbacks) == (
-                old.widened_windows, old.constant_fallbacks
-            )
-            assert (rotated_widened > 0) == widens
-
-    def test_pinned_widened_target_falls_back_unchanged(self):
-        # the empty-window case pinned in test_smoothing.py, its three
-        # weighted pairs at unit weight: one pair lies near the diagonal,
-        # and the far target takes its value, the band's mean
-        s1, s2, z = np.array([0.0, 0.0, 5.5]), np.array([0.25, 0.75, 0.25]), np.array([0.0, 1.0, 0.0])
-        raw = handmade_raw(s1, s2, z)
-        h, target = 0.5 / np.sqrt(2.0), np.array([6.25])
-        new, old = SmoothFlags(), SmoothFlags()
-        out = _rotated_diagonal(raw, target, h, QUARTIC, new)
-        ref = local_diag_rotated(s1, s2, z, target, h, QUARTIC, flags=old)
-        assert _near_diagonal(raw, h * np.sqrt(2.0))[0].size == 1
-        assert np.array_equal(out, ref)
-        assert (new.widened_windows, new.constant_fallbacks) == (1, 0) == (
-            old.widened_windows, old.constant_fallbacks
-        )
 
 
 class TestPairScatterMemory:
@@ -628,8 +529,8 @@ class TestPairScatterMemory:
     PEAK_PAIR_FLOATS = 3.09
 
     def test_binned_fit_forms_pairs_a_chunk_at_a_time(self, dense_pair, monkeypatch):
-        # each binned surface forms its pairs once, and each marginal once
-        # more for the diagonal band, never more than a chunk at a time
+        # each binned surface forms its pairs once, never more than a chunk
+        # at a time
         sizes = []
 
         def recorded(*args):
@@ -641,7 +542,7 @@ class TestPairScatterMemory:
         model = fit_flr(*dense_pair[:2])
         n_marginal = sum(int((s.counts * (s.counts - 1)).sum()) for s in dense_pair[:2])
         assert model.cross.binned and min(model.cross.n_pairs, n_marginal) > 2 * BIN_THRESHOLD
-        assert sum(sizes) == 2 * n_marginal + model.cross.n_pairs
+        assert sum(sizes) == n_marginal + model.cross.n_pairs
         assert max(sizes) <= sparseflr.smoothing._PAIR_CHUNK
 
     def test_pair_indices_are_four_bytes(self, dense_pair, grid):
@@ -1035,83 +936,118 @@ class TestEigenfunctionsAt:
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-class TestSelectNcomp:
-    @staticmethod
-    def full_batch_aic(model, sample, max_m):
-        """Reference: the AIC curve from the full batch (scores computed
-        beside their conditional covariances), with the pooled arrays and
-        the eigenfunction rows built afresh by loops."""
-        diag_scale = float(np.mean(np.diag(model.surface)))
-        sigma2 = max(model.noise_var, 1e-8 * max(diag_scale, 0.0), 1e-300)
-        batch = pace_scores_batch(model, sample.subjects, max_m)
-        assert batch.omega is not None
-        times = np.concatenate([np.empty(0)] + [s.times for s in sample.subjects])
-        values = np.concatenate([np.empty(0)] + [s.values for s in sample.subjects])
-        index = np.concatenate(
-            [np.empty(0, dtype=np.intp)]
-            + [np.full(s.n_obs, i, dtype=np.intp) for i, s in enumerate(sample.subjects)]
-        )
-        resid = values - model.mean_at(times)
-        psi = np.vstack([np.interp(times, model.grid.points, row) for row in model.eigenfunctions[:max_m]])
-        r = resid - np.cumsum(batch.scores[index].T * psi, axis=0)
-        log_term = 0.5 * resid.size * (math.log(2.0 * math.pi) + math.log(sigma2))
-        return np.einsum("mn,mn->m", r, r) / (2.0 * sigma2) + log_term + np.arange(1, max_m + 1)
+def brute_loglik(model, sample, k, sigma2):
+    """Reference for ``_marginal_loglik``: -1/2 sum_i [log det Sigma_i +
+    r_i^T Sigma_i^-1 r_i] over each subject's L_i x L_i covariance at k
+    components, by ``slogdet`` and ``solve``."""
+    total = 0.0
+    for subj in sample.subjects:
+        if subj.n_obs == 0:
+            continue
+        psi = model.eigenfunctions_at(subj.times, k)
+        resid = subj.values - model.mean_at(subj.times)
+        sigma = psi.T @ (model.eigenvalues[:k, None] * psi) + sigma2 * np.eye(subj.n_obs)
+        sign, logdet = np.linalg.slogdet(sigma)
+        assert sign > 0
+        total += logdet + resid @ np.linalg.solve(sigma, resid)
+    return -0.5 * total
 
-    def test_aic_skips_omega_bit_for_bit(self, fitted, sparse_pair, grid, domain):
-        x_sample, y_sample, _ = sparse_pair
-        cohort = SparseFunctionalSample(domain, tuple(mixed_cohort()))
-        for model, sample in (
-            (fitted.x, x_sample),
-            (fitted.y, y_sample),
-            (six_component_model(grid, 0.0), cohort),
-        ):
+
+def six_component_cohort(seed=17):
+    """The mixed cohort's counts and times (an empty subject, one of one
+    observation, tied times, and counts below six), its values drawn from
+    ``six_component_model``: mean, component scores and noise of variance
+    0.25."""
+    model = six_component_model(RegularGrid(Interval(0.0, 10.0), 51), 0.25)
+    rng = np.random.default_rng(seed)
+    subjects = []
+    for subj in mixed_cohort():
+        scores = rng.normal(size=6) * np.sqrt(model.eigenvalues)
+        curve = model.mean_at(subj.times) + scores @ model.eigenfunctions_at(subj.times)
+        subjects.append(SubjectRecord(subj.subject_id, subj.times, curve + rng.normal(0.0, 0.5, subj.n_obs)))
+    return SparseFunctionalSample(Interval(0.0, 10.0), tuple(subjects))
+
+
+@pytest.fixture(scope="module")
+def likelihood_cases(sparse_pair):
+    """(model, sample) pairs: the six-component model on the mixed cohort,
+    and the fitted predictor model on its sparse sample."""
+    x_sample = sparse_pair[0]
+    return [
+        (six_component_model(RegularGrid(Interval(0.0, 10.0), 51), 0.25), six_component_cohort()),
+        (fit_fpca(x_sample), x_sample),
+    ]
+
+
+class TestMarginalLikelihood:
+    def test_matches_brute_force_at_every_count(self, likelihood_cases):
+        for model, sample in likelihood_cases:
+            counts = list(range(1, min(10, model.eigenvalues.size) + 1))
+            sigma2, loglik = _marginal_loglik(model, sample, counts)
+            for k, s2, ll in zip(counts, sigma2, loglik):
+                want = brute_loglik(model, sample, k, s2)
+                assert abs(ll - want) <= 1e-12 * abs(want), k
+
+    def test_noise_variance_is_not_beaten_nearby(self, likelihood_cases):
+        for model, sample in likelihood_cases:
+            counts = list(range(1, min(10, model.eigenvalues.size) + 1))
+            sigma2, _ = _marginal_loglik(model, sample, counts)
+            for k, s2 in zip(counts, sigma2):
+                best = brute_loglik(model, sample, k, s2)
+                for factor in (1.0 - 1e-4, 1.0 + 1e-4):
+                    assert brute_loglik(model, sample, k, factor * s2) <= best, (k, factor)
+
+    def test_bic_pick_is_the_brute_force_argmin(self, likelihood_cases):
+        for model, sample in likelihood_cases:
             max_m = min(10, model.eigenvalues.size)
-            want = self.full_batch_aic(model, sample, max_m)
-            n, info = select_ncomp(sample, model, FpcaConfig(max_components=10))
-            assert np.array_equal(sparseflr.fpca._aic_curve(model, sample, max_m), want)
-            assert info["criterion"] == [float(v) for v in want]
+            n, info = select_ncomp(sample, model, FpcaConfig(max_components=max_m))
+            n_subjects = sum(s.n_obs > 0 for s in sample.subjects)
+            want = [
+                -2.0 * brute_loglik(model, sample, k, s2) + (k + 1) * math.log(n_subjects)
+                for k, s2 in zip(range(1, max_m + 1), info["noise_var"])
+            ]
+            assert info["method"] == "bic" and n == info["chosen"]
+            assert np.allclose(info["criterion"], want, rtol=1e-12, atol=0.0)
             assert n == int(np.argmin(want)) + 1
-            pooled = pooled_points(sample)
-            scores, omega, ridged, clipped, _, _ = sparseflr.fpca._pooled_scores(
-                model, pooled.times, pooled.values, sample.counts, max_m, with_omega=False
-            )
-            full = pace_scores_batch(model, sample.subjects, max_m)
-            assert omega is None and clipped is None
-            assert np.array_equal(scores, full.scores)
-            assert np.array_equal(ridged, full.ridged)
 
-    def hand_aic(self, model, sample, max_m):
-        """Deviance-plus-count criterion, assembled from its definition."""
-        sigma2 = max(model.noise_var, 1e-8 * float(np.mean(np.diag(model.surface))), 1e-300)
-        curve = []
-        for m in range(1, max_m + 1):
-            total = 0.0
-            for subj in sample.subjects:
-                if subj.n_obs == 0:
-                    continue
-                pred = pace_scores(model, subj.times, subj.values, max_m)
-                resid = subj.values - model.mean_at(subj.times)
-                psi = model.eigenfunctions_at(subj.times, max_m)
-                r = resid - pred.scores[:m] @ psi[:m]
-                total += (
-                    float(r @ r) / (2.0 * sigma2)
-                    + 0.5 * subj.n_obs * (math.log(2 * math.pi) + math.log(sigma2))
-                )
-            curve.append(total + m)
-        return curve
+    def test_counts_are_searched_alone_as_together(self, likelihood_cases):
+        # the searches differ, and each ends within its tolerance of the same
+        # maximizer
+        for model, sample in likelihood_cases:
+            together, _ = _marginal_loglik(model, sample, [1, 2, 3, 4, 5, 6])
+            for k in (1, 3, 6):
+                got = estimate_noise_variance(sample, model, k)
+                assert got == pytest.approx(together[k - 1], rel=1e-4)
 
-    def test_aic_curve_matches_hand_evaluation(self, truth_x_model, domain):
-        rng = np.random.default_rng(21)
-        subjects = []
-        for i in range(6):
-            t = np.sort(rng.uniform(0, 10, 4))
-            v = truth_x_model.mean_at(t) + rng.normal(scale=0.6, size=4)
-            subjects.append(SubjectRecord(f"s{i}", t, v))
-        sample = SparseFunctionalSample(domain, tuple(subjects))
-        n, info = select_ncomp(sample, truth_x_model, FpcaConfig(max_components=2))
-        expected = self.hand_aic(truth_x_model, sample, 2)
-        assert np.allclose(info["criterion"], expected, rtol=1e-8)
-        assert n == int(np.argmin(expected)) + 1
+    def test_zero_residuals_give_zero_noise(self, grid):
+        model = six_component_model(grid, 0.25)
+        subjects = tuple(
+            SubjectRecord(s.subject_id, s.times, model.mean_at(s.times)) for s in mixed_cohort()
+        )
+        sample = SparseFunctionalSample(Interval(0.0, 10.0), subjects)
+        sigma2, loglik = _marginal_loglik(model, sample, [1, 4, 6])
+        assert sigma2.tolist() == [0.0] * 3 and np.isposinf(loglik).all()
+        assert estimate_noise_variance(sample, model, 2) == 0.0
+
+    def test_value_scale_maps_noise_by_its_square(self):
+        model, sample = six_component_model(RegularGrid(Interval(0.0, 10.0), 51), 0.25), six_component_cohort()
+        scaled_model = dataclasses.replace(
+            model, mean=4.0 * model.mean, surface=16.0 * model.surface,
+            eigenvalues=16.0 * model.eigenvalues,
+        )
+        scaled = SparseFunctionalSample(sample.domain, tuple(
+            SubjectRecord(s.subject_id, s.times, 4.0 * s.values) for s in sample.subjects
+        ))
+        counts = [1, 2, 3, 4, 5, 6]
+        assert np.array_equal(
+            _marginal_loglik(scaled_model, scaled, counts)[0],
+            16.0 * _marginal_loglik(model, sample, counts)[0],
+        )
+
+    def test_no_observations_rejected(self, truth_x_model, domain):
+        sample = SparseFunctionalSample(domain, (SubjectRecord("a", np.array([]), np.array([])),))
+        with pytest.raises(ValueError, match="no observations"):
+            _marginal_loglik(truth_x_model, sample, [1])
 
 
 class TestFitFpca:
@@ -1119,8 +1055,8 @@ class TestFitFpca:
         x_sample, _, _ = sparse_pair
         model = fit_fpca(x_sample)
         assert model.n_components >= 1
-        assert model.selection["method"] == "aic"
-        assert model.noise_var >= 0.0
+        assert model.selection["method"] == "bic"
+        assert model.noise_var == model.selection["noise_var"][model.n_components - 1] > 0.0
         assert model.n_subjects == x_sample.n_subjects
         w = model.grid.trapezoid_weights
         gram = (model.eigenfunctions * w) @ model.eigenfunctions.T
@@ -1142,6 +1078,7 @@ class TestFitFpca:
         model = fit_fpca(x_sample, ncomp=40, flags=flags)
         assert model.selection["method"] == "fixed"
         assert model.n_components == model.eigenvalues.size
+        assert model.noise_var == estimate_noise_variance(x_sample, model, model.n_components)
         assert any("retained" in note for note in flags.notes)
 
     def test_count_below_one_rejected(self, sparse_pair):

@@ -6,6 +6,9 @@ library type or constant that owns the setting.
 """
 
 import argparse
+import ast
+import importlib
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +38,26 @@ def test_no_name_is_public_in_two_modules():
 def test_every_listed_name_resolves(module):
     for name in module.__all__:
         assert getattr(sparseflr, name) is getattr(module, name)
+
+
+def test_benchmark_tracer_finds_every_function_it_wraps():
+    # The benchmark's tracer (perfbench/tracing.py) wraps functions by name
+    # and a traced run fails on one that is gone: every name in its LAYERS
+    # resolves in sparseflr.<layer>. The file is parsed, not imported.
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(tracer.read_text())
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]
+    )
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in layers.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"sparseflr.{layer}"), name, None))
+    ]
+    assert layers and not missing
 
 
 def _subparser(command: str) -> argparse.ArgumentParser:

@@ -153,6 +153,16 @@ class TestLoadErrors:
         with pytest.raises(DataError, match=key):
             load_model(self.write(tmp_path, json.dumps(doc)))
 
+    # the report writes one row per response-grid node: a number there once
+    # raised TypeError, and a short array wrote a short r2_pointwise.csv
+    @pytest.mark.parametrize("edit", [lambda values: 0.5, lambda values: values[:-1]],
+                             ids=["number", "one short"])
+    def test_pointwise_r2_needs_one_entry_per_response_node(self, fitted, tmp_path, edit):
+        doc = model_document(fitted)
+        doc["r2"]["pointwise"] = edit(doc["r2"]["pointwise"])
+        with pytest.raises(DataError, match="r2.pointwise"):
+            load_model(self.write(tmp_path, json.dumps(doc)))
+
     def test_array_of_strings_is_rejected(self, fitted, tmp_path):
         doc = model_document(fitted)
         doc["x"]["eigenvalues"] = [repr(v) for v in doc["x"]["eigenvalues"]]
