@@ -87,13 +87,12 @@ class _VersionAction(argparse.Action):
 
 def _write_json(path: str, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=1) + "\n")
 
 
 def _write_columns(path: str, header: list[str], *columns) -> None:
     """A CSV whose rows run along equal-length columns of floats."""
-    _write_csv(path, header, zip(*(map(float, c) for c in columns)))
+    _write_csv(path, header, zip(*(np.asarray(c, dtype=float).tolist() for c in columns)))
 
 
 def _names(spec: str) -> tuple[str, ...]:
@@ -281,7 +280,9 @@ def cmd_report(args: argparse.Namespace) -> int:
             ["component", "eigenvalue", "variance_fraction"],
             (
                 [i + 1, ev, fraction]
-                for i, (ev, fraction) in enumerate(zip(marginal.eigenvalues, fractions))
+                for i, (ev, fraction) in enumerate(
+                    zip(marginal.eigenvalues.tolist(), fractions.tolist())
+                )
             ),
         )
         _write_columns(

@@ -335,10 +335,11 @@ def save_sample(
 
 
 def _write_csv(path: str, header: list[str], rows: Iterable[Sequence]) -> None:
-    """Write a header and rows as CSV; a float (NumPy's included) is written
-    as Python's shortest repr, which reads back bit for bit."""
+    """Write a header and rows as CSV. csv writes a float as its shortest
+    repr, which reads back bit for bit, so floats are passed as Python
+    floats (``.tolist()``): a NumPy float would be written as
+    ``np.float64(...)``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([float.__repr__(v) if isinstance(v, float) else v for v in row])
+        writer.writerows(rows)

@@ -554,7 +554,10 @@ def estimate_covariance(
     GCV search's winning fit is the estimate. ``config.n_grid`` is read by
     ``fit_fpca`` alone. The fitted surface is symmetrized. Scatters larger
     than ``BIN_THRESHOLD`` are pre-aggregated onto the grid nodes; LOSO-CV
-    scores the unbinned pairs, since binning pools subjects.
+    scores the unbinned pairs, since binning pools subjects. A GCV search
+    of a smaller scatter scores its candidates on the pairs' linear
+    binning and fits the winner exactly to the pairs
+    (``select_bandwidth_2d``), so ``flags`` counts that one fit.
 
     Binning passes ``raw.chunks()``, with their ``products``, to
     ``bin_scatter_2d``: the pairs are formed and binned a run of subjects at

@@ -176,8 +176,7 @@ def model_document(model: FlrModel) -> dict:
 def save_model(model: FlrModel, path: str) -> None:
     """Write the model document; identical models produce identical bytes."""
     with open(path, "w") as fh:
-        json.dump(model_document(model), fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(model_document(model), indent=1) + "\n")
 
 
 def load_model(path: str) -> FlrModel:

@@ -11,7 +11,7 @@ Each fits, at every evaluation point, an exact weighted least-squares
 polynomial against kernel weights with compact support. Only the points
 inside an evaluation point's support window enter its sums: the scatter is
 sorted along an axis once per call and each window is a contiguous run of
-it. ``local_linear_1d`` sums each window's points directly. Two callers
+it. ``local_linear_1d`` sums each window's points directly. Three callers
 smooth a lattice instead, at a cost set by the lattice alone:
 
 * ``select_bandwidth_1d`` fits its GCV candidates to a scatter of more than
@@ -20,7 +20,10 @@ smooth a lattice instead, at a cost set by the lattice alone:
   cross-validated mean bandwidth the same way;
 * ``local_linear_2d`` on a scatter whose points all sit on grid nodes (the
   output of ``bin_scatter_2d``) pools them per node and smooths the lattice
-  with kernel matrices.
+  with kernel matrices;
+* ``select_bandwidth_2d`` scores its GCV candidates for a scatter off the
+  grid nodes on its linear binning onto the grid (``_bin_linear_2d``), and
+  fits only the winner to the points.
 
 Windows whose normal equations are numerically rank-deficient fall back to
 a local constant fit, and a window holding no weighted point takes the
@@ -45,7 +48,7 @@ the GCV trace formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -160,7 +163,10 @@ class SmoothFlags:
     ``widened_windows`` counts the windows that held no weighted point and
     took the data mean (the name is kept for the documents that read it);
     ``constant_fallbacks`` the rank-deficient windows that took the local
-    constant.
+    constant. A bandwidth search adds the counts of every candidate it fits
+    to the points given; the GCV search of a 2-d scatter off the grid nodes
+    adds only those of the winner's exact fit, so for such a surface the
+    counts describe the surface returned.
     """
 
     widened_windows: int = 0
@@ -731,14 +737,62 @@ def _bin_linear(
     if x.size <= _MEAN_LATTICE or lo == hi:
         return x, y, w
     m = _MEAN_LATTICE
-    pos = np.clip((x - lo) / ((hi - lo) / (m - 1)), 0.0, m - 1.0)
-    i = np.minimum(pos.astype(np.intp), m - 2)
-    right = w * (pos - i)
+    i, frac = _lower_node((x - lo) / ((hi - lo) / (m - 1)), m)
+    right = w * frac
     left = w - right
     wsum = np.bincount(i, left, m) + np.bincount(i + 1, right, m)
     ysum = np.bincount(i, left * y, m) + np.bincount(i + 1, right * y, m)
     ymean = np.divide(ysum, wsum, out=np.zeros(m), where=wsum > 0)
     return np.linspace(lo, hi, m), ymean, wsum
+
+
+def _lower_node(pos: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, frac) of positions along a lattice of m nodes, given in node
+    units: the lower node of each position's cell and its fraction of the
+    way to the next node, both clipped to the lattice."""
+    pos = np.clip(pos, 0.0, m - 1.0)
+    i = np.minimum(pos.astype(np.intp), m - 2)
+    return i, pos - i
+
+
+def _bin_linear_2d(
+    x1: np.ndarray, x2: np.ndarray, z: np.ndarray, w: np.ndarray,
+    grid1: np.ndarray, grid2: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(x1, x2, z, weights) of the lattice that ``select_bandwidth_2d``
+    scores its GCV candidates on, from a scatter checked by ``_scatter``.
+
+    A scatter whose points all sit on nodes of ``grid1 x grid2`` (as
+    ``bin_scatter_2d`` leaves them), or a grid of one node, is itself. Any
+    other is binned linearly onto the grid: each point's weight is split
+    bilinearly over the four nodes of its cell in proportion to its nearness
+    to each, which keeps the total weight and the weighted sum of z, and
+    those of x1 and x2 over the points within the grid; a point beyond it is
+    moved onto its edge first. Each
+    axis's position in node units is interpolated between the nodes, so the
+    grids need not be evenly spaced. Returned are the nodes that received
+    weight, with that weight and the weighted mean of their z.
+    """
+    g1, g2 = (np.asarray(g, dtype=float).ravel() for g in (grid1, grid2))
+    on_nodes = _node_index(x1, g1) is not None and _node_index(x2, g2) is not None
+    if on_nodes or min(g1.size, g2.size) < 2:
+        return x1, x2, z, w
+    (i, f1), (j, f2) = (
+        _lower_node(np.interp(x, g, np.arange(g.size, dtype=float)), g.size)
+        for x, g in ((x1, g1), (x2, g2))
+    )
+    m2, size = g2.size, g1.size * g2.size
+    node = i * m2 + j
+    wsum, zsum = np.zeros(size), np.zeros(size)
+    for step, share in (
+        (0, (1.0 - f1) * (1.0 - f2)), (m2, f1 * (1.0 - f2)), (1, (1.0 - f1) * f2), (m2 + 1, f1 * f2)
+    ):
+        part = w * share
+        wsum += np.bincount(node + step, part, size)
+        zsum += np.bincount(node + step, part * z, size)
+    occ = wsum > 0
+    ii, jj = np.divmod(np.flatnonzero(occ), m2)
+    return g1[ii], g2[jj], zsum[occ] / wsum[occ], wsum[occ]
 
 
 def _interp_slopes(grid_points: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -815,8 +869,11 @@ class BandwidthSelection:
     Under GCV ``fit`` is the chosen candidate's fitted curve or surface on
     the search grid, so callers need not refit it; for a 1-d scatter of
     more than ``_MEAN_LATTICE`` points it is the fit to the scatter's
-    linear binning (see ``select_bandwidth_1d``). LOSO-CV fits no
-    full-data candidate and leaves it None.
+    linear binning (see ``select_bandwidth_1d``). A 2-d surface is always
+    the fit to the points given: where they lie off the grid nodes, the
+    candidates are scored on their linear binning and only the winner is
+    fitted exactly (see ``select_bandwidth_2d``). LOSO-CV fits no full-data
+    candidate and leaves it None.
     """
 
     chosen: float | tuple[float, float]
@@ -950,16 +1007,31 @@ def select_bandwidth_2d(
     """2-d analogue of ``select_bandwidth_1d``; candidates are (h1, h2) pairs.
 
     The GCV trace approximation becomes K(0)^2 |range1| |range2| / (N h1 h2).
-    Raises ValueError as ``select_bandwidth_1d`` does.
+    As in 1-d, GCV scores each candidate fitted to a lattice, with the
+    residuals taken at the raw points by ``interp_bilinear`` and N their
+    total weight. A scatter whose points all sit on grid nodes (the output
+    of ``bin_scatter_2d``) is its own lattice: every candidate is fitted to
+    it, ``flags`` counts every candidate's fit, and the winner's fit is
+    ``fit``. Any other scatter is binned linearly onto ``grid1 x grid2``
+    once (``_bin_linear_2d``), each candidate costs a fit of that lattice,
+    and the winner is then fitted exactly to the raw points by
+    ``local_linear_2d``: that exact fit is ``fit``, and it alone adds to
+    ``flags``, so the counts describe the surface returned. LOSO-CV fits the
+    raw points as the 1-d search does. Raises ValueError as
+    ``select_bandwidth_1d`` does.
     """
     x1, x2, z, w, subject_index = _scatter((x1, x2, z), weights, subject_index)
     g1 = np.asarray(grid1, dtype=float).ravel()
     g2 = np.asarray(grid2, dtype=float).ravel()
     r1 = float(g1.max() - g1.min())
     r2 = float(g2.max() - g2.min())
+    lattice = _bin_linear_2d(x1, x2, z, w, g1, g2)
+    own = lattice[0] is x1  # the scatter is its own lattice
 
     def grid_fit(h):
-        fit = local_linear_2d(x1, x2, z, g1, g2, h, kernel, weights=w, flags=flags)
+        fit = local_linear_2d(
+            *lattice[:3], g1, g2, h, kernel, weights=lattice[3], flags=flags if own else None
+        )
         return fit, z - interp_bilinear(g1, g2, fit, x1, x2)
 
     def held_out(h, mask):
@@ -969,7 +1041,12 @@ def select_bandwidth_2d(
         return z[mask] - interp_bilinear(g1, g2, fit, x1[mask], x2[mask])
 
     k0 = kernel.at_zero
-    return _search(
+    sel = _search(
         [(float(a), float(b)) for a, b in candidates], objective, w, subject_index,
         grid_fit, held_out, lambda h: k0 * k0 * r1 * r2 / (h[0] * h[1]),
+    )
+    if sel.fit is None or own:
+        return sel
+    return replace(
+        sel, fit=local_linear_2d(x1, x2, z, g1, g2, sel.chosen, kernel, weights=w, flags=flags)
     )

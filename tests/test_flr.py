@@ -414,8 +414,9 @@ class TestCrossCovariance:
             FpcaConfig(cov_bandwidth_fractions=fractions),
         )
         length = grid.interval.length
-        # one fit per candidate, no refit
-        assert calls == [(f * length, f * length) for f in fractions]
+        # one fit of the pairs' linear binning per candidate, then the
+        # chosen bandwidth's exact fit, which is the estimate
+        assert calls == [(f * length, f * length) for f in fractions] + [cross.bandwidths]
         fixed = estimate_cross_covariance(
             x_sample, y_sample, mean, mean, grid, grid,
             FpcaConfig(cov_bandwidth=cross.bandwidths[0]),

@@ -49,6 +49,61 @@ def test_binned_fit_document_does_not_depend_on_blas_threads():
     assert len(digests) == 1
 
 
+# Fits an unbinned cohort at the default grid and a binned one at 101 nodes,
+# and prints the sha256 of every leaf of their model documents.
+THREAD_DIGESTS = """
+import hashlib, json
+import numpy as np
+from sparseflr import FlrConfig, FpcaConfig, SimConfig, fit_flr, gen_pair, model_document
+
+def leaves(doc, path):
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from leaves(value, f"{path}.{key}")
+    else:
+        yield path, hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+cohorts = {
+    "sparse n=400, rng 102": (SimConfig(n_subjects=400), 102, FlrConfig()),
+    "dense n=400 seed 0, 101 nodes": (
+        SimConfig(n_subjects=400, sparsity="dense"), 0, FlrConfig(FpcaConfig(n_grid=101))
+    ),
+}
+out = {}
+for name, (sim, seed, config) in cohorts.items():
+    x, y, _ = gen_pair(sim, np.random.default_rng(seed))
+    out[name] = dict(leaves(model_document(fit_flr(x, y, config)), "doc"))
+print(json.dumps(out))
+"""
+
+
+# Known failure, kept visible: the moment products of the 2-d smoother go
+# through threaded BLAS, whose reduction order depends on the thread count,
+# so both documents differ in their last bits between one and two threads.
+# The xfail reason names the entries that differ; equal documents fail the
+# test, and so does any other failure.
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two cores")
+@pytest.mark.xfail(strict=True, raises=pytest.xfail.Exception,
+                   reason="fitted bytes depend on the BLAS thread count")
+def test_fit_documents_do_not_depend_on_blas_threads():
+    src = os.path.dirname(os.path.dirname(sparseflr.__file__))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run(
+            [sys.executable, "-c", THREAD_DIGESTS], capture_output=True, text=True, env=env,
+            check=True, timeout=300,
+        )
+        runs.append(json.loads(out.stdout))
+    one, two = runs
+    differ = [
+        f"{cohort}: {', '.join(k for k in one[cohort] if one[cohort][k] != two[cohort][k])}"
+        for cohort in one if one[cohort] != two[cohort]
+    ]
+    if differ:
+        pytest.xfail("documents differ at 1 and 2 threads in " + "; ".join(differ))
+
+
 class TestRoundTrip:
     def test_document_survives_save_and_load(self, fitted, tmp_path):
         path = str(tmp_path / "model.json")

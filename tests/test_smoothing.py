@@ -27,7 +27,7 @@ from sparseflr.smoothing import (
     select_bandwidth_1d,
     select_bandwidth_2d,
 )
-from sparseflr.smoothing import _bin_linear, _node_index, _solve_plane_batch
+from sparseflr.smoothing import _bin_linear, _bin_linear_2d, _node_index, _solve_plane_batch
 
 RNG = np.random.default_rng(42)
 finite_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -966,6 +966,47 @@ class TestBandwidthSelection:
             for raw, binned in ((w, wsum), (w * x, wsum * nodes), (w * y, wsum * ybar)):
                 assert abs(binned.sum() - raw.sum()) <= 1e-12 * np.abs(raw).sum()
 
+    # interior points, then points on the last row and column off the other
+    # axis's nodes, then the four corners; the second grid is unevenly spaced
+    G2_UNEVEN = np.array([0.0, 0.4, 1.5, 2.0, 3.7, 4.1, 5.5, 7.0])
+    EDGES = np.array([
+        [10.0, 3.3], [10.0, 0.2], [4.1, 7.0], [0.3, 7.0],
+        [0.0, 0.0], [0.0, 7.0], [10.0, 0.0], [10.0, 7.0],
+    ])
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_2d_linear_binning_keeps_weight_and_first_moments(self, weighted):
+        rng = np.random.default_rng(31)
+        g1, g2 = np.linspace(0.0, 10.0, 21), self.G2_UNEVEN
+        x1 = np.r_[rng.uniform(0.0, 10.0, 300), self.EDGES[:, 0]]
+        x2 = np.r_[rng.uniform(0.0, 7.0, 300), self.EDGES[:, 1]]
+        z = rng.normal(size=x1.size)
+        w = rng.uniform(0.1, 2.0, x1.size) if weighted else np.ones(x1.size)
+        for cut in (slice(None), slice(300, None)):  # everything; the edges alone
+            n1, n2, zbar, wsum = _bin_linear_2d(x1[cut], x2[cut], z[cut], w[cut], g1, g2)
+            assert (wsum > 0).all() and np.isin(n1, g1).all() and np.isin(n2, g2).all()
+            for raw, binned in (
+                (w, wsum), (w * x1, wsum * n1), (w * x2, wsum * n2), (w * z, wsum * zbar)
+            ):
+                assert abs(binned.sum() - raw[cut].sum()) <= 1e-12 * np.abs(raw[cut]).sum()
+        # a corner point is a node, and keeps its whole weight there
+        order = np.lexsort(self.EDGES[-4:].T[::-1])
+        n1, n2, zbar, wsum = _bin_linear_2d(x1[-4:], x2[-4:], z[-4:], w[-4:], g1, g2)
+        assert np.array_equal(np.c_[n1, n2], self.EDGES[-4:][order])
+        assert np.array_equal(wsum, w[-4:][order]) and np.allclose(zbar, z[-4:][order], rtol=1e-15)
+
+    def test_2d_linear_binning_leaves_points_on_nodes_as_they_are(self):
+        # the last row and column and the corners included; one point off
+        # the nodes bins them all
+        rng = np.random.default_rng(32)
+        g1, g2 = np.linspace(0.0, 10.0, 21), self.G2_UNEVEN
+        i = np.r_[rng.integers(0, g1.size, 200), [g1.size - 1] * 3, 0, 7]
+        j = np.r_[rng.integers(0, g2.size, 200), 0, g2.size - 1, 3, g2.size - 1, g2.size - 1]
+        cols = (g1[i], g2[j], rng.normal(size=i.size), rng.uniform(0.5, 1.5, i.size))
+        assert all(a is b for a, b in zip(_bin_linear_2d(*cols, g1, g2), cols))
+        nudged = (cols[0] + np.r_[np.zeros(i.size - 1), 1e-3], *cols[1:])
+        assert _bin_linear_2d(*nudged, g1, g2)[0].size < i.size
+
     @pytest.mark.parametrize("n", [401, 402])
     def test_gcv_fits_the_lattice_above_401_points(self, n):
         # up to 401 points the search fits the scatter exactly; from 402 it
@@ -998,6 +1039,8 @@ class TestBandwidthSelection:
         assert sel.fit is None
 
     def test_gcv_2d_matches_direct_tabulation(self):
+        # an off-node scatter: each candidate is fitted to its linear
+        # binning, and the residuals are taken at the raw points
         n = 150
         x1 = RNG.uniform(0, 10, n)
         x2 = RNG.uniform(0, 10, n)
@@ -1005,10 +1048,11 @@ class TestBandwidthSelection:
         g = np.linspace(0, 10, 11)
         cands = [(1.5, 1.5), (3.0, 3.0)]
         sel = select_bandwidth_2d(x1, x2, z, cands, g, g)
+        n1, n2, zbar, wsum = _bin_linear_2d(x1, x2, z, np.ones(n), g, g)
 
         direct = []
         for h1, h2 in cands:
-            surf = local_linear_2d(x1, x2, z, g, g, (h1, h2))
+            surf = local_linear_2d(n1, n2, zbar, g, g, (h1, h2), weights=wsum)
             resid = z - interp_bilinear(g, g, surf, x1, x2)
             trace = (
                 EPANECHNIKOV.at_zero ** 2
